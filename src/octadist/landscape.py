@@ -10,12 +10,19 @@ the coordinates of the two points, coded here twice on purpose: once as
 the bare formula (trail_length) and once via an explicit planar layout
 with chord/edge intersections (trail_crossings).  The two codings are
 held to agree to 1e-12 by the test suite.
+
+surface_distance takes the minimum of the formulas and lays out only the
+minimizing landscapes; every applicable landscape is laid out only when
+a minimizer's chord is not contained.  Each landscape's layout through a
+frame is derived from chain_layout once per process and reused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import topology as topo
 from .coords import (
@@ -363,6 +370,32 @@ def chord_edge_intersections(a, b, edges, tol: float = EPS_IN):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(index: int, frame: topo.Frame):
+    """Layout of landscape `index` through `frame`, derived once.
+
+    Returns the corner positions of the first and last face (read-only),
+    the interior edges' vertex labels and planar segments in path order,
+    and the landscape instance.  At most 9 x 24 entries exist.
+    """
+    roles = PATH_ROLES[index]
+    faces = tuple(frame.face(r) for r in roles)
+    base_role, ref_role = _ORIENT_ROLES[index]
+    positions = chain_layout(faces, roles.index(base_role), frame.face(ref_role))
+    edge_labels = tuple(topo.shared_edge(faces[i], faces[i + 1]) for i in range(len(faces) - 1))
+    segments = tuple(
+        (positions[faces[i]][s], positions[faces[i]][t])
+        for i, (s, t) in enumerate(edge_labels)
+    )
+    return (
+        MappingProxyType(positions[faces[0]]),
+        MappingProxyType(positions[faces[-1]]),
+        edge_labels,
+        segments,
+        LandscapeInstance(index, frame, faces),
+    )
+
+
 def trail_crossings(
     index: int, p1: Representation, p2: Representation, frame: topo.Frame
 ) -> TrailResult:
@@ -375,22 +408,11 @@ def trail_crossings(
     chord meets the edges in path order.
     """
     _check_inputs(index, p1, p2, frame)
-    roles = PATH_ROLES[index]
-    faces = tuple(frame.face(r) for r in roles)
-    base_role, ref_role = _ORIENT_ROLES[index]
-    positions = chain_layout(faces, roles.index(base_role), frame.face(ref_role))
-
-    a = place_in_layout(positions[faces[0]], p1)
-    b = place_in_layout(positions[faces[-1]], p2)
+    first, last, edge_labels, segments, landscape = _layout(index, frame)
+    a = place_in_layout(first, p1)
+    b = place_in_layout(last, p2)
     chord = math.hypot(b[0] - a[0], b[1] - a[1])
-
-    edge_labels = [topo.shared_edge(faces[i], faces[i + 1]) for i in range(len(faces) - 1)]
-    segments = [
-        (positions[faces[i]][s], positions[faces[i]][t])
-        for i, (s, t) in enumerate(edge_labels)
-    ]
     hits = chord_edge_intersections(a, b, segments)
-    landscape = LandscapeInstance(index, frame, faces)
     if hits is None:
         return TrailResult(math.inf, chord, landscape, (), False)
     crossings = tuple(
@@ -420,12 +442,15 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     """Geodesic distance on the surface, with its minimizing landscapes.
 
     Adjacent home faces use L1; faces sharing only a vertex use the
-    smaller of L2 and L3; opposite faces the smallest of L4..L9.  Trails
-    whose chord leaves the landscape count as infinite; if that filters
-    out every applicable landscape (possible only for boundary-degenerate
-    inputs) the unfiltered minimum is returned with `fallback` set.
-    Same-face pairs use the in-face straight distance, coincident points
-    return zero; both report an empty `argmin`.
+    smaller of L2 and L3; opposite faces the smallest of L4..L9.  Only
+    the minimizing landscapes (within TIE_EPS) are laid out; when all of
+    their chords are contained, that minimum is the result.  Otherwise
+    every applicable landscape is laid out: trails whose chord leaves the
+    landscape count as infinite, and if that filters out every applicable
+    landscape (possible only for boundary-degenerate inputs) the
+    unfiltered minimum is returned with `fallback` set.  Same-face pairs
+    use the in-face straight distance, coincident points return zero;
+    both report an empty `argmin`.
     """
     ra, rb = a.canonical, b.canonical
     if ra == rb:
@@ -438,6 +463,13 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     frame, p1, p2 = _prepare_pair(a, b)
     ids = APPLICABLE_IDS[topo.relation(ra.home, rb.home)]
     lengths = {i: trail_length(i, p1, p2, frame) for i in ids}
+    best = min(lengths.values())
+    argmin = tuple(i for i in ids if lengths[i] <= best + TIE_EPS)
+    trails = {i: trail_crossings(i, p1, p2, frame) for i in argmin}
+    if all(t.contained for t in trails.values()):
+        # the minimizers are in the contained pool, so filtering changes nothing
+        return DistanceResult(best, argmin, trails[argmin[0]], False)
+
     trails = {i: trail_crossings(i, p1, p2, frame) for i in ids}
 
     contained_ids = [i for i in ids if trails[i].contained]

@@ -51,7 +51,7 @@ def dumps(obj: Any) -> str:
 def _parse_face(value: Any, field: str) -> int:
     if isinstance(value, str) and value.startswith("F"):
         value = value[1:]
-        if value.isdigit():
+        if value.isascii() and value.isdigit():
             value = int(value)
     if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 8:
         return value
@@ -70,7 +70,11 @@ def parse_point(obj: Any) -> Representation:
         raise BadRecord("x must be a number")
     if not isinstance(y, (int, float)) or isinstance(y, bool):
         raise BadRecord("y must be a number")
-    return Representation(home, shared, float(x), float(y))
+    try:
+        x, y = float(x), float(y)
+    except OverflowError:
+        raise BadRecord("x and y must be within the range of a double") from None
+    return Representation(home, shared, x, y)
 
 
 def point_to_obj(rep: Representation) -> dict:
@@ -83,6 +87,8 @@ def load_record(line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise BadRecord(f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise BadRecord("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise BadRecord("record must be a JSON object")
     record_id = obj.get("id")

@@ -11,6 +11,7 @@ shared-vertex counting is only a consistency check (see tests).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -176,6 +177,7 @@ def enumerate_valid_assignments() -> list[Frame]:
     return found
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_frame(a: int, shared_a: int, b: int, chirality: str = "ccw") -> tuple[Frame, int]:
     """Frame placing face a in role 1 and face b in its formula role.
 
@@ -190,6 +192,9 @@ def canonical_frame(a: int, shared_a: int, b: int, chirality: str = "ccw") -> tu
     reverses both the frame's cycle and the reference cycle, so the two
     spellings impose the same constraint and yield identical frames; the
     parameter is accepted for explicitness and validated only.
+
+    Results are memoized: the valid arguments are finitely many and the
+    returned frame is immutable.
     """
     if chirality not in ("cw", "ccw"):
         raise ValueError(f"chirality must be 'cw' or 'ccw', got {chirality!r}")

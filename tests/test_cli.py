@@ -55,15 +55,24 @@ def test_malformed_lines_are_isolated():
         '{"p1":{"home":"F1","shared":"F2","x":2.0,"y":0.0},'
         '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2},"id":"bad"}',
         WITNESS_L1,
+        # a coordinate beyond the range of a double
+        '{"p1":{"home":"F1","shared":"F2","x":1' + "0" * 399 + ',"y":0.1},'
+        '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2},"id":"huge"}',
+        # nesting deeper than the JSON parser recurses
+        "[" * 200000 + "]" * 200000,
+        WITNESS_L1,
     ]
     proc = run_cli(["distance"], "\n".join(lines) + "\n")
     assert proc.returncode == 2
     out = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(out) == 4
-    assert "distance" in out[0] and "distance" in out[3]
+    assert len(out) == 7
+    assert "distance" in out[0] and "distance" in out[3] and "distance" in out[6]
     assert out[1]["error"] == "BadRecord"
     assert out[2]["error"] == "InvalidRepresentation"
     assert out[2]["id"] == "bad"
+    assert out[4]["error"] == "BadRecord"
+    assert out[4]["id"] == "huge"
+    assert out[5]["error"] == "BadRecord"
 
 
 def test_distance_and_path_agree_and_are_deterministic():

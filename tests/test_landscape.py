@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from octadist import landscape
 from octadist import topology as topo
 from octadist.coords import (
     FrameMismatch,
@@ -16,7 +18,10 @@ from octadist.coords import (
 from octadist.landscape import (
     APPLICABLE_IDS,
     PATH_ROLES,
+    TIE_EPS,
     VALIDITY_WITNESSES,
+    DistanceResult,
+    TrailResult,
     WrongRelation,
     _prepare_pair,
     chain_layout,
@@ -346,9 +351,8 @@ def test_shortest_path_structures(witness_points):
     assert same_face.length == pytest.approx(0.4, abs=1e-12)
 
 
-def test_boundary_point_pairs_match_oracle():
-    # vertices and edge points are where chart degeneracies live; every
-    # pair must still agree with the exhaustive unfolding
+def boundary_points():
+    """Every vertex, two points on every edge, and two interior points."""
     special = [
         canonicalize(vertex_representations(v)[0]) for v in topo.VERTICES
     ]
@@ -362,9 +366,13 @@ def test_boundary_point_pairs_match_oracle():
                 special.append(canonicalize(Representation(f, g, t, 0.0)))
     special.append(canonicalize(Representation(1, 2, 0.3, 0.25)))
     special.append(canonicalize(Representation(5, 2, 0.3, 0.25)))
-    import itertools
+    return special
 
-    for a, b in itertools.combinations(special, 2):
+
+def test_boundary_point_pairs_match_oracle():
+    # vertices and edge points are where chart degeneracies live; every
+    # pair must still agree with the exhaustive unfolding
+    for a, b in itertools.combinations(boundary_points(), 2):
         result = surface_distance(a, b)
         assert not result.fallback
         assert result.distance == pytest.approx(unfold_geodesic(a, b, 8), abs=1e-9)
@@ -397,3 +405,73 @@ def test_landscape_instances_report_role_patterns(witness_points):
         frame = trail.landscape.frame
         roles = tuple(frame.role(f) for f in trail.landscape.faces)
         assert roles == PATH_ROLES[index]
+
+
+def all_landscape_distance(a, b) -> DistanceResult:
+    """Reference minimum that lays out every applicable landscape.
+
+    Chords that leave their landscape count as infinite; with none
+    contained, the unfiltered minimum is reported with `fallback` set.
+    """
+    frame, p1, p2 = _prepare_pair(a, b)
+    ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
+    lengths = {i: trail_length(i, p1, p2, frame) for i in ids}
+    # looked up on the module so that a test can patch it
+    trails = {i: landscape.trail_crossings(i, p1, p2, frame) for i in ids}
+    contained_ids = [i for i in ids if trails[i].contained]
+    fallback = not contained_ids
+    pool = list(ids) if fallback else contained_ids
+    best = min(lengths[i] for i in pool)
+    argmin = tuple(i for i in pool if lengths[i] <= best + TIE_EPS)
+    return DistanceResult(best, argmin, trails[argmin[0]], fallback)
+
+
+def assert_matches_reference(a, b):
+    result = surface_distance(a, b)
+    ref = all_landscape_distance(a, b)
+    assert result.distance == ref.distance  # bit-equal, not approximate
+    assert result.argmin == ref.argmin
+    assert result.trail == ref.trail
+    assert result.fallback == ref.fallback
+    return result
+
+
+@given(framed_pairs())
+def test_minimizer_only_layout_matches_all_landscape_reference(case):
+    _index, p1, p2, _frame = case
+    a, b = canonicalize(p1), canonicalize(p2)
+    assert_matches_reference(a, b)
+    assert_matches_reference(b, a)
+
+
+def test_minimizer_only_layout_matches_reference_on_boundary_points():
+    pairs = 0
+    for a, b in itertools.permutations(boundary_points(), 2):
+        if a.canonical.home != b.canonical.home:
+            assert_matches_reference(a, b)
+            pairs += 1
+    assert pairs > 0
+    a = canonicalize(vertex_representations(frozenset({1, 2, 3, 4}))[0])
+    b = canonicalize(vertex_representations(frozenset({5, 6, 7, 8}))[0])
+    assert assert_matches_reference(a, b).argmin == (2, 3)
+
+
+@pytest.mark.parametrize("uncontained", ["minimizer", "all"])
+def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncontained):
+    # valid chords are always contained, so force the other branch by
+    # reporting chords as leaving their landscape
+    a, b = canonicalize(VALIDITY_WITNESSES[4][0]), canonicalize(VALIDITY_WITNESSES[4][1])
+    original = landscape.trail_crossings
+
+    def leaky(index, p1, p2, frame):
+        trail = original(index, p1, p2, frame)
+        if uncontained == "all" or index == 4:
+            return TrailResult(math.inf, trail.chord_length, trail.landscape, (), False)
+        return trail
+
+    monkeypatch.setattr(landscape, "trail_crossings", leaky)
+    result = assert_matches_reference(a, b)
+    if uncontained == "all":
+        assert result.fallback and result.argmin == (4,)
+    else:
+        assert not result.fallback and 4 not in result.argmin

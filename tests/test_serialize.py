@@ -75,6 +75,9 @@ def test_parse_point_accepts_bare_integers():
         {"home": "F1", "shared": "F2", "x": "wide", "y": 0.0},
         {"home": "F1", "shared": "F2", "x": True, "y": 0.0},
         {"home": "F1", "shared": "F2", "x": 0.1},
+        {"home": "F1", "shared": "F2", "x": 10**400, "y": 0.0},
+        {"home": "F\u00b2", "shared": "F2", "x": 0.1, "y": 0.0},
+        {"home": "F\u0663", "shared": "F2", "x": 0.1, "y": 0.0},
     ],
 )
 def test_parse_point_rejects_malformed(obj):
