@@ -63,9 +63,6 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.count < 1:
-        print("--count must be at least 1", file=sys.stderr)
-        return 1
     points = sample_uniform(args.seed, 2 * args.count)
     pairs = [(canonicalize(r1), canonicalize(r2)) for r1, r2 in VALIDITY_WITNESSES.values()]
     pairs += list(zip(points[0::2], points[1::2]))
@@ -110,6 +107,13 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octadist",
@@ -125,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="sweep random pairs through the oracle harness")
     p_validate.add_argument("--seed", type=int, default=0)
-    p_validate.add_argument("--count", type=int, default=10000)
+    p_validate.add_argument("--count", type=positive_int, default=10000)
     p_validate.add_argument("--tolerance", type=float, default=1e-9)
     p_validate.add_argument("--max-faces", type=int, default=8)
     p_validate.add_argument(

@@ -76,15 +76,6 @@ class SurfacePoint:
 
     canonical: Representation
 
-    def coincides(self, other: "SurfacePoint", tol: float = EPS_IN) -> bool:
-        a, b = self.canonical, other.canonical
-        return (
-            a.home == b.home
-            and a.shared == b.shared
-            and abs(a.x - b.x) <= tol
-            and abs(a.y - b.y) <= tol
-        )
-
 
 def barycentric(x: float, y: float) -> tuple[float, float, float]:
     """Barycentric weights of (x, y) against the chart corners (S, T, U)."""

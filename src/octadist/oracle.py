@@ -11,7 +11,7 @@ bound.  `compare` bundles the checks the validation sweep runs per pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -88,11 +88,17 @@ def _validate_embedding(coords: dict[topo.VertexLabel, np.ndarray]) -> None:
 VERTEX_COORDS: dict[topo.VertexLabel, np.ndarray] = _derive_vertex_coords()
 
 
-def face_normal(face: int) -> np.ndarray:
+def _face_normal(face: int) -> np.ndarray:
     """Unit outward normal (the solid is centered at the origin)."""
     a, b, c = (VERTEX_COORDS[v] for v in topo.face_vertices(face))
     n = (a + b + c) / 3.0
-    return n / np.linalg.norm(n)
+    n = n / np.linalg.norm(n)
+    n.setflags(write=False)
+    return n
+
+
+#: Unit outward normal of each face.
+FACE_NORMALS: dict[int, np.ndarray] = {face: _face_normal(face) for face in topo.FACE_INDICES}
 
 
 def embed_3d(rep: Representation) -> np.ndarray:
@@ -100,6 +106,13 @@ def embed_3d(rep: Representation) -> np.ndarray:
     s, t, u = topo.chart_corners(rep.home, rep.shared)
     ls, lt, lu = barycentric(rep.x, rep.y)
     return ls * VERTEX_COORDS[s] + lt * VERTEX_COORDS[t] + lu * VERTEX_COORDS[u]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v for 3-vectors: np.cross's products and differences, without its overhead."""
+    u0, u1, u2 = u.tolist()
+    v0, v1, v2 = v.tolist()
+    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
 
 
 def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -137,45 +150,57 @@ class UnfoldChain:
 
 @lru_cache(maxsize=None)
 def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
-    """Flatten a simple dual path by composing hinge rotations in 3D."""
+    """Flatten a simple dual path by composing hinge rotations in 3D.
+
+    A path of three or more faces extends the (cached) flattening of
+    its prefix by one hinge, so each hinge is computed once per process.
+    """
+    if len(faces) > 2:
+        return _add_hinge(flatten_chain(faces[:-1]), faces[-1])
     first = faces[0]
-    n0 = face_normal(first)
     s0, t0, _ = topo.chart_corners(first, faces[1])
     origin = VERTEX_COORDS[s0]
     ex = VERTEX_COORDS[t0] - origin
     ex = ex / np.linalg.norm(ex)
-    ey = np.cross(n0, ex)
-
-    def project(p):
-        rel = p - origin
-        return float(rel @ ex), float(rel @ ey)
-
-    matrix = np.eye(3)
-    offset = np.zeros(3)
-    triangles = [{v: project(VERTEX_COORDS[v]) for v in topo.face_vertices(first)}]
-    hinges = []
-    for prev, cur in zip(faces, faces[1:]):
-        edge = topo.shared_edge(prev, cur)
-        pa = matrix @ VERTEX_COORDS[edge[0]] + offset
-        pb = matrix @ VERTEX_COORDS[edge[1]] + offset
-        hinges.append((edge, project(pa), project(pb)))
-        axis = pb - pa
-        axis = axis / np.linalg.norm(axis)
-        m = matrix @ face_normal(cur)
-        angle = math.atan2(float(axis @ np.cross(m, n0)), float(m @ n0))
-        rot = _rodrigues(axis, angle)
-        matrix = rot @ matrix
-        offset = rot @ (offset - pa) + pa
-        triangles.append(
-            {v: project(matrix @ VERTEX_COORDS[v] + offset) for v in topo.face_vertices(cur)}
-        )
-    return UnfoldChain(
-        faces=faces,
-        triangles=tuple(triangles),
-        hinges=tuple(hinges),
+    ey = _cross(FACE_NORMALS[first], ex)
+    root = UnfoldChain(
+        faces=(first,),
+        triangles=(),
+        hinges=(),
         origin=origin,
         ex=ex,
         ey=ey,
+        tail_matrix=np.eye(3),
+        tail_offset=np.zeros(3),
+    )
+    triangle = {v: root.project(VERTEX_COORDS[v]) for v in topo.face_vertices(first)}
+    return _add_hinge(replace(root, triangles=(triangle,)), faces[1])
+
+
+def _add_hinge(chain: UnfoldChain, cur: int) -> UnfoldChain:
+    """Unfold face `cur` about its edge with the chain's last face."""
+    matrix, offset = chain.tail_matrix, chain.tail_offset
+    n0 = FACE_NORMALS[chain.faces[0]]
+    edge = topo.shared_edge(chain.faces[-1], cur)
+    pa = matrix @ VERTEX_COORDS[edge[0]] + offset
+    pb = matrix @ VERTEX_COORDS[edge[1]] + offset
+    axis = pb - pa
+    axis = axis / np.linalg.norm(axis)
+    m = matrix @ FACE_NORMALS[cur]
+    angle = math.atan2(float(axis @ _cross(m, n0)), float(m @ n0))
+    rot = _rodrigues(axis, angle)
+    matrix = rot @ matrix
+    offset = rot @ (offset - pa) + pa
+    triangle = {
+        v: chain.project(matrix @ VERTEX_COORDS[v] + offset) for v in topo.face_vertices(cur)
+    }
+    return UnfoldChain(
+        faces=chain.faces + (cur,),
+        triangles=chain.triangles + (triangle,),
+        hinges=chain.hinges + ((edge, chain.project(pa), chain.project(pb)),),
+        origin=chain.origin,
+        ex=chain.ex,
+        ey=chain.ey,
         tail_matrix=matrix,
         tail_offset=offset,
     )
@@ -246,8 +271,8 @@ def _sampled_containment(chain: UnfoldChain, a, b, samples: int = 16) -> bool:
     return True
 
 
-def _endpoint_positions(chain: UnfoldChain, ra: Representation, rb: Representation):
-    return chain.project(embed_3d(ra)), chain.project_tail(embed_3d(rb))
+def _endpoint_positions(chain: UnfoldChain, pa3: np.ndarray, pb3: np.ndarray):
+    return chain.project(pa3), chain.project_tail(pb3)
 
 
 def best_chord(
@@ -266,13 +291,14 @@ def best_chord(
     ra, rb = a.canonical, b.canonical
     if ra.home == rb.home:
         raise ValueError("best_chord needs distinct home faces")
+    pa3, pb3 = embed_3d(ra), embed_3d(rb)
     best = math.inf
     best_pair = None
     for path in topo.enumerate_dual_paths(ra.home, rb.home, max_faces):
         if len(path) < min_faces:
             continue
         chain = flatten_chain(path)
-        pa, pb = _endpoint_positions(chain, ra, rb)
+        pa, pb = _endpoint_positions(chain, pa3, pb3)
         if _chord_in_chain(chain, pa, pb) is None:
             continue
         length = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
@@ -307,14 +333,30 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint, max_faces: int = 8) -> flo
 # lattice-graph upper bound
 
 
+@dataclass(frozen=True)
+class MeshGraph:
+    """The lattice of one subdivision count, as a search graph per home face.
+
+    `sources[face]` holds every lattice segment once, as the entry (i, j)
+    with i < j and weight 1/n, plus a last row for a virtual source node
+    (index len(points)) joined to each node of `face` in the order of
+    `face_nodes[face]`; those last entries hold zeros for the caller to
+    overwrite in a copy.
+    """
+
+    points: np.ndarray
+    face_nodes: dict[int, np.ndarray]
+    sources: dict[int, csr_matrix]
+
+
 @lru_cache(maxsize=None)
-def _mesh_graph(subdivisions: int):
+def _mesh_graph(subdivisions: int) -> MeshGraph:
     """Shared lattice graph: nodes on every face, unit edges split n-fold."""
     n = subdivisions
     key_of = {}
     coords = []
     face_nodes = {}
-    rows, cols, weights = [], [], []
+    edges = set()
 
     def node_id(point: np.ndarray) -> int:
         key = tuple(np.round(point * 1e9).astype(np.int64))
@@ -333,16 +375,29 @@ def _mesh_graph(subdivisions: int):
                 k = n - i - j
                 point = (i * pa + j * pb + k * pc) / n
                 grid[(i, j)] = node_id(point)
-        face_nodes[face] = sorted(set(grid.values()))
+        face_nodes[face] = np.array(sorted(set(grid.values())))
         for (i, j), idx in grid.items():
             for di, dj in ((1, 0), (0, 1), (1, -1)):
                 neighbor = grid.get((i + di, j + dj))
                 if neighbor is not None:
-                    rows.append(idx)
-                    cols.append(neighbor)
-                    weights.append(1.0 / n)
-    points = np.array(coords)
-    return points, face_nodes, np.array(rows), np.array(cols), np.array(weights)
+                    # a segment on an octahedron edge is met from both faces
+                    edges.add((idx, neighbor) if idx < neighbor else (neighbor, idx))
+    n_nodes = len(coords)
+    rows, cols = np.array(sorted(edges)).T
+    lattice = csr_matrix(
+        (np.full(len(edges), 1.0 / n), (rows, cols)), shape=(n_nodes, n_nodes)
+    )
+    sources = {}
+    for face, nodes in face_nodes.items():
+        sources[face] = csr_matrix(
+            (
+                np.concatenate([lattice.data, np.zeros(len(nodes))]),
+                np.concatenate([lattice.indices, nodes]).astype(lattice.indices.dtype),
+                np.append(lattice.indptr, lattice.nnz + len(nodes)),
+            ),
+            shape=(n_nodes + 1, n_nodes + 1),
+        )
+    return MeshGraph(np.array(coords), face_nodes, sources)
 
 
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
@@ -358,24 +413,15 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     pa, pb = embed_3d(ra), embed_3d(rb)
     direct = float(np.linalg.norm(pa - pb)) if ra.home == rb.home else math.inf
 
-    points, face_nodes, rows, cols, weights = _mesh_graph(subdivisions)
-    n_nodes = len(points)
-    src_ids = np.array(face_nodes[ra.home])
-    dst_ids = np.array(face_nodes[rb.home])
-    src_w = np.linalg.norm(points[src_ids] - pa, axis=1)
-    dst_w = np.linalg.norm(points[dst_ids] - pb, axis=1)
+    mesh = _mesh_graph(subdivisions)
+    src_ids = mesh.face_nodes[ra.home]
+    dst_ids = mesh.face_nodes[rb.home]
+    src_w = np.linalg.norm(mesh.points[src_ids] - pa, axis=1)
+    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb, axis=1)
 
-    graph = csr_matrix(
-        (
-            np.concatenate([weights, src_w]),
-            (
-                np.concatenate([rows, np.full(len(src_ids), n_nodes)]),
-                np.concatenate([cols, src_ids]),
-            ),
-        ),
-        shape=(n_nodes + 1, n_nodes + 1),
-    )
-    dist = dijkstra(graph, directed=False, indices=n_nodes)
+    graph = mesh.sources[ra.home].copy()
+    graph.data[-len(src_ids):] = src_w
+    dist = dijkstra(graph, directed=False, indices=len(mesh.points))
     return float(min(direct, np.min(dist[dst_ids] + dst_w)))
 
 

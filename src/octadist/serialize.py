@@ -52,7 +52,10 @@ def _parse_face(value: Any, field: str) -> int:
     if isinstance(value, str) and value.startswith("F"):
         value = value[1:]
         if value.isascii() and value.isdigit():
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                pass
     if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 8:
         return value
     raise BadRecord(f"{field} must be a face label 'F1'..'F8'")
@@ -89,18 +92,14 @@ def load_record(line: str) -> dict:
         raise BadRecord(f"invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise BadRecord("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise BadRecord(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise BadRecord("record must be a JSON object")
     record_id = obj.get("id")
     if record_id is not None and not isinstance(record_id, str):
         raise BadRecord("id must be a string")
     return obj
-
-
-def parse_record(line: str) -> tuple[Representation, Representation, str | None]:
-    """Parse one query line into (p1, p2, id)."""
-    obj = load_record(line)
-    return parse_point(obj.get("p1")), parse_point(obj.get("p2")), obj.get("id")
 
 
 def error_obj(exc: Exception, record_id: str | None = None) -> dict:

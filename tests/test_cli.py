@@ -61,18 +61,29 @@ def test_malformed_lines_are_isolated():
         # nesting deeper than the JSON parser recurses
         "[" * 200000 + "]" * 200000,
         WITNESS_L1,
+        # a coordinate and a face label with more digits than int() converts
+        '{"p1":{"home":"F1","shared":"F2","x":1' + "0" * 5000 + ',"y":0.1},'
+        '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2},"id":"long"}',
+        '{"p1":{"home":"F' + "1" * 5000 + '","shared":"F2","x":0.5,"y":0.1},'
+        '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2},"id":"label"}',
+        WITNESS_L1,
     ]
     proc = run_cli(["distance"], "\n".join(lines) + "\n")
     assert proc.returncode == 2
     out = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(out) == 7
-    assert "distance" in out[0] and "distance" in out[3] and "distance" in out[6]
+    assert len(out) == 10
+    for i in (0, 3, 6, 9):
+        assert "distance" in out[i]
     assert out[1]["error"] == "BadRecord"
     assert out[2]["error"] == "InvalidRepresentation"
     assert out[2]["id"] == "bad"
     assert out[4]["error"] == "BadRecord"
     assert out[4]["id"] == "huge"
     assert out[5]["error"] == "BadRecord"
+    # the record is not parsed, so its id is unknown
+    assert out[7] == {"error": "BadRecord", "detail": out[7]["detail"]}
+    assert out[8]["error"] == "BadRecord"
+    assert out[8]["id"] == "label"
 
 
 def test_distance_and_path_agree_and_are_deterministic():
@@ -174,6 +185,13 @@ def test_validate_strict_tolerance_fails():
     proc = run_cli(["validate", "--count", "50", "--seed", "7", "--tolerance", "0"])
     assert proc.returncode == 1
     assert "failed" in proc.stdout
+
+
+def test_validate_rejects_count_below_one_as_usage_error():
+    proc = run_cli(["validate", "--count", "0"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--count" in proc.stderr
 
 
 def test_validate_with_mesh_subdivisions():

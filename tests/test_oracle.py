@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from octadist import oracle, topology as topo
 from octadist.coords import (
@@ -118,6 +120,81 @@ def test_flatten_chain_hinges_are_shared():
                 assert math.dist(tri[edge[1]], pt) < 1e-12
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _flatten_uncached(faces):
+    """Every hinge of the path composed anew, with np.cross and no cache."""
+    coords = oracle.VERTEX_COORDS
+
+    def normal(face):
+        a, b, c = (coords[v] for v in topo.face_vertices(face))
+        n = (a + b + c) / 3.0
+        return n / np.linalg.norm(n)
+
+    def rodrigues(axis, angle):
+        x, y, z = axis
+        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+    first = faces[0]
+    n0 = normal(first)
+    s0, t0, _ = topo.chart_corners(first, faces[1])
+    origin = coords[s0]
+    ex = coords[t0] - origin
+    ex = ex / np.linalg.norm(ex)
+    ey = np.cross(n0, ex)
+
+    def project(p):
+        rel = p - origin
+        return float(rel @ ex), float(rel @ ey)
+
+    matrix = np.eye(3)
+    offset = np.zeros(3)
+    triangles = [{v: project(coords[v]) for v in topo.face_vertices(first)}]
+    hinges = []
+    for prev, cur in zip(faces, faces[1:]):
+        edge = topo.shared_edge(prev, cur)
+        pa = matrix @ coords[edge[0]] + offset
+        pb = matrix @ coords[edge[1]] + offset
+        hinges.append((edge, project(pa), project(pb)))
+        axis = pb - pa
+        axis = axis / np.linalg.norm(axis)
+        m = matrix @ normal(cur)
+        angle = math.atan2(float(axis @ np.cross(m, n0)), float(m @ n0))
+        rot = rodrigues(axis, angle)
+        matrix = rot @ matrix
+        offset = rot @ (offset - pa) + pa
+        triangles.append({v: project(matrix @ coords[v] + offset) for v in topo.face_vertices(cur)})
+    return triangles, hinges, matrix, offset
+
+
+def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
+    paths = {
+        path
+        for start in topo.FACE_INDICES
+        for goal in topo.FACE_INDICES
+        if goal != start
+        for path in topo.enumerate_dual_paths(start, goal, 8)
+    }
+    assert max(map(len, paths)) == 8
+    oracle.flatten_chain.cache_clear()
+    # longest first, so that prefixes are built on demand by the recursion
+    for path in sorted(paths, key=len, reverse=True):
+        chain = oracle.flatten_chain(path)
+        triangles, hinges, matrix, offset = _flatten_uncached(path)
+        assert chain.faces == path
+        assert len(chain.triangles) == len(triangles)
+        for got, want in zip(chain.triangles, triangles):
+            assert list(got) == list(want)
+            assert _bits(list(got.values())) == _bits(list(want.values()))
+        assert [h[0] for h in chain.hinges] == [h[0] for h in hinges]
+        assert _bits([h[1:] for h in chain.hinges]) == _bits([h[1:] for h in hinges])
+        assert _bits(chain.tail_matrix) == _bits(matrix)
+        assert _bits(chain.tail_offset) == _bits(offset)
+
+
 def test_unfold_same_face_is_planar_distance():
     a = canonicalize(Representation(4, 1, 0.2, 0.1))
     b = canonicalize(Representation(4, 1, 0.7, 0.15))
@@ -172,6 +249,68 @@ def test_mesh_decreases_under_doubling():
         values = [oracle.mesh_upper_bound(a, b, n) for n in (8, 16, 32)]
         assert values[1] <= values[0] + 1e-12
         assert values[2] <= values[1] + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_mesh_graph_holds_each_lattice_segment_once(n):
+    mesh = oracle._mesh_graph(n)
+    n_nodes = len(mesh.points)
+    assert n_nodes == 4 * n * n + 2
+    for face, graph in mesh.sources.items():
+        lattice = _lattice(graph, n_nodes)
+        assert lattice.nnz == 12 * n * n
+        assert np.all(lattice.data == 1.0 / n)
+        assert np.all(lattice.row < lattice.col)
+        assert len(set(zip(lattice.row.tolist(), lattice.col.tolist()))) == lattice.nnz
+        assert graph.nnz == lattice.nnz + len(mesh.face_nodes[face])
+
+
+def _lattice(graph, n_nodes):
+    """The lattice edges of a source-augmented graph, without the source row."""
+    return graph[:n_nodes, :n_nodes].tocoo()
+
+
+def _mesh_with_graph_per_call(a, b, n):
+    """The mesh bound with the source-augmented graph built from COO anew."""
+    mesh = oracle._mesh_graph(n)
+    n_nodes = len(mesh.points)
+    ra, rb = a.canonical, b.canonical
+    lattice = _lattice(mesh.sources[ra.home], n_nodes)
+    pa, pb = oracle.embed_3d(ra), oracle.embed_3d(rb)
+    direct = float(np.linalg.norm(pa - pb)) if ra.home == rb.home else math.inf
+    src_ids = np.array(mesh.face_nodes[ra.home])
+    dst_ids = np.array(mesh.face_nodes[rb.home])
+    src_w = np.linalg.norm(mesh.points[src_ids] - pa, axis=1)
+    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb, axis=1)
+    graph = csr_matrix(
+        (
+            np.concatenate([lattice.data, src_w]),
+            (
+                np.concatenate([lattice.row, np.full(len(src_ids), n_nodes)]),
+                np.concatenate([lattice.col, src_ids]),
+            ),
+        ),
+        shape=(n_nodes + 1, n_nodes + 1),
+    )
+    dist = dijkstra(graph, directed=False, indices=n_nodes)
+    return float(min(direct, np.min(dist[dst_ids] + dst_w)))
+
+
+def test_mesh_upper_bound_equals_graph_built_per_call():
+    points = sample_uniform(4242, 60)
+    pairs = list(zip(points[0::2], points[1::2]))
+    # same-face pairs, and every vertex against a random point and a vertex
+    pairs += [
+        (p, canonicalize(interior_rep(p.canonical.home, p.canonical.shared, 0.3, 0.2)))
+        for p in points[:10]
+    ]
+    vertices = [canonicalize(vertex_representations(v)[0]) for v in topo.VERTICES]
+    pairs += list(zip(vertices, points))
+    pairs += list(itertools.combinations(vertices, 2))
+    for n in (4, 16):
+        for a, b in pairs:
+            got = oracle.mesh_upper_bound(a, b, n)
+            assert got.hex() == _mesh_with_graph_per_call(a, b, n).hex(), (a, b, n)
 
 
 def test_mesh_witness_row_one_tight_at_64():

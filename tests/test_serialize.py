@@ -13,7 +13,6 @@ from octadist.serialize import (
     format_float,
     load_record,
     parse_point,
-    parse_record,
     point_to_obj,
     trail_result_to_obj,
 )
@@ -78,6 +77,9 @@ def test_parse_point_accepts_bare_integers():
         {"home": "F1", "shared": "F2", "x": 10**400, "y": 0.0},
         {"home": "F\u00b2", "shared": "F2", "x": 0.1, "y": 0.0},
         {"home": "F\u0663", "shared": "F2", "x": 0.1, "y": 0.0},
+        # more digits than int() converts
+        {"home": "F" + "1" * 5000, "shared": "F2", "x": 0.1, "y": 0.0},
+        {"home": "F1", "shared": "F" + "2" * 5000, "x": 0.1, "y": 0.0},
     ],
 )
 def test_parse_point_rejects_malformed(obj):
@@ -99,16 +101,21 @@ def test_load_record_shapes():
         load_record("[1, 2]")
     with pytest.raises(BadRecord):
         load_record('{"id": 7, "p1": {}, "p2": {}}')
+    with pytest.raises(BadRecord):  # more digits than int() converts
+        load_record('{"p1": {"x": 1' + "0" * 5000 + "}}")
     assert load_record('{"id": "a"}')["id"] == "a"
 
 
-def test_parse_record_happy_path():
+def test_load_record_then_parse_point_happy_path():
     line = (
         '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
         '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2},"id":"w"}'
     )
-    p1, p2, record_id = parse_record(line)
-    assert p1.home == 1 and p2.home == 2 and record_id == "w"
+    record = load_record(line)
+    p1, p2 = parse_point(record.get("p1")), parse_point(record.get("p2"))
+    assert p1 == Representation(1, 2, 0.5, 0.2)
+    assert p2 == Representation(2, 1, 0.5, 0.2)
+    assert record["id"] == "w"
 
 
 def test_error_obj_classification():
