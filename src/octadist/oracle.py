@@ -11,6 +11,7 @@ bound.  `compare` bundles the checks the validation sweep runs per pair.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -144,9 +145,6 @@ class UnfoldChain:
         rel = point3 - self.origin
         return float(rel @ self.ex), float(rel @ self.ey)
 
-    def project_tail(self, point3: np.ndarray) -> tuple[float, float]:
-        return self.project(self.tail_matrix @ point3 + self.tail_offset)
-
 
 @lru_cache(maxsize=None)
 def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
@@ -271,8 +269,74 @@ def _sampled_containment(chain: UnfoldChain, a, b, samples: int = 16) -> bool:
     return True
 
 
-def _endpoint_positions(chain: UnfoldChain, pa3: np.ndarray, pb3: np.ndarray):
-    return chain.project(pa3), chain.project_tail(pb3)
+@dataclass(frozen=True)
+class PairChains:
+    """Every flattened dual path between two faces, stacked for projection.
+
+    `chains` are the `flatten_chain` results of `enumerate_dual_paths`
+    in its (length, face sequence) order and `sizes` their face counts.
+    Row i of `origin` (k x 3), `axes` (k x 3 x 2, columns ex and ey),
+    `tail_matrix` (k x 3 x 3) and `tail_offset` (k x 3) is chain i's;
+    the arrays are read-only.
+    """
+
+    chains: tuple[UnfoldChain, ...]
+    sizes: tuple[int, ...]
+    origin: np.ndarray
+    axes: np.ndarray
+    tail_matrix: np.ndarray
+    tail_offset: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _pair_chains(start: int, goal: int, max_faces: int) -> PairChains:
+    chains = tuple(flatten_chain(p) for p in topo.enumerate_dual_paths(start, goal, max_faces))
+    arrays = (
+        np.array([c.origin for c in chains]),
+        np.array([np.stack([c.ex, c.ey], axis=1) for c in chains]),
+        np.array([c.tail_matrix for c in chains]),
+        np.array([c.tail_offset for c in chains]),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return PairChains(chains, tuple(len(c.faces) for c in chains), *arrays)
+
+
+def _best_chord_3d(
+    home_a: int,
+    pa3: np.ndarray,
+    home_b: int,
+    pb3: np.ndarray,
+    min_faces: int,
+    max_faces: int,
+    check_samples: bool,
+) -> float:
+    """`best_chord` for embedded endpoints on distinct home faces.
+
+    Both endpoints are projected into every chain at once; chains are
+    then tried in (chord length, path index) order, so the first one
+    that contains its chord is the shortest contained one.
+    """
+    pairs = _pair_chains(home_a, home_b, max_faces)
+    lo = bisect_left(pairs.sizes, min_faces)
+    if lo == len(pairs.sizes):
+        return math.inf
+    origin, axes = pairs.origin[lo:], pairs.axes[lo:]
+    pb3_tail = pairs.tail_matrix[lo:] @ pb3 + pairs.tail_offset[lo:]
+    starts = ((pa3 - origin)[:, None, :] @ axes)[:, 0, :].tolist()
+    ends = ((pb3_tail - origin)[:, None, :] @ axes)[:, 0, :].tolist()
+    order = sorted(
+        (math.hypot(bx - ax, by - ay), i)
+        for i, ((ax, ay), (bx, by)) in enumerate(zip(starts, ends))
+    )
+    for length, i in order:
+        chain, pa, pb = pairs.chains[lo + i], tuple(starts[i]), tuple(ends[i])
+        if _chord_in_chain(chain, pa, pb) is None:
+            continue
+        if check_samples and not _sampled_containment(chain, pa, pb):
+            raise AssertionError(f"sampled containment check failed on {chain.faces}")
+        return length
+    return math.inf
 
 
 def best_chord(
@@ -291,27 +355,19 @@ def best_chord(
     ra, rb = a.canonical, b.canonical
     if ra.home == rb.home:
         raise ValueError("best_chord needs distinct home faces")
-    pa3, pb3 = embed_3d(ra), embed_3d(rb)
-    best = math.inf
-    best_pair = None
-    for path in topo.enumerate_dual_paths(ra.home, rb.home, max_faces):
-        if len(path) < min_faces:
-            continue
-        chain = flatten_chain(path)
-        pa, pb = _endpoint_positions(chain, pa3, pb3)
-        if _chord_in_chain(chain, pa, pb) is None:
-            continue
-        length = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
-        if length < best:
-            best = length
-            best_pair = (chain, pa, pb)
-    if check_samples and best_pair is not None:
-        chain, pa, pb = best_pair
-        if not _sampled_containment(chain, pa, pb):
-            raise AssertionError(
-                f"sampled containment check failed on {best_pair[0].faces}"
-            )
-    return best
+    return _best_chord_3d(
+        ra.home, embed_3d(ra), rb.home, embed_3d(rb), min_faces, max_faces, check_samples
+    )
+
+
+def _unfold_3d(
+    home_a: int, pa3: np.ndarray, home_b: int, pb3: np.ndarray, max_faces: int
+) -> float:
+    if max_faces < 2:
+        raise ValueError("max_faces must be at least 2")
+    if home_a == home_b:
+        return float(np.linalg.norm(pa3 - pb3))
+    return _best_chord_3d(home_a, pa3, home_b, pb3, 2, max_faces, True)
 
 
 def unfold_geodesic(a: SurfacePoint, b: SurfacePoint, max_faces: int = 8) -> float:
@@ -321,12 +377,8 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint, max_faces: int = 8) -> flo
     every simple dual path with at most max_faces faces is flattened and
     the shortest contained chord wins.
     """
-    if max_faces < 2:
-        raise ValueError("max_faces must be at least 2")
     ra, rb = a.canonical, b.canonical
-    if ra.home == rb.home:
-        return float(np.linalg.norm(embed_3d(ra) - embed_3d(rb)))
-    return best_chord(a, b, 2, max_faces)
+    return _unfold_3d(ra.home, embed_3d(ra), rb.home, embed_3d(rb), max_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +389,9 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint, max_faces: int = 8) -> flo
 class MeshGraph:
     """The lattice of one subdivision count, as a search graph per home face.
 
-    `sources[face]` holds every lattice segment once, as the entry (i, j)
-    with i < j and weight 1/n, plus a last row for a virtual source node
+    `sources[face]` holds every lattice segment once in each direction,
+    as the entries (i, j) and (j, i) of weight 1/n with each row's
+    indices sorted, plus a last row for a virtual source node
     (index len(points)) joined to each node of `face` in the order of
     `face_nodes[face]`; those last entries hold zeros for the caller to
     overwrite in a copy.
@@ -384,9 +437,12 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
                     edges.add((idx, neighbor) if idx < neighbor else (neighbor, idx))
     n_nodes = len(coords)
     rows, cols = np.array(sorted(edges)).T
-    lattice = csr_matrix(
+    upper = csr_matrix(
         (np.full(len(edges), 1.0 / n), (rows, cols)), shape=(n_nodes, n_nodes)
     )
+    # both directions stored, so the search can run directed
+    lattice = (upper + upper.T).tocsr()
+    lattice.sort_indices()
     sources = {}
     for face, nodes in face_nodes.items():
         sources[face] = csr_matrix(
@@ -400,6 +456,25 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
     return MeshGraph(np.array(coords), face_nodes, sources)
 
 
+def _mesh_bound_3d(
+    home_a: int, pa3: np.ndarray, home_b: int, pb3: np.ndarray, subdivisions: int
+) -> float:
+    if subdivisions < 1:
+        raise ValueError("subdivisions must be at least 1")
+    direct = float(np.linalg.norm(pa3 - pb3)) if home_a == home_b else math.inf
+
+    mesh = _mesh_graph(subdivisions)
+    src_ids = mesh.face_nodes[home_a]
+    dst_ids = mesh.face_nodes[home_b]
+    src_w = np.linalg.norm(mesh.points[src_ids] - pa3, axis=1)
+    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb3, axis=1)
+
+    graph = mesh.sources[home_a].copy()
+    graph.data[-len(src_ids):] = src_w
+    dist = dijkstra(graph, directed=True, indices=len(mesh.points))
+    return float(min(direct, np.min(dist[dst_ids] + dst_w)))
+
+
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
     """Shortest path in the face-lattice graph; always >= the geodesic.
 
@@ -407,22 +482,8 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     graph path is a valid surface path.  The endpoints connect to every
     lattice node of their home faces.
     """
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be at least 1")
     ra, rb = a.canonical, b.canonical
-    pa, pb = embed_3d(ra), embed_3d(rb)
-    direct = float(np.linalg.norm(pa - pb)) if ra.home == rb.home else math.inf
-
-    mesh = _mesh_graph(subdivisions)
-    src_ids = mesh.face_nodes[ra.home]
-    dst_ids = mesh.face_nodes[rb.home]
-    src_w = np.linalg.norm(mesh.points[src_ids] - pa, axis=1)
-    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb, axis=1)
-
-    graph = mesh.sources[ra.home].copy()
-    graph.data[-len(src_ids):] = src_w
-    dist = dijkstra(graph, directed=False, indices=len(mesh.points))
-    return float(min(direct, np.min(dist[dst_ids] + dst_w)))
+    return _mesh_bound_3d(ra.home, embed_3d(ra), rb.home, embed_3d(rb), subdivisions)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +539,11 @@ def compare(
     reference and one-sided anyway).
     """
     result = surface_distance(a, b)
-    oracle_value = unfold_geodesic(a, b, max_faces)
-    chord = float(np.linalg.norm(embed_3d(a.canonical) - embed_3d(b.canonical)))
-    mesh = mesh_upper_bound(a, b, subdivisions) if subdivisions else None
+    ra, rb = a.canonical, b.canonical
+    pa3, pb3 = embed_3d(ra), embed_3d(rb)
+    oracle_value = _unfold_3d(ra.home, pa3, rb.home, pb3, max_faces)
+    chord = float(np.linalg.norm(pa3 - pb3))
+    mesh = _mesh_bound_3d(ra.home, pa3, rb.home, pb3, subdivisions) if subdivisions else None
     return CompareReport(
         distance=result.distance,
         oracle=oracle_value,

@@ -17,12 +17,7 @@ from .landscape import DistanceResult
 
 _H = math.sqrt(3.0) / 2.0
 
-_V146_7 = frozenset({1, 4, 6, 7})
-_V1256 = frozenset({1, 2, 5, 6})
-_V1234 = frozenset({1, 2, 3, 4})
-_V2358 = frozenset({2, 3, 5, 8})
-_V3478 = frozenset({3, 4, 7, 8})
-_V5678 = frozenset({5, 6, 7, 8})
+_V146_7, _V1256, _V1234, _V2358, _V3478, _V5678 = topo.VERTICES
 
 #: Net position of each face's corners (unit edge length).
 NET_CORNERS: dict[int, dict[topo.VertexLabel, tuple[float, float]]] = {

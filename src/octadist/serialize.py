@@ -97,8 +97,13 @@ def load_record(line: str) -> dict:
     if not isinstance(obj, dict):
         raise BadRecord("record must be a JSON object")
     record_id = obj.get("id")
-    if record_id is not None and not isinstance(record_id, str):
-        raise BadRecord("id must be a string")
+    if record_id is not None:
+        if not isinstance(record_id, str):
+            raise BadRecord("id must be a string")
+        try:
+            record_id.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
+            raise BadRecord("id must be valid Unicode text") from None
     return obj
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 FACE_INDICES = tuple(range(1, 9))
 
@@ -162,23 +161,8 @@ class Frame:
         return cls((n1, n2, opposite(r6), r4, opposite(r4), r6, opposite(n2), opposite(n1)))
 
 
-def all_frames() -> list[Frame]:
-    """All 24 valid role assignments."""
-    return [Frame.from_anchor(n1, n2) for n1 in FACE_INDICES for n2 in NEIGHBORS_CCW[n1]]
-
-
-def enumerate_valid_assignments() -> list[Frame]:
-    """Brute-force filter over all 8! role assignments (test oracle)."""
-    found = []
-    for perm in permutations(FACE_INDICES):
-        frame = Frame(perm)
-        if frame.is_valid():
-            found.append(frame)
-    return found
-
-
 @functools.lru_cache(maxsize=None)
-def canonical_frame(a: int, shared_a: int, b: int, chirality: str = "ccw") -> tuple[Frame, int]:
+def canonical_frame(a: int, shared_a: int, b: int) -> tuple[Frame, int]:
     """Frame placing face a in role 1 and face b in its formula role.
 
     Returns (frame, rotations) where rotations is how many shared-face
@@ -188,16 +172,9 @@ def canonical_frame(a: int, shared_a: int, b: int, chirality: str = "ccw") -> tu
     (opposite); for opposite pairs, where three valid frames exist, the
     lexicographically smallest role tuple is chosen.
 
-    `chirality` may be "cw" or "ccw".  Reading a cyclic order backwards
-    reverses both the frame's cycle and the reference cycle, so the two
-    spellings impose the same constraint and yield identical frames; the
-    parameter is accepted for explicitness and validated only.
-
     Results are memoized: the valid arguments are finitely many and the
     returned frame is immutable.
     """
-    if chirality not in ("cw", "ccw"):
-        raise ValueError(f"chirality must be 'cw' or 'ccw', got {chirality!r}")
     if a == b:
         raise ValueError("frame anchor faces must differ")
     cycle = NEIGHBORS_CCW[a]
@@ -243,14 +220,3 @@ def enumerate_dual_paths(start: int, goal: int, max_len: int = 8) -> list[tuple[
         extend((start,))
     paths.sort(key=lambda p: (len(p), p))
     return paths
-
-
-def topology_as_dict() -> dict:
-    """JSON-friendly dump of the static tables (documentation tooling)."""
-    return {
-        "faces": list(FACE_INDICES),
-        "vertices": [sorted(v) for v in VERTICES],
-        "corners_ccw": {f: [sorted(v) for v in FACE_CORNERS_CCW[f]] for f in FACE_INDICES},
-        "neighbors_ccw": {f: list(NEIGHBORS_CCW[f]) for f in FACE_INDICES},
-        "opposite": {f: opposite(f) for f in FACE_INDICES},
-    }

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import HealthCheck, settings
 
-from octadist.coords import Representation, canonicalize
+from octadist import topology as topo
+from octadist.coords import Representation, canonicalize, vertex_representations
 
 settings.register_profile(
     "suite",
@@ -36,6 +37,24 @@ def triangle_point(u: float, v: float, margin: float = 1e-6) -> tuple[float, flo
 def interior_rep(home: int, shared: int, u: float, v: float) -> Representation:
     x, y = triangle_point(u, v)
     return Representation(home, shared, x, y)
+
+
+def boundary_points():
+    """Every vertex, two points on every edge, and two interior points."""
+    special = [
+        canonicalize(vertex_representations(v)[0]) for v in topo.VERTICES
+    ]
+    seen = set()
+    for f in topo.FACE_INDICES:
+        for g in topo.neighbors(f):
+            if (min(f, g), max(f, g)) in seen:
+                continue
+            seen.add((min(f, g), max(f, g)))
+            for t in (0.25, 0.5):
+                special.append(canonicalize(Representation(f, g, t, 0.0)))
+    special.append(canonicalize(Representation(1, 2, 0.3, 0.25)))
+    special.append(canonicalize(Representation(5, 2, 0.3, 0.25)))
+    return special
 
 
 @pytest.fixture(scope="session")

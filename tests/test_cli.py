@@ -1,7 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from octadist import cli
 from octadist.coords import sample_uniform
 from octadist.serialize import dumps, point_to_obj
 
@@ -84,6 +90,77 @@ def test_malformed_lines_are_isolated():
     assert out[7] == {"error": "BadRecord", "detail": out[7]["detail"]}
     assert out[8]["error"] == "BadRecord"
     assert out[8]["id"] == "label"
+
+
+# an id made of a lone surrogate escape: valid JSON, but no UTF-8 text
+SURROGATE_ID = (
+    '{"id": "\\ud800", "p1": {"home": "F1", "shared": "F2", "x": 0.5, "y": 0.2},'
+    ' "p2": {"home": "F2", "shared": "F1", "x": 0.5, "y": 0.2}}'
+)
+
+
+def test_lone_surrogate_id_is_isolated():
+    proc = run_cli(["distance"], "\n".join([WITNESS_L1, SURROGATE_ID, WITNESS_L1]) + "\n")
+    assert proc.returncode == 2, proc.stderr
+    out = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(out) == 3
+    assert "distance" in out[0] and "distance" in out[2]
+    assert out[1] == {"error": "BadRecord", "detail": out[1]["detail"]}
+
+
+def run_stream(command, text):
+    """Run `distance`/`path` in process over strict UTF-8 stdin and stdout."""
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+    with mock.patch.object(sys, "stdin", stdin), mock.patch.object(sys, "stdout", stdout):
+        code = cli.main([command])
+        stdout.flush()
+    return code, raw.getvalue().decode("utf-8")
+
+
+# surrogates included: json.dumps writes them as \uXXXX escapes
+any_text = st.text(st.characters(exclude_categories=()), max_size=6)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(),
+    any_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(any_text, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+faces = st.one_of(st.sampled_from([f"F{i}" for i in range(10)]), json_scalars)
+coords = st.one_of(st.floats(min_value=-0.1, max_value=1.1), json_scalars)
+point_objs = st.one_of(
+    st.fixed_dictionaries({"home": faces, "shared": faces, "x": coords, "y": coords}),
+    json_values,
+)
+records = st.fixed_dictionaries(
+    {"p1": point_objs, "p2": point_objs}, optional={"id": st.one_of(any_text, json_scalars)}
+)
+# a line is read up to "\n" or "\r"; stdin itself is valid UTF-8
+raw_lines = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=20)
+lines = st.one_of(raw_lines, records.map(json.dumps), json_values.map(json.dumps))
+
+
+@given(st.sampled_from(["distance", "path"]), st.lists(lines, max_size=6))
+@example("distance", [WITNESS_L1, SURROGATE_ID, WITNESS_L1])
+@example("path", ['{"id": "\\udfff\\ud800"}', "", "   ", SURROGATE_ID])
+def test_stream_answers_every_line_of_any_input(command, input_lines):
+    code, out = run_stream(command, "".join(line + "\n" for line in input_lines))
+    expected = [line for line in input_lines if line.strip()]
+    got = out.split("\n")
+    assert got.pop() == ""
+    assert len(got) == len(expected)
+    objs = [json.loads(line) for line in got]
+    errors = sum("error" in obj for obj in objs)
+    assert code == (2 if errors else 0)
 
 
 def test_distance_and_path_agree_and_are_deterministic():

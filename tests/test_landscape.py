@@ -33,7 +33,7 @@ from octadist.landscape import (
 )
 from octadist.oracle import embed_3d, unfold_geodesic
 
-from conftest import interior_rep
+from conftest import boundary_points, interior_rep
 
 SQRT3 = math.sqrt(3.0)
 
@@ -349,24 +349,6 @@ def test_shortest_path_structures(witness_points):
     )
     assert same_face.crossings == ()
     assert same_face.length == pytest.approx(0.4, abs=1e-12)
-
-
-def boundary_points():
-    """Every vertex, two points on every edge, and two interior points."""
-    special = [
-        canonicalize(vertex_representations(v)[0]) for v in topo.VERTICES
-    ]
-    seen = set()
-    for f in topo.FACE_INDICES:
-        for g in topo.neighbors(f):
-            if (min(f, g), max(f, g)) in seen:
-                continue
-            seen.add((min(f, g), max(f, g)))
-            for t in (0.25, 0.5):
-                special.append(canonicalize(Representation(f, g, t, 0.0)))
-    special.append(canonicalize(Representation(1, 2, 0.3, 0.25)))
-    special.append(canonicalize(Representation(5, 2, 0.3, 0.25)))
-    return special
 
 
 def test_boundary_point_pairs_match_oracle():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import dijkstra
 
 from octadist import oracle, topology as topo
@@ -19,7 +19,7 @@ from octadist.coords import (
 )
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 
-from conftest import interior_rep
+from conftest import boundary_points, interior_rep
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -195,6 +195,97 @@ def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
         assert _bits(chain.tail_offset) == _bits(offset)
 
 
+def _best_chord_loop(a, b, min_faces=2, max_faces=8):
+    """best_chord as one pass over every path: per-chain projections, strict <."""
+    ra, rb = a.canonical, b.canonical
+    pa3, pb3 = oracle.embed_3d(ra), oracle.embed_3d(rb)
+    best, best_pair = math.inf, None
+    for path in topo.enumerate_dual_paths(ra.home, rb.home, max_faces):
+        if len(path) < min_faces:
+            continue
+        chain = oracle.flatten_chain(path)
+        pa = chain.project(pa3)
+        pb = chain.project(chain.tail_matrix @ pb3 + chain.tail_offset)
+        if oracle._chord_in_chain(chain, pa, pb) is None:
+            continue
+        length = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
+        if length < best:
+            best, best_pair = length, (chain, pa, pb)
+    return best, best_pair
+
+
+def _distinct_face_pairs():
+    """Seeded pairs, boundary-point pairs and vertex pairs on distinct faces."""
+    points = sample_uniform(2718, 300)
+    pairs = list(zip(points[0::2], points[1::2]))
+    pairs += list(itertools.permutations(boundary_points(), 2))
+    vertices = {
+        canonicalize(r).canonical: canonicalize(r)
+        for v in topo.VERTICES
+        for r in vertex_representations(v)
+    }
+    pairs += list(itertools.permutations(vertices.values(), 2))
+    pairs += list(zip(vertices.values(), points))
+    return [(a, b) for a, b in pairs if a.canonical.home != b.canonical.home]
+
+
+def test_chord_order_search_equals_exhaustive_loop_bit_for_bit():
+    pairs = _distinct_face_pairs()
+    assert len(pairs) > 900
+    for a, b in pairs:
+        want, _ = _best_chord_loop(a, b)
+        assert oracle.unfold_geodesic(a, b).hex() == want.hex(), (a, b)
+        assert oracle.best_chord(a, b).hex() == want.hex(), (a, b)
+        for max_faces in (2, 4):
+            want, _ = _best_chord_loop(a, b, 2, max_faces)
+            assert oracle.unfold_geodesic(a, b, max_faces).hex() == want.hex(), (a, b)
+        want, _ = _best_chord_loop(a, b, 5, 8)
+        got = oracle.best_chord(a, b, 5, 8, check_samples=False)
+        assert got.hex() == want.hex(), (a, b)
+
+
+def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
+    checked = []
+
+    def failing(chain, a, b, samples=16):
+        checked.append((chain.faces, a, b))
+        return False
+
+    def assert_winner_checked(a, b):
+        length, winner = _best_chord_loop(a, b)
+        checked.clear()
+        if winner is None:
+            assert oracle.unfold_geodesic(a, b) == length == math.inf
+            assert checked == []
+            return None
+        chain, pa, pb = winner
+        with pytest.raises(AssertionError):
+            oracle.unfold_geodesic(a, b)
+        assert checked == [(chain.faces, pa, pb)]
+        return chain.faces
+
+    monkeypatch.setattr(oracle, "_sampled_containment", failing)
+    contained = oracle._chord_in_chain
+    points = sample_uniform(1618, 60)
+    pairs = list(zip(points[0::2], points[1::2]))
+    pairs += list(itertools.permutations(boundary_points(), 2))
+    for a, b in pairs:
+        if a.canonical.home == b.canonical.home:
+            continue
+        monkeypatch.setattr(oracle, "_chord_in_chain", contained)
+        winner = assert_winner_checked(a, b)
+        # declared uncontained, the winner's chain is passed over
+        monkeypatch.setattr(
+            oracle,
+            "_chord_in_chain",
+            lambda chain, p, q: None if chain.faces == winner else contained(chain, p, q),
+        )
+        assert_winner_checked(a, b)
+        checked.clear()
+        oracle.best_chord(a, b, check_samples=False)
+        assert checked == []
+
+
 def test_unfold_same_face_is_planar_distance():
     a = canonicalize(Representation(4, 1, 0.2, 0.1))
     b = canonicalize(Representation(4, 1, 0.7, 0.15))
@@ -253,21 +344,26 @@ def test_mesh_decreases_under_doubling():
 
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_mesh_graph_holds_each_lattice_segment_once(n):
+    # once per direction: the stored lattice is symmetric
     mesh = oracle._mesh_graph(n)
     n_nodes = len(mesh.points)
     assert n_nodes == 4 * n * n + 2
     for face, graph in mesh.sources.items():
+        assert graph.has_sorted_indices
+        both = graph[:n_nodes, :n_nodes]
+        assert (both != both.T).nnz == 0
         lattice = _lattice(graph, n_nodes)
         assert lattice.nnz == 12 * n * n
         assert np.all(lattice.data == 1.0 / n)
         assert np.all(lattice.row < lattice.col)
         assert len(set(zip(lattice.row.tolist(), lattice.col.tolist()))) == lattice.nnz
-        assert graph.nnz == lattice.nnz + len(mesh.face_nodes[face])
+        assert both.nnz == 2 * lattice.nnz
+        assert graph.nnz == both.nnz + len(mesh.face_nodes[face])
 
 
 def _lattice(graph, n_nodes):
-    """The lattice edges of a source-augmented graph, without the source row."""
-    return graph[:n_nodes, :n_nodes].tocoo()
+    """Each lattice edge of a source-augmented graph once, as (i, j) with i < j."""
+    return triu(graph[:n_nodes, :n_nodes], k=1, format="coo")
 
 
 def _mesh_with_graph_per_call(a, b, n):
