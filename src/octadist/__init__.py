@@ -36,12 +36,14 @@ from .coords import (
 from .landscape import (
     VALIDITY_WITNESSES,
     Crossing,
+    DistanceMinimum,
     DistanceResult,
     LandscapeInstance,
     TrailResult,
     WrongRelation,
     shortest_path,
     surface_distance,
+    surface_minimum,
     trail_crossings,
     trail_length,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "FACE_INDICES",
     "VERTICES",
     "Crossing",
+    "DistanceMinimum",
     "DistanceResult",
     "Frame",
     "FrameMismatch",
@@ -80,6 +83,7 @@ __all__ = [
     "sample_uniform",
     "shortest_path",
     "surface_distance",
+    "surface_minimum",
     "surface_point",
     "trail_crossings",
     "trail_length",

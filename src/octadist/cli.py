@@ -12,10 +12,11 @@ SVG.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .coords import canonicalize, sample_uniform
-from .landscape import VALIDITY_WITNESSES, surface_distance
+from .landscape import VALIDITY_WITNESSES, surface_distance, surface_minimum
 from .oracle import compare
 from .render import render_svg
 from .serialize import (
@@ -28,7 +29,7 @@ from .serialize import (
 )
 
 
-def _stream(to_obj) -> int:
+def _stream(solve, to_obj) -> int:
     had_errors = False
     try:
         for line in sys.stdin:
@@ -41,7 +42,7 @@ def _stream(to_obj) -> int:
                 record_id = record.get("id")
                 p1 = parse_point(record.get("p1"))
                 p2 = parse_point(record.get("p2"))
-                result = surface_distance(canonicalize(p1), canonicalize(p2))
+                result = solve(canonicalize(p1), canonicalize(p2))
                 obj = to_obj(result, record_id)
             except (ValueError, KeyError) as exc:
                 obj = error_obj(exc, record_id)
@@ -55,11 +56,11 @@ def _stream(to_obj) -> int:
 
 
 def _cmd_distance(args) -> int:
-    return _stream(distance_result_to_obj)
+    return _stream(surface_minimum, distance_result_to_obj)
 
 
 def _cmd_path(args) -> int:
-    return _stream(trail_result_to_obj)
+    return _stream(surface_distance, trail_result_to_obj)
 
 
 def _cmd_validate(args) -> int:
@@ -107,11 +108,24 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _checked(convert, accept, requirement: str):
+    """An argparse type: `convert`, then reject values `accept` refuses."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
+_max_faces = _checked(int, lambda v: v >= 2, "must be at least 2")
+_subdivisions = _checked(int, lambda v: v >= 0, "must be at least 0")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "must be a finite number >= 0")
+_scale = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "must be a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,17 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="sweep random pairs through the oracle harness")
     p_validate.add_argument("--seed", type=int, default=0)
     p_validate.add_argument("--count", type=positive_int, default=10000)
-    p_validate.add_argument("--tolerance", type=float, default=1e-9)
-    p_validate.add_argument("--max-faces", type=int, default=8)
+    p_validate.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    p_validate.add_argument("--max-faces", type=_max_faces, default=8)
     p_validate.add_argument(
-        "--subdivisions", type=int, default=0,
+        "--subdivisions", type=_subdivisions, default=0,
         help="mesh upper-bound resolution; 0 skips the mesh check (default)",
     )
     p_validate.set_defaults(func=_cmd_validate)
 
     p_render = sub.add_parser("render", help="draw one query's shortest trail as SVG")
     p_render.add_argument("--out", required=True, help="output SVG path")
-    p_render.add_argument("--scale", type=float, default=100.0, help="SVG units per edge")
+    p_render.add_argument("--scale", type=_scale, default=100.0, help="SVG units per edge")
     p_render.add_argument("--query", help="query record as a JSON literal (default: first stdin line)")
     p_render.set_defaults(func=_cmd_render)
     return parser

@@ -14,7 +14,13 @@ held to agree to 1e-12 by the test suite.
 surface_distance takes the minimum of the formulas and lays out only the
 minimizing landscapes; every applicable landscape is laid out only when
 a minimizer's chord is not contained.  Each landscape's layout through a
-frame is derived from chain_layout once per process and reused.
+frame is derived from chain_layout once per process and reused.  Each
+ordered pair of charts gets a plan, built on first use: its frame, how
+far each point's chart turns, and the layouts of its applicable
+landscapes.  The minimum then runs on plain floats with the same
+operations, in the same order, as the validated trail_length and
+trail_crossings.  surface_minimum stops there; surface_distance also
+builds the first minimizer's trail.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from . import topology as topo
 from .coords import (
@@ -34,8 +41,6 @@ from .coords import (
     Representation,
     SurfacePoint,
     barycentric,
-    rotate_once,
-    rotate_to_shared,
 )
 
 #: Distances closer than this are reported as ties in `argmin`.
@@ -196,6 +201,81 @@ def _chart_mismatch(index, h_role, s_role, rep, frame) -> FrameMismatch:
     )
 
 
+def _formula_1(x1, y1, x2, y2):
+    return math.hypot(x1 + x2 - 1.0, y1 + y2)
+
+
+def _formula_2(x1, y1, x2, y2):
+    return math.hypot(
+        (1.0 - x1 + SQRT3 * y1) / 2.0 - x2 + 1.0,
+        (SQRT3 - SQRT3 * x1 - y1) / 2.0 - y2,
+    )
+
+
+def _formula_3(x1, y1, x2, y2):
+    return math.hypot(
+        x1 - 1.0 - (1.0 - x2 + SQRT3 * y2) / 2.0,
+        y1 - (SQRT3 - SQRT3 * x2 - y2) / 2.0,
+    )
+
+
+def _formula_4(x1, y1, x2, y2):
+    return math.hypot(
+        (2.0 - x1 - SQRT3 * y1) / 2.0 - (-2.0 + x2 + SQRT3 * y2) / 2.0,
+        (SQRT3 * x1 - y1) / 2.0 - (2.0 * SQRT3 - SQRT3 * x2 + y2) / 2.0,
+    )
+
+
+def _formula_5(x1, y1, x2, y2):
+    return math.hypot(
+        (1.0 - x1 + SQRT3 * y1) / 2.0 + x2,
+        (SQRT3 - SQRT3 * x1 - y1) / 2.0 + y2 - SQRT3,
+    )
+
+
+def _formula_6(x1, y1, x2, y2):
+    return math.hypot(
+        x1 - (-1.0 + x2 - SQRT3 * y2) / 2.0,
+        y1 - (SQRT3 * x2 + y2 + SQRT3) / 2.0,
+    )
+
+
+def _formula_7(x1, y1, x2, y2):
+    return math.hypot(
+        x1 - (2.0 + x2 + SQRT3 * y2) / 2.0,
+        y1 - (-SQRT3 * x2 + y2 + 2.0 * SQRT3) / 2.0,
+    )
+
+
+def _formula_8(x1, y1, x2, y2):
+    return math.hypot(
+        (2.0 - x1 - SQRT3 * y1) / 2.0 + x2 - 2.0,
+        (SQRT3 * x1 - y1) / 2.0 + y2 - SQRT3,
+    )
+
+
+def _formula_9(x1, y1, x2, y2):
+    return math.hypot(
+        (1.0 - x1 + SQRT3 * y1) / 2.0 - (3.0 + x2 - SQRT3 * y2) / 2.0,
+        (SQRT3 - SQRT3 * x1 - y1) / 2.0 - (SQRT3 + SQRT3 * x2 + y2) / 2.0,
+    )
+
+
+#: Closed-form trail length of each landscape, in the coordinates of its
+#: two formula charts (see trail_length).
+_FORMULAS = {
+    1: _formula_1,
+    2: _formula_2,
+    3: _formula_3,
+    4: _formula_4,
+    5: _formula_5,
+    6: _formula_6,
+    7: _formula_7,
+    8: _formula_8,
+    9: _formula_9,
+}
+
+
 def trail_length(index: int, p1: Representation, p2: Representation, frame: topo.Frame) -> float:
     """Closed-form trail length of landscape L1..L9.
 
@@ -206,50 +286,7 @@ def trail_length(index: int, p1: Representation, p2: Representation, frame: topo
     landscape's reference orientation.
     """
     _check_inputs(index, p1, p2, frame)
-    x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
-    r3 = SQRT3
-    if index == 1:
-        return math.hypot(x1 + x2 - 1.0, y1 + y2)
-    if index == 2:
-        return math.hypot(
-            (1.0 - x1 + r3 * y1) / 2.0 - x2 + 1.0,
-            (r3 - r3 * x1 - y1) / 2.0 - y2,
-        )
-    if index == 3:
-        return math.hypot(
-            x1 - 1.0 - (1.0 - x2 + r3 * y2) / 2.0,
-            y1 - (r3 - r3 * x2 - y2) / 2.0,
-        )
-    if index == 4:
-        return math.hypot(
-            (2.0 - x1 - r3 * y1) / 2.0 - (-2.0 + x2 + r3 * y2) / 2.0,
-            (r3 * x1 - y1) / 2.0 - (2.0 * r3 - r3 * x2 + y2) / 2.0,
-        )
-    if index == 5:
-        return math.hypot(
-            (1.0 - x1 + r3 * y1) / 2.0 + x2,
-            (r3 - r3 * x1 - y1) / 2.0 + y2 - r3,
-        )
-    if index == 6:
-        return math.hypot(
-            x1 - (-1.0 + x2 - r3 * y2) / 2.0,
-            y1 - (r3 * x2 + y2 + r3) / 2.0,
-        )
-    if index == 7:
-        return math.hypot(
-            x1 - (2.0 + x2 + r3 * y2) / 2.0,
-            y1 - (-r3 * x2 + y2 + 2.0 * r3) / 2.0,
-        )
-    if index == 8:
-        return math.hypot(
-            (2.0 - x1 - r3 * y1) / 2.0 + x2 - 2.0,
-            (r3 * x1 - y1) / 2.0 + y2 - r3,
-        )
-    # index == 9
-    return math.hypot(
-        (1.0 - x1 + r3 * y1) / 2.0 - (3.0 + x2 - r3 * y2) / 2.0,
-        (r3 - r3 * x1 - y1) / 2.0 - (r3 + r3 * x2 + y2) / 2.0,
-    )
+    return _FORMULAS[index](p1.x, p1.y, p2.x, p2.y)
 
 
 def _rot60(vx: float, vy: float, ccw: bool) -> tuple[float, float]:
@@ -298,17 +335,26 @@ def chain_layout(
     return positions
 
 
-def place_in_layout(
-    positions: dict[topo.VertexLabel, tuple[float, float]], rep: Representation
-) -> tuple[float, float]:
-    """Map a representation into a layout via its chart's corner labels."""
-    s, t, u = topo.chart_corners(rep.home, rep.shared)
-    ls, lt, lu = barycentric(rep.x, rep.y)
-    ps, pt, pu = positions[s], positions[t], positions[u]
+def _corners(positions, home: int, shared: int) -> tuple:
+    """Layout positions of the corners (S, T, U) of the chart (home, shared)."""
+    s, t, u = topo.chart_corners(home, shared)
+    return positions[s], positions[t], positions[u]
+
+
+def _place(corners, x: float, y: float) -> tuple[float, float]:
+    ls, lt, lu = barycentric(x, y)
+    ps, pt, pu = corners
     return (
         ls * ps[0] + lt * pt[0] + lu * pu[0],
         ls * ps[1] + lt * pt[1] + lu * pu[1],
     )
+
+
+def place_in_layout(
+    positions: dict[topo.VertexLabel, tuple[float, float]], rep: Representation
+) -> tuple[float, float]:
+    """Map a representation into a layout via its chart's corner labels."""
+    return _place(_corners(positions, rep.home, rep.shared), rep.x, rep.y)
 
 
 def _clamp01(v: float) -> float:
@@ -396,6 +442,28 @@ def _layout(index: int, frame: topo.Frame):
     )
 
 
+def _chord(first, last, segments, x1: float, y1: float, x2: float, y2: float):
+    """Chord length of one laid-out landscape and its edge intersections.
+
+    `first` and `last` are the corner positions of the two points'
+    charts (see _corners); the intersections are None when the chord is
+    not contained.
+    """
+    a = _place(first, x1, y1)
+    b = _place(last, x2, y2)
+    return math.hypot(b[0] - a[0], b[1] - a[1]), chord_edge_intersections(a, b, segments)
+
+
+def _trail(landscape: LandscapeInstance, edge_labels, chord: float, hits) -> TrailResult:
+    if hits is None:
+        return TrailResult(math.inf, chord, landscape, (), False)
+    crossings = tuple(
+        Crossing(edge=edge_labels[i], point=OrientedPoint(*pt), parameter=s)
+        for i, (s, _t, pt) in enumerate(hits)
+    )
+    return TrailResult(chord, chord, landscape, crossings, True)
+
+
 def trail_crossings(
     index: int, p1: Representation, p2: Representation, frame: topo.Frame
 ) -> TrailResult:
@@ -409,33 +477,149 @@ def trail_crossings(
     """
     _check_inputs(index, p1, p2, frame)
     first, last, edge_labels, segments, landscape = _layout(index, frame)
-    a = place_in_layout(first, p1)
-    b = place_in_layout(last, p2)
-    chord = math.hypot(b[0] - a[0], b[1] - a[1])
-    hits = chord_edge_intersections(a, b, segments)
-    if hits is None:
-        return TrailResult(math.inf, chord, landscape, (), False)
-    crossings = tuple(
-        Crossing(edge=edge_labels[i], point=OrientedPoint(*pt), parameter=s)
-        for i, (s, _t, pt) in enumerate(hits)
+    chord, hits = _chord(
+        _corners(first, p1.home, p1.shared),
+        _corners(last, p2.home, p2.shared),
+        segments,
+        p1.x, p1.y, p2.x, p2.y,
     )
-    return TrailResult(chord, chord, landscape, crossings, True)
+    return _trail(landscape, edge_labels, chord, hits)
 
 
 def _degenerate_trail(length: float) -> TrailResult:
     return TrailResult(length, length, None, (), True)
 
 
-def _prepare_pair(a: SurfacePoint, b: SurfacePoint):
-    """Frame and formula-chart representations for a classified pair."""
-    ra, rb = a.canonical, b.canonical
-    frame, rotations = topo.canonical_frame(ra.home, ra.shared, rb.home)
-    p1 = ra
-    for _ in range(rotations):
-        p1 = rotate_once(p1)
-    first_id = APPLICABLE_IDS[topo.relation(ra.home, rb.home)][0]
-    p2 = rotate_to_shared(rb, frame.face(_P2_CHART_ROLES[first_id][1]))
-    return frame, p1, p2
+def _turns(home: int, shared: int, target: int) -> int:
+    """Shared-face rotations that take the chart (home, shared) to (home, target)."""
+    cycle = topo.neighbors(home)
+    return (cycle.index(target) - cycle.index(shared)) % 3
+
+
+def _turn(x: float, y: float, times: int) -> tuple[float, float]:
+    """rotate_once's arithmetic on plain coordinates, applied `times` times."""
+    for _ in range(times):
+        x, y = (1.0 - x + SQRT3 * y) / 2.0, (SQRT3 - SQRT3 * x - y) / 2.0
+    return x, y
+
+
+@dataclass(frozen=True)
+class _PlannedLandscape:
+    """One applicable landscape of a chart pair, with the two charts placed."""
+
+    formula: Callable[[float, float, float, float], float]
+    first: tuple  # layout positions of the first point's chart corners
+    last: tuple  # layout positions of the second point's chart corners
+    segments: tuple
+    edge_labels: tuple
+    instance: LandscapeInstance
+
+
+@dataclass(frozen=True)
+class _ChartPairPlan:
+    """What the minimum needs to know about one ordered chart pair.
+
+    The first point turns `turns1` times into the chart (role 1, role 2)
+    of `frame`, the second `turns2` times into its formula chart; the
+    applicable landscapes follow in ascending id order.
+    """
+
+    frame: topo.Frame
+    turns1: int
+    turns2: int
+    ids: tuple[int, ...]
+    landscapes: tuple[_PlannedLandscape, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(home1: int, shared1: int, home2: int, shared2: int) -> _ChartPairPlan:
+    """Plan of the chart pair (home1, shared1) -> (home2, shared2), built once.
+
+    The homes must differ; at most 8 x 3 x 7 x 3 = 504 plans exist.
+    """
+    frame, turns1 = topo.canonical_frame(home1, shared1, home2)
+    ids = APPLICABLE_IDS[topo.relation(home1, home2)]
+    h_role, s_role = _P2_CHART_ROLES[ids[0]]  # one formula chart per relation class
+    turns2 = _turns(home2, shared2, frame.face(s_role))
+    landscapes = []
+    for index in ids:
+        first, last, edge_labels, segments, instance = _layout(index, frame)
+        landscapes.append(
+            _PlannedLandscape(
+                _FORMULAS[index],
+                _corners(first, frame.face(1), frame.face(2)),
+                _corners(last, frame.face(h_role), frame.face(s_role)),
+                segments,
+                edge_labels,
+                instance,
+            )
+        )
+    return _ChartPairPlan(frame, turns1, turns2, ids, tuple(landscapes))
+
+
+def _minimum(ra: Representation, rb: Representation):
+    """Distance, argmin, fallback and the first minimizer's chord.
+
+    The last item is (planned landscape, chord length, intersections),
+    or None for coincident and same-face pairs.  Works on canonical
+    representations; see surface_distance for the rule.
+    """
+    if ra.home == rb.home:
+        if ra == rb:
+            return 0.0, (), False, None
+        x, y = _turn(rb.x, rb.y, _turns(rb.home, rb.shared, ra.shared))
+        return math.hypot(ra.x - x, ra.y - y), (), False, None
+
+    plan = _plan(ra.home, ra.shared, rb.home, rb.shared)
+    x1, y1 = _turn(ra.x, ra.y, plan.turns1)
+    x2, y2 = _turn(rb.x, rb.y, plan.turns2)
+    landscapes = plan.landscapes
+    lengths = [ls.formula(x1, y1, x2, y2) for ls in landscapes]
+    best = min(lengths)
+    cutoff = best + TIE_EPS
+    winners = [k for k, length in enumerate(lengths) if length <= cutoff]
+    chords = {}
+    contained = True
+    for k in winners:
+        ls = landscapes[k]
+        chords[k] = chord = _chord(ls.first, ls.last, ls.segments, x1, y1, x2, y2)
+        contained = contained and chord[1] is not None
+    fallback = False
+    if not contained:
+        for k, ls in enumerate(landscapes):
+            if k not in chords:
+                chords[k] = _chord(ls.first, ls.last, ls.segments, x1, y1, x2, y2)
+        pool = [k for k in range(len(landscapes)) if chords[k][1] is not None]
+        fallback = not pool
+        if fallback:
+            pool = list(range(len(landscapes)))
+        best = min([lengths[k] for k in pool])
+        cutoff = best + TIE_EPS
+        winners = [k for k in pool if lengths[k] <= cutoff]
+    ids = plan.ids
+    first = winners[0]
+    return best, tuple([ids[k] for k in winners]), fallback, (landscapes[first], *chords[first])
+
+
+class DistanceMinimum(NamedTuple):
+    """Surface distance with its minimizing landscape ids, without a trail.
+
+    The fields mean what they mean in DistanceResult.
+    """
+
+    distance: float
+    argmin: tuple[int, ...]
+    fallback: bool
+
+
+def surface_minimum(a: SurfacePoint, b: SurfacePoint) -> DistanceMinimum:
+    """Geodesic distance, minimizing landscapes and fallback flag.
+
+    The same numbers as surface_distance, bit for bit, without building
+    the trail objects.
+    """
+    distance, argmin, fallback, _winner = _minimum(a.canonical, b.canonical)
+    return DistanceMinimum(distance, argmin, fallback)
 
 
 def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
@@ -452,32 +636,13 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     use the in-face straight distance, coincident points return zero;
     both report an empty `argmin`.
     """
-    ra, rb = a.canonical, b.canonical
-    if ra == rb:
-        return DistanceResult(0.0, (), _degenerate_trail(0.0), False)
-    if ra.home == rb.home:
-        rb_aligned = rotate_to_shared(rb, ra.shared)
-        d = math.hypot(ra.x - rb_aligned.x, ra.y - rb_aligned.y)
-        return DistanceResult(d, (), _degenerate_trail(d), False)
-
-    frame, p1, p2 = _prepare_pair(a, b)
-    ids = APPLICABLE_IDS[topo.relation(ra.home, rb.home)]
-    lengths = {i: trail_length(i, p1, p2, frame) for i in ids}
-    best = min(lengths.values())
-    argmin = tuple(i for i in ids if lengths[i] <= best + TIE_EPS)
-    trails = {i: trail_crossings(i, p1, p2, frame) for i in argmin}
-    if all(t.contained for t in trails.values()):
-        # the minimizers are in the contained pool, so filtering changes nothing
-        return DistanceResult(best, argmin, trails[argmin[0]], False)
-
-    trails = {i: trail_crossings(i, p1, p2, frame) for i in ids}
-
-    contained_ids = [i for i in ids if trails[i].contained]
-    fallback = not contained_ids
-    pool = list(ids) if fallback else contained_ids
-    best = min(lengths[i] for i in pool)
-    argmin = tuple(i for i in pool if lengths[i] <= best + TIE_EPS)
-    return DistanceResult(best, argmin, trails[argmin[0]], fallback)
+    distance, argmin, fallback, winner = _minimum(a.canonical, b.canonical)
+    if winner is None:
+        trail = _degenerate_trail(distance)
+    else:
+        landscape, chord, hits = winner
+        trail = _trail(landscape.instance, landscape.edge_labels, chord, hits)
+    return DistanceResult(distance, argmin, trail, fallback)
 
 
 def shortest_path(a: SurfacePoint, b: SurfacePoint) -> TrailResult:

@@ -8,12 +8,13 @@ round-trip exactly and output is byte-deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any
 
 from .coords import InvalidRepresentation, Representation
-from .landscape import DistanceResult, TrailResult
+from .landscape import DistanceMinimum, DistanceResult, TrailResult
 
 
 class BadRecord(ValueError):
@@ -26,29 +27,56 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+#: What json.dumps(s, ensure_ascii=False) calls, without a new encoder per call.
+_encode_str = json.encoder.encode_basestring
+
+
+@functools.lru_cache(maxsize=256)
+def _encode_key(key: str) -> str:
+    return json.dumps(key)
+
+
 def dumps(obj: Any) -> str:
     """Deterministic single-line JSON with 17-significant-digit floats."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is float:
+        return format_float(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
+    # no class derives from two of dict, list, tuple, str, int and float, so the
+    # order of these checks does not change which branch a value takes
+    if isinstance(obj, dict):
+        items = ", ".join([
+            (_encode_key(k) if type(k) is str else json.dumps(k)) + ": " + dumps(v)
+            for k, v in obj.items()
+        ])
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([dumps(v) for v in obj]) + "]"
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return _encode_str(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+#: Face labels as the wire spells them; anything else takes the general path.
+_FACE_LABELS = {f"F{face}": face for face in range(1, 9)}
+
+
 def _parse_face(value: Any, field: str) -> int:
+    if type(value) is str:
+        face = _FACE_LABELS.get(value)
+        if face is not None:
+            return face
     if isinstance(value, str) and value.startswith("F"):
         value = value[1:]
         if value.isascii() and value.isdigit():
@@ -132,7 +160,9 @@ def _crossings_obj(trail: TrailResult) -> list:
     ]
 
 
-def distance_result_to_obj(result: DistanceResult, record_id: str | None = None) -> dict:
+def distance_result_to_obj(
+    result: DistanceResult | DistanceMinimum, record_id: str | None = None
+) -> dict:
     out: dict = {}
     if record_id is not None:
         out["id"] = record_id

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -269,6 +270,41 @@ def test_validate_rejects_count_below_one_as_usage_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--count" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["validate", "--max-faces", "1"], "--max-faces"),
+        (["validate", "--subdivisions", "-1"], "--subdivisions"),
+        (["validate", "--tolerance", "-1"], "--tolerance"),
+        (["validate", "--tolerance", "nan"], "--tolerance"),
+        (["validate", "--tolerance", "inf"], "--tolerance"),
+        (["render", "--scale", "nan"], "--scale"),
+        (["render", "--scale", "-5"], "--scale"),
+        (["render", "--scale", "0"], "--scale"),
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "never.svg"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(out), "--query", WITNESS_L1]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert not out.exists()
+
+
+def test_boundary_numbers_are_accepted():
+    parser = cli.build_parser()
+    args = parser.parse_args(
+        ["validate", "--max-faces", "2", "--subdivisions", "0", "--tolerance", "0"]
+    )
+    assert (args.max_faces, args.subdivisions, args.tolerance) == (2, 0, 0.0)
+    assert parser.parse_args(["render", "--out", "x.svg", "--scale", "1e-3"]).scale == 1e-3
 
 
 def test_validate_with_mesh_subdivisions():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from octadist import landscape
 from octadist import topology as topo
 from octadist.coords import (
+    EPS_IN,
     FrameMismatch,
     Representation,
     canonicalize,
     flip_home_face,
     rotate_once,
+    rotate_to_shared,
     vertex_representations,
 )
 from octadist.landscape import (
@@ -21,13 +24,13 @@ from octadist.landscape import (
     TIE_EPS,
     VALIDITY_WITNESSES,
     DistanceResult,
-    TrailResult,
     WrongRelation,
-    _prepare_pair,
+    _P2_CHART_ROLES,
     chain_layout,
     place_in_layout,
     shortest_path,
     surface_distance,
+    surface_minimum,
     trail_crossings,
     trail_length,
 )
@@ -389,6 +392,22 @@ def test_landscape_instances_report_role_patterns(witness_points):
         assert roles == PATH_ROLES[index]
 
 
+def _prepare_pair(a, b):
+    """Frame and formula-chart representations of a pair with distinct homes.
+
+    Turns the charts with the validated chart moves, as the library did
+    before its chart-pair plans existed.
+    """
+    ra, rb = a.canonical, b.canonical
+    frame, rotations = topo.canonical_frame(ra.home, ra.shared, rb.home)
+    p1 = ra
+    for _ in range(rotations):
+        p1 = rotate_once(p1)
+    first_id = APPLICABLE_IDS[topo.relation(ra.home, rb.home)][0]
+    p2 = rotate_to_shared(rb, frame.face(_P2_CHART_ROLES[first_id][1]))
+    return frame, p1, p2
+
+
 def all_landscape_distance(a, b) -> DistanceResult:
     """Reference minimum that lays out every applicable landscape.
 
@@ -398,8 +417,7 @@ def all_landscape_distance(a, b) -> DistanceResult:
     frame, p1, p2 = _prepare_pair(a, b)
     ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
     lengths = {i: trail_length(i, p1, p2, frame) for i in ids}
-    # looked up on the module so that a test can patch it
-    trails = {i: landscape.trail_crossings(i, p1, p2, frame) for i in ids}
+    trails = {i: trail_crossings(i, p1, p2, frame) for i in ids}
     contained_ids = [i for i in ids if trails[i].contained]
     fallback = not contained_ids
     pool = list(ids) if fallback else contained_ids
@@ -408,13 +426,29 @@ def all_landscape_distance(a, b) -> DistanceResult:
     return DistanceResult(best, argmin, trails[argmin[0]], fallback)
 
 
+def _bits(result):
+    """A result with every float spelled by float.hex, so == means bit-equal."""
+
+    def h(value):
+        return value.hex()
+
+    head = (h(result.distance), result.argmin, result.fallback)
+    if not hasattr(result, "trail"):
+        return head
+    trail = result.trail
+    crossings = tuple(
+        (c.edge, h(c.point.x), h(c.point.y), h(c.parameter)) for c in trail.crossings
+    )
+    return head + (
+        h(trail.length), h(trail.chord_length), trail.landscape, crossings, trail.contained
+    )
+
+
 def assert_matches_reference(a, b):
     result = surface_distance(a, b)
     ref = all_landscape_distance(a, b)
-    assert result.distance == ref.distance  # bit-equal, not approximate
-    assert result.argmin == ref.argmin
-    assert result.trail == ref.trail
-    assert result.fallback == ref.fallback
+    assert _bits(result) == _bits(ref)
+    assert _bits(surface_minimum(a, b)) == _bits(ref)[:3]
     return result
 
 
@@ -438,21 +472,55 @@ def test_minimizer_only_layout_matches_reference_on_boundary_points():
     assert assert_matches_reference(a, b).argmin == (2, 3)
 
 
-@pytest.mark.parametrize("uncontained", ["minimizer", "all"])
-def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncontained):
+def test_every_chart_pair_matches_reference_bit_for_bit():
+    # each ordered chart pair with distinct homes has its own plan
+    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
+    keys = [(c1, c2) for c1 in charts for c2 in charts if c1[0] != c2[0]]
+    assert len(keys) == 504
+    rng = random.Random(504)
+    pairs = []
+    for (h1, s1), (h2, s2) in keys:
+        for _ in range(3):
+            a = canonicalize(interior_rep(h1, s1, rng.random(), rng.random()))
+            b = canonicalize(interior_rep(h2, s2, rng.random(), rng.random()))
+            assert (a.canonical.home, a.canonical.shared) == (h1, s1)
+            assert (b.canonical.home, b.canonical.shared) == (h2, s2)
+            pairs.append((a, b))
+    pairs += [
+        (a, b)
+        for a, b in itertools.permutations(boundary_points(), 2)
+        if a.canonical.home != b.canonical.home
+    ]
+    for a, b in pairs:
+        assert_matches_reference(a, b)
+
+
+@pytest.mark.parametrize(
+    "uncontained, solve",
+    [
+        ("minimizer", surface_distance),
+        ("all", surface_distance),
+        ("minimizer", surface_minimum),
+    ],
+    ids=["minimizer", "all", "surface_minimum"],
+)
+def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncontained, solve):
     # valid chords are always contained, so force the other branch by
     # reporting chords as leaving their landscape
     a, b = canonicalize(VALIDITY_WITNESSES[4][0]), canonicalize(VALIDITY_WITNESSES[4][1])
-    original = landscape.trail_crossings
+    original = landscape.chord_edge_intersections
+    l4_segments = landscape._layout(4, _prepare_pair(a, b)[0])[3]
 
-    def leaky(index, p1, p2, frame):
-        trail = original(index, p1, p2, frame)
-        if uncontained == "all" or index == 4:
-            return TrailResult(math.inf, trail.chord_length, trail.landscape, (), False)
-        return trail
+    def leaky(p, q, edges, tol=EPS_IN):
+        if uncontained == "all" or edges == l4_segments:
+            return None
+        return original(p, q, edges, tol)
 
-    monkeypatch.setattr(landscape, "trail_crossings", leaky)
-    result = assert_matches_reference(a, b)
+    # the reference's trail_crossings meets the same patched helper
+    monkeypatch.setattr(landscape, "chord_edge_intersections", leaky)
+    ref = all_landscape_distance(a, b)
+    result = solve(a, b)
+    assert _bits(result) == _bits(ref)[: len(_bits(result))]
     if uncontained == "all":
         assert result.fallback and result.argmin == (4,)
     else:

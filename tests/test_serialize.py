@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 
@@ -7,6 +8,7 @@ from octadist.coords import InvalidRepresentation, Representation, canonicalize
 from octadist.landscape import surface_distance
 from octadist.serialize import (
     BadRecord,
+    _parse_face,
     distance_result_to_obj,
     dumps,
     error_obj,
@@ -143,3 +145,129 @@ def test_result_objects_shape():
     assert crossing["t"] == pytest.approx(0.5, abs=1e-12)
     # a full line survives a JSON round trip bit-for-bit on the floats
     assert json.loads(dumps(trail_obj))["length"] == trail_obj["length"]
+
+
+def _reference_dumps(obj):
+    """dumps as it was before its fast paths: one json.dumps per string."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(k)}: {_reference_dumps(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_dumps(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+WIRE_IDS = [
+    "",
+    "plain",
+    'quote " inside',
+    "back\\slash",
+    "control \x00\x01\x1f\t\n\r\x7f",
+    "separators \u2028 \u2029",
+    "non-ASCII é ß 漢字",
+    "astral \U0001f600 \U00010348",
+]
+
+
+@pytest.mark.parametrize("record_id", WIRE_IDS)
+def test_dumps_matches_reference_coding_for_ids(record_id):
+    for obj in (
+        record_id,
+        {"id": record_id, "distance": 0.1, "argmin": ["L4", "L7"], "fallback": False},
+        {record_id: [record_id]},
+        _Str(record_id),
+    ):
+        assert dumps(obj) == _reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        True,
+        False,
+        None,
+        0,
+        -(10**30),
+        _Int(7),
+        _Level.LOW,
+        -0.0,
+        0.30000000000000004,
+        _Float(0.1),
+        _Float(-2.5e300),
+        [[], [[1, 2.5]], [True, None, [_Float(1.0), _Int(-3)]]],
+        (1, (2.0, "t")),
+        {"edge": [[1, 2, 3, 4], [1, 2, 5, 6]], "point": [0.5, -0.0], "t": 1.0},
+        {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+        [{"nested": {"deeper": [{"k": "v"}]}}],
+    ],
+)
+def test_dumps_matches_reference_coding_for_values(obj):
+    assert dumps(obj) == _reference_dumps(obj)
+
+
+def test_dumps_still_rejects_what_it_rejected():
+    for obj in (math.nan, _Float(math.inf), {"x": [math.inf]}):
+        with pytest.raises(ValueError):
+            dumps(obj)
+    for obj in ({1, 2}, b"bytes", object()):
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+
+def _reference_parse_face(value, field):
+    """_parse_face as it was before its lookup table."""
+    if isinstance(value, str) and value.startswith("F"):
+        value = value[1:]
+        if value.isascii() and value.isdigit():
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+    if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 8:
+        return value
+    raise BadRecord(f"{field} must be a face label 'F1'..'F8'")
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["F1", "F8", "F01", "F0", "F9", "f1", " F1", "F1 ", "F²", "F", "", 1, 8, 9, True, 1.5,
+     None, ["F1"], {"F1": 1}, _Str("F3")],
+)
+def test_parse_face_matches_reference(value):
+    try:
+        want = _reference_parse_face(value, "home")
+    except BadRecord as exc:
+        with pytest.raises(BadRecord) as got:
+            _parse_face(value, "home")
+        assert str(got.value) == str(exc)
+    else:
+        got = _parse_face(value, "home")
+        assert got == want and type(got) is int
