@@ -29,7 +29,21 @@ from .serialize import (
 )
 
 
+def _utf8_stdio() -> None:
+    """Read stdin and write stdout as UTF-8, whatever the locale.
+
+    An undecodable input byte reaches the parser as a lone surrogate, so
+    its line is a BadRecord like any other malformed line.  A stream set
+    in place of sys.stdin or sys.stdout (an io.StringIO) is left as it is.
+    """
+    for stream, errors in ((sys.stdin, "surrogateescape"), (sys.stdout, "strict")):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(encoding="utf-8", errors=errors)
+
+
 def _stream(solve, to_obj) -> int:
+    _utf8_stdio()
     had_errors = False
     try:
         for line in sys.stdin:
@@ -86,6 +100,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _utf8_stdio()
     if args.query is not None:
         line = args.query
     else:

@@ -83,16 +83,21 @@ def barycentric(x: float, y: float) -> tuple[float, float, float]:
     return 1.0 - x - yy, x - yy, 2.0 * yy
 
 
-def rotate_once(r: Representation) -> Representation:
-    """Re-express r with the next shared face counter-clockwise.
+def turn(x: float, y: float, times: int) -> tuple[float, float]:
+    """Chart coordinates of (x, y) after `times` shared-face rotations.
 
-    The chart turns by 120 degrees about the face centroid while the
-    point stays put: (x, y) becomes ((1 - x + sqrt(3) y) / 2,
-    (sqrt(3) - sqrt(3) x - y) / 2).  Three applications restore the
-    original quadruple.
+    One rotation turns the chart by 120 degrees about the face centroid
+    while the point stays put: (x, y) becomes ((1 - x + sqrt(3) y) / 2,
+    (sqrt(3) - sqrt(3) x - y) / 2).  Three rotations restore (x, y).
     """
-    u = (1.0 - r.x + SQRT3 * r.y) / 2.0
-    v = (SQRT3 - SQRT3 * r.x - r.y) / 2.0
+    for _ in range(times):
+        x, y = (1.0 - x + SQRT3 * y) / 2.0, (SQRT3 - SQRT3 * x - y) / 2.0
+    return x, y
+
+
+def rotate_once(r: Representation) -> Representation:
+    """Re-express r with the next shared face counter-clockwise (see turn)."""
+    u, v = turn(r.x, r.y, 1)
     return Representation(r.home, topo.next_shared_ccw(r.home, r.shared), u, v)
 
 
@@ -106,16 +111,6 @@ def rotate_shared_face(r: Representation, frame: topo.Frame) -> Representation:
     out = rotate_once(r)
     assert out.shared == frame.face(6)
     return out
-
-
-def rotate_to_shared(r: Representation, shared: int) -> Representation:
-    """Rotate r's chart (0 to 2 times) until its shared face is `shared`."""
-    out = r
-    for _ in range(3):
-        if out.shared == shared:
-            return out
-        out = rotate_once(out)
-    raise ValueError(f"F{shared} is not adjacent to F{r.home}")
 
 
 def flip_home_face(r: Representation) -> Representation:

@@ -14,13 +14,15 @@ held to agree to 1e-12 by the test suite.
 surface_distance takes the minimum of the formulas and lays out only the
 minimizing landscapes; every applicable landscape is laid out only when
 a minimizer's chord is not contained.  Each landscape's layout through a
-frame is derived from chain_layout once per process and reused.  Each
-ordered pair of charts gets a plan, built on first use: its frame, how
-far each point's chart turns, and the layouts of its applicable
-landscapes.  The minimum then runs on plain floats with the same
-operations, in the same order, as the validated trail_length and
-trail_crossings.  surface_minimum stops there; surface_distance also
-builds the first minimizer's trail.
+frame is one record, derived from chain_layout once per process: the
+formula, the corners of its two formula charts, the hinge segments and
+their edge labels, and the instance.  trail_crossings reads that record.
+So does the plan of each ordered pair of charts, built on first use: how
+far each point's chart turns (topology.turns, coords.turn) and the
+records of its applicable landscapes.  The minimum then runs on plain
+floats with the same operations, in the same order, as the validated
+trail_length and trail_crossings.  surface_minimum stops there;
+surface_distance also builds the first minimizer's trail.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import topology as topo
@@ -41,6 +42,7 @@ from .coords import (
     Representation,
     SurfacePoint,
     barycentric,
+    turn,
 )
 
 #: Distances closer than this are reported as ties in `argmin`.
@@ -87,17 +89,14 @@ _P2_CHART_ROLES: dict[int, tuple[int, int]] = {
     **{a: (8, 7) for a in range(4, 10)},
 }
 
-_RELATION_FOR_ID: dict[int, topo.Relation] = {
-    1: topo.Relation.ADJACENT,
-    2: topo.Relation.NEITHER,
-    3: topo.Relation.NEITHER,
-    **{a: topo.Relation.OPPOSITE for a in range(4, 10)},
-}
-
 APPLICABLE_IDS: dict[topo.Relation, tuple[int, ...]] = {
     topo.Relation.ADJACENT: (1,),
     topo.Relation.NEITHER: (2, 3),
     topo.Relation.OPPOSITE: (4, 5, 6, 7, 8, 9),
+}
+
+_RELATION_FOR_ID: dict[int, topo.Relation] = {
+    index: rel for rel, ids in APPLICABLE_IDS.items() for index in ids
 }
 
 #: Point pairs witnessing the validity of each landscape, in the charts
@@ -350,13 +349,6 @@ def _place(corners, x: float, y: float) -> tuple[float, float]:
     )
 
 
-def place_in_layout(
-    positions: dict[topo.VertexLabel, tuple[float, float]], rep: Representation
-) -> tuple[float, float]:
-    """Map a representation into a layout via its chart's corner labels."""
-    return _place(_corners(positions, rep.home, rep.shared), rep.x, rep.y)
-
-
 def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
@@ -416,13 +408,25 @@ def chord_edge_intersections(a, b, edges, tol: float = EPS_IN):
     return out
 
 
+@dataclass(frozen=True)
+class _PlannedLandscape:
+    """Layout of one landscape through a frame, in its two formula charts."""
+
+    formula: Callable[[float, float, float, float], float]
+    first: tuple  # layout positions of the first point's chart corners
+    last: tuple  # layout positions of the second point's chart corners
+    segments: tuple
+    edge_labels: tuple
+    instance: LandscapeInstance
+
+
 @functools.lru_cache(maxsize=None)
-def _layout(index: int, frame: topo.Frame):
+def _layout(index: int, frame: topo.Frame) -> _PlannedLandscape:
     """Layout of landscape `index` through `frame`, derived once.
 
-    Returns the corner positions of the first and last face (read-only),
-    the interior edges' vertex labels and planar segments in path order,
-    and the landscape instance.  At most 9 x 24 entries exist.
+    The first point's chart is (role 1, role 2) and the second point's
+    the one _P2_CHART_ROLES names; the interior edges' vertex labels and
+    planar segments follow in path order.  At most 9 x 24 entries exist.
     """
     roles = PATH_ROLES[index]
     faces = tuple(frame.face(r) for r in roles)
@@ -433,35 +437,36 @@ def _layout(index: int, frame: topo.Frame):
         (positions[faces[i]][s], positions[faces[i]][t])
         for i, (s, t) in enumerate(edge_labels)
     )
-    return (
-        MappingProxyType(positions[faces[0]]),
-        MappingProxyType(positions[faces[-1]]),
-        edge_labels,
+    h_role, s_role = _P2_CHART_ROLES[index]
+    return _PlannedLandscape(
+        _FORMULAS[index],
+        _corners(positions[faces[0]], frame.face(1), frame.face(2)),
+        _corners(positions[faces[-1]], frame.face(h_role), frame.face(s_role)),
         segments,
+        edge_labels,
         LandscapeInstance(index, frame, faces),
     )
 
 
-def _chord(first, last, segments, x1: float, y1: float, x2: float, y2: float):
+def _chord(ls: _PlannedLandscape, x1: float, y1: float, x2: float, y2: float):
     """Chord length of one laid-out landscape and its edge intersections.
 
-    `first` and `last` are the corner positions of the two points'
-    charts (see _corners); the intersections are None when the chord is
-    not contained.
+    (x1, y1) and (x2, y2) are in the layout's two formula charts; the
+    intersections are None when the chord is not contained.
     """
-    a = _place(first, x1, y1)
-    b = _place(last, x2, y2)
-    return math.hypot(b[0] - a[0], b[1] - a[1]), chord_edge_intersections(a, b, segments)
+    a = _place(ls.first, x1, y1)
+    b = _place(ls.last, x2, y2)
+    return math.hypot(b[0] - a[0], b[1] - a[1]), chord_edge_intersections(a, b, ls.segments)
 
 
-def _trail(landscape: LandscapeInstance, edge_labels, chord: float, hits) -> TrailResult:
+def _trail(ls: _PlannedLandscape, chord: float, hits) -> TrailResult:
     if hits is None:
-        return TrailResult(math.inf, chord, landscape, (), False)
+        return TrailResult(math.inf, chord, ls.instance, (), False)
     crossings = tuple(
-        Crossing(edge=edge_labels[i], point=OrientedPoint(*pt), parameter=s)
+        Crossing(edge=ls.edge_labels[i], point=OrientedPoint(*pt), parameter=s)
         for i, (s, _t, pt) in enumerate(hits)
     )
-    return TrailResult(chord, chord, landscape, crossings, True)
+    return TrailResult(chord, chord, ls.instance, crossings, True)
 
 
 def trail_crossings(
@@ -475,56 +480,24 @@ def trail_crossings(
     intersection parameter stays in [0, 1] (endpoints included) and the
     chord meets the edges in path order.
     """
-    _check_inputs(index, p1, p2, frame)
-    first, last, edge_labels, segments, landscape = _layout(index, frame)
-    chord, hits = _chord(
-        _corners(first, p1.home, p1.shared),
-        _corners(last, p2.home, p2.shared),
-        segments,
-        p1.x, p1.y, p2.x, p2.y,
-    )
-    return _trail(landscape, edge_labels, chord, hits)
+    _check_inputs(index, p1, p2, frame)  # so p1 and p2 are in the layout's charts
+    ls = _layout(index, frame)
+    return _trail(ls, *_chord(ls, p1.x, p1.y, p2.x, p2.y))
 
 
 def _degenerate_trail(length: float) -> TrailResult:
     return TrailResult(length, length, None, (), True)
 
 
-def _turns(home: int, shared: int, target: int) -> int:
-    """Shared-face rotations that take the chart (home, shared) to (home, target)."""
-    cycle = topo.neighbors(home)
-    return (cycle.index(target) - cycle.index(shared)) % 3
-
-
-def _turn(x: float, y: float, times: int) -> tuple[float, float]:
-    """rotate_once's arithmetic on plain coordinates, applied `times` times."""
-    for _ in range(times):
-        x, y = (1.0 - x + SQRT3 * y) / 2.0, (SQRT3 - SQRT3 * x - y) / 2.0
-    return x, y
-
-
-@dataclass(frozen=True)
-class _PlannedLandscape:
-    """One applicable landscape of a chart pair, with the two charts placed."""
-
-    formula: Callable[[float, float, float, float], float]
-    first: tuple  # layout positions of the first point's chart corners
-    last: tuple  # layout positions of the second point's chart corners
-    segments: tuple
-    edge_labels: tuple
-    instance: LandscapeInstance
-
-
 @dataclass(frozen=True)
 class _ChartPairPlan:
     """What the minimum needs to know about one ordered chart pair.
 
-    The first point turns `turns1` times into the chart (role 1, role 2)
-    of `frame`, the second `turns2` times into its formula chart; the
-    applicable landscapes follow in ascending id order.
+    The first point turns `turns1` times into its formula chart, the
+    second `turns2` times into its own; the applicable landscapes follow
+    in ascending id order.
     """
 
-    frame: topo.Frame
     turns1: int
     turns2: int
     ids: tuple[int, ...]
@@ -537,24 +510,15 @@ def _plan(home1: int, shared1: int, home2: int, shared2: int) -> _ChartPairPlan:
 
     The homes must differ; at most 8 x 3 x 7 x 3 = 504 plans exist.
     """
-    frame, turns1 = topo.canonical_frame(home1, shared1, home2)
+    frame = topo.canonical_frame(home1, home2)
     ids = APPLICABLE_IDS[topo.relation(home1, home2)]
-    h_role, s_role = _P2_CHART_ROLES[ids[0]]  # one formula chart per relation class
-    turns2 = _turns(home2, shared2, frame.face(s_role))
-    landscapes = []
-    for index in ids:
-        first, last, edge_labels, segments, instance = _layout(index, frame)
-        landscapes.append(
-            _PlannedLandscape(
-                _FORMULAS[index],
-                _corners(first, frame.face(1), frame.face(2)),
-                _corners(last, frame.face(h_role), frame.face(s_role)),
-                segments,
-                edge_labels,
-                instance,
-            )
-        )
-    return _ChartPairPlan(frame, turns1, turns2, ids, tuple(landscapes))
+    s_role = _P2_CHART_ROLES[ids[0]][1]  # one formula chart per relation class
+    return _ChartPairPlan(
+        topo.turns(home1, shared1, frame.face(2)),
+        topo.turns(home2, shared2, frame.face(s_role)),
+        ids,
+        tuple(_layout(index, frame) for index in ids),
+    )
 
 
 def _minimum(ra: Representation, rb: Representation):
@@ -567,12 +531,12 @@ def _minimum(ra: Representation, rb: Representation):
     if ra.home == rb.home:
         if ra == rb:
             return 0.0, (), False, None
-        x, y = _turn(rb.x, rb.y, _turns(rb.home, rb.shared, ra.shared))
+        x, y = turn(rb.x, rb.y, topo.turns(rb.home, rb.shared, ra.shared))
         return math.hypot(ra.x - x, ra.y - y), (), False, None
 
     plan = _plan(ra.home, ra.shared, rb.home, rb.shared)
-    x1, y1 = _turn(ra.x, ra.y, plan.turns1)
-    x2, y2 = _turn(rb.x, rb.y, plan.turns2)
+    x1, y1 = turn(ra.x, ra.y, plan.turns1)
+    x2, y2 = turn(rb.x, rb.y, plan.turns2)
     landscapes = plan.landscapes
     lengths = [ls.formula(x1, y1, x2, y2) for ls in landscapes]
     best = min(lengths)
@@ -582,13 +546,13 @@ def _minimum(ra: Representation, rb: Representation):
     contained = True
     for k in winners:
         ls = landscapes[k]
-        chords[k] = chord = _chord(ls.first, ls.last, ls.segments, x1, y1, x2, y2)
+        chords[k] = chord = _chord(ls, x1, y1, x2, y2)
         contained = contained and chord[1] is not None
     fallback = False
     if not contained:
         for k, ls in enumerate(landscapes):
             if k not in chords:
-                chords[k] = _chord(ls.first, ls.last, ls.segments, x1, y1, x2, y2)
+                chords[k] = _chord(ls, x1, y1, x2, y2)
         pool = [k for k in range(len(landscapes)) if chords[k][1] is not None]
         fallback = not pool
         if fallback:
@@ -640,8 +604,7 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     if winner is None:
         trail = _degenerate_trail(distance)
     else:
-        landscape, chord, hits = winner
-        trail = _trail(landscape.instance, landscape.edge_labels, chord, hits)
+        trail = _trail(*winner)
     return DistanceResult(distance, argmin, trail, fallback)
 
 

@@ -512,11 +512,20 @@ class CompareReport:
         return all(flags)
 
     def to_dict(self) -> dict:
+        """The report as a wire object; a non-finite value is written as null.
+
+        The oracle is infinite when no chain of at most max_faces faces
+        contains the chord.
+        """
+
+        def number(value):
+            return value if value is not None and math.isfinite(value) else None
+
         return {
-            "distance": self.distance,
-            "oracle": self.oracle,
-            "chord": self.chord,
-            "mesh": self.mesh,
+            "distance": number(self.distance),
+            "oracle": number(self.oracle),
+            "chord": number(self.chord),
+            "mesh": number(self.mesh),
             "argmin": [f"L{i}" for i in self.argmin],
             "fallback": self.fallback,
             "distance_ok": self.distance_ok,

@@ -108,10 +108,6 @@ def parse_point(obj: Any) -> Representation:
     return Representation(home, shared, x, y)
 
 
-def point_to_obj(rep: Representation) -> dict:
-    return {"home": f"F{rep.home}", "shared": f"F{rep.shared}", "x": rep.x, "y": rep.y}
-
-
 def load_record(line: str) -> dict:
     """Parse one query line into a record object, validating only its shape."""
     try:

@@ -11,7 +11,6 @@ shared-vertex counting is only a consistency check (see tests).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,26 +160,23 @@ class Frame:
         return cls((n1, n2, opposite(r6), r4, opposite(r4), r6, opposite(n2), opposite(n1)))
 
 
-@functools.lru_cache(maxsize=None)
-def canonical_frame(a: int, shared_a: int, b: int) -> tuple[Frame, int]:
+def turns(home: int, shared: int, target: int) -> int:
+    """Shared-face rotations that take the chart (home, shared) to (home, target)."""
+    cycle = NEIGHBORS_CCW[home]
+    return (cycle.index(target) - cycle.index(shared)) % 3
+
+
+def canonical_frame(a: int, b: int) -> Frame:
     """Frame placing face a in role 1 and face b in its formula role.
 
-    Returns (frame, rotations) where rotations is how many shared-face
-    rotations move a representation with shared face `shared_a` onto the
-    frame's role-2 face.  Depending on relation(a, b) the frame puts b in
-    role 2 (adjacent), role 5 (neither adjacent nor opposite) or role 8
-    (opposite); for opposite pairs, where three valid frames exist, the
-    lexicographically smallest role tuple is chosen.
-
-    Results are memoized: the valid arguments are finitely many and the
-    returned frame is immutable.
+    Depending on relation(a, b) the frame puts b in role 2 (adjacent),
+    role 5 (neither adjacent nor opposite) or role 8 (opposite); for
+    opposite pairs, where three valid frames exist, the lexicographically
+    smallest role tuple is chosen.
     """
     if a == b:
         raise ValueError("frame anchor faces must differ")
     cycle = NEIGHBORS_CCW[a]
-    if shared_a not in cycle:
-        raise ValueError(f"F{shared_a} is not adjacent to F{a}")
-
     rel = relation(a, b)
     if rel is Relation.ADJACENT:
         frame = Frame.from_anchor(a, b)
@@ -191,8 +187,7 @@ def canonical_frame(a: int, shared_a: int, b: int) -> tuple[Frame, int]:
     else:  # OPPOSITE
         frame = min((Frame.from_anchor(a, n2) for n2 in cycle), key=lambda f: f.faces)
         assert frame.face(8) == b
-    rotations = (cycle.index(frame.face(2)) - cycle.index(shared_a)) % 3
-    return frame, rotations
+    return frame
 
 
 def enumerate_dual_paths(start: int, goal: int, max_len: int = 8) -> list[tuple[int, ...]]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from octadist import topology as topo
-from octadist.coords import Representation, canonicalize, vertex_representations
+from octadist.coords import Representation, canonicalize, rotate_once, vertex_representations
 
 settings.register_profile(
     "suite",
@@ -37,6 +37,21 @@ def triangle_point(u: float, v: float, margin: float = 1e-6) -> tuple[float, flo
 def interior_rep(home: int, shared: int, u: float, v: float) -> Representation:
     x, y = triangle_point(u, v)
     return Representation(home, shared, x, y)
+
+
+def point_to_obj(rep: Representation) -> dict:
+    """The wire literal of a representation, as query records spell it."""
+    return {"home": f"F{rep.home}", "shared": f"F{rep.shared}", "x": rep.x, "y": rep.y}
+
+
+def rotate_to_shared(r: Representation, shared: int) -> Representation:
+    """Rotate r's chart with rotate_once (0 to 2 times) until its shared face is `shared`."""
+    out = r
+    for _ in range(3):
+        if out.shared == shared:
+            return out
+        out = rotate_once(out)
+    raise ValueError(f"F{shared} is not adjacent to F{r.home}")
 
 
 def boundary_points():

@@ -23,7 +23,9 @@ from octadist.coords import (
     vertex_representations,
 )
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
-from octadist.serialize import dumps, point_to_obj
+from octadist.serialize import dumps
+
+from conftest import point_to_obj
 
 # Geodesic between the two vertices not incident to a common face,
 # recorded from the first verified run of the unfolding oracle

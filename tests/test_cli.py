@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from octadist import cli
 from octadist.coords import sample_uniform
-from octadist.serialize import dumps, point_to_obj
+from octadist.serialize import dumps
+
+from conftest import point_to_obj
 
 WITNESS_L1 = (
     '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
@@ -107,6 +110,39 @@ def test_lone_surrogate_id_is_isolated():
     assert len(out) == 3
     assert "distance" in out[0] and "distance" in out[2]
     assert out[1] == {"error": "BadRecord", "detail": out[1]["detail"]}
+
+
+@pytest.mark.parametrize("command", ["distance", "path"])
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_stream_is_utf8_whatever_the_locale(command, encoding):
+    # a good line, an id with an undecodable byte, and a non-ASCII id
+    body = WITNESS_L1[1:].encode()
+    stdin = b"\n".join([b'{"id": "a", ' + body, b'{"id": "b\xff", ' + body,
+                         '{"id": "\u00e9\u2603", '.encode() + body]) + b"\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "octadist.cli", command],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": encoding},
+    )
+    assert proc.returncode == 2, proc.stderr
+    out = [json.loads(line) for line in proc.stdout.decode("utf-8").splitlines()]
+    assert len(out) == 3
+    assert out[0]["id"] == "a" and "error" not in out[0]
+    assert out[1] == {"error": "BadRecord", "detail": "id must be valid Unicode text"}
+    assert out[2]["id"] == "\u00e9\u2603" and "error" not in out[2]
+
+
+def test_render_reads_utf8_stdin_whatever_the_locale(tmp_path):
+    out = tmp_path / "q.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "octadist.cli", "render", "--out", str(out)],
+        input='{"id": "\u00e9", '.encode() + WITNESS_L1[1:].encode() + b"\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "width=" in out.read_text()
 
 
 def run_stream(command, text):
@@ -263,6 +299,19 @@ def test_validate_strict_tolerance_fails():
     proc = run_cli(["validate", "--count", "50", "--seed", "7", "--tolerance", "0"])
     assert proc.returncode == 1
     assert "failed" in proc.stdout
+
+
+@pytest.mark.parametrize("max_faces", ["2", "3"])
+def test_validate_short_max_faces_reports_failures_with_null_oracle(max_faces):
+    # no chain that short contains some pairs' chords, so their oracle is inf
+    proc = run_cli(["validate", "--count", "5", "--max-faces", max_faces])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    *rows, summary = proc.stdout.splitlines()
+    reports = [json.loads(row) for row in rows]
+    assert reports and all(not r["passed"] for r in reports)
+    assert any(r["oracle"] is None for r in reports)
+    assert f"{len(reports)} failed" in summary
 
 
 def test_validate_rejects_count_below_one_as_usage_error():

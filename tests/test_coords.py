@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -16,13 +17,13 @@ from octadist.coords import (
     flip_home_face,
     rotate_once,
     rotate_shared_face,
-    rotate_to_shared,
     sample_uniform,
     surface_point,
+    turn,
     vertex_representations,
 )
 
-from conftest import interior_rep
+from conftest import boundary_points, interior_rep, rotate_to_shared
 
 faces = st.sampled_from(topo.FACE_INDICES)
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -83,6 +84,22 @@ def test_rotate_to_shared_reaches_every_neighbor():
         assert out.shared == target
     with pytest.raises(ValueError):
         rotate_to_shared(rep, 8)
+
+
+def test_turn_is_repeated_rotate_once_bit_for_bit():
+    rng = random.Random(120)
+    reps = []
+    for _ in range(200):
+        home = rng.choice(topo.FACE_INDICES)
+        shared = rng.choice(topo.neighbors(home))
+        reps.append(interior_rep(home, shared, rng.random(), rng.random()))
+    reps += [p.canonical for p in boundary_points()]
+    for rep in reps:
+        out = rep
+        for k in range(4):
+            x, y = turn(rep.x, rep.y, k)
+            assert (x.hex(), y.hex()) == (out.x.hex(), out.y.hex())
+            out = rotate_once(out)
 
 
 @pytest.mark.parametrize(

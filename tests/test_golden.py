@@ -13,7 +13,9 @@ import sys
 
 from octadist import topology as topo
 from octadist.coords import Representation, rotate_once, sample_uniform, vertex_representations
-from octadist.serialize import dumps, point_to_obj
+from octadist.serialize import dumps
+
+from conftest import point_to_obj
 
 DIGESTS = {
     "distance": "f3fb0b3f7cb10ea109a787856aae3214e2fb31e9ddd5564a99344764d31344a5",

@@ -15,7 +15,6 @@ from octadist.coords import (
     canonicalize,
     flip_home_face,
     rotate_once,
-    rotate_to_shared,
     vertex_representations,
 )
 from octadist.landscape import (
@@ -27,7 +26,6 @@ from octadist.landscape import (
     WrongRelation,
     _P2_CHART_ROLES,
     chain_layout,
-    place_in_layout,
     shortest_path,
     surface_distance,
     surface_minimum,
@@ -36,7 +34,7 @@ from octadist.landscape import (
 )
 from octadist.oracle import embed_3d, unfold_geodesic
 
-from conftest import boundary_points, interior_rep
+from conftest import boundary_points, interior_rep, rotate_to_shared
 
 SQRT3 = math.sqrt(3.0)
 
@@ -148,6 +146,11 @@ def test_formula_agrees_with_layout_chord(case):
     assert formula == pytest.approx(trail.chord_length, abs=1e-12)
 
 
+def _place_in_layout(positions, rep):
+    """Map a representation into a layout via its chart's corner labels."""
+    return landscape._place(landscape._corners(positions, rep.home, rep.shared), rep.x, rep.y)
+
+
 @given(framed_pairs())
 def test_layout_places_points_as_derived(case):
     index, p1, p2, frame = case
@@ -157,8 +160,8 @@ def test_layout_places_points_as_derived(case):
 
     base_role, ref_role = _ORIENT_ROLES[index]
     positions = chain_layout(faces, roles.index(base_role), frame.face(ref_role))
-    a = place_in_layout(positions[faces[0]], p1)
-    b = place_in_layout(positions[faces[-1]], p2)
+    a = _place_in_layout(positions[faces[0]], p1)
+    b = _place_in_layout(positions[faces[-1]], p2)
     expect_p1, expect_p2 = _EXPECTED_POSITIONS[index]
     ex, ey = expect_p1(p1.x, p1.y)
     assert a[0] == pytest.approx(ex, abs=1e-12) and a[1] == pytest.approx(ey, abs=1e-12)
@@ -395,14 +398,12 @@ def test_landscape_instances_report_role_patterns(witness_points):
 def _prepare_pair(a, b):
     """Frame and formula-chart representations of a pair with distinct homes.
 
-    Turns the charts with the validated chart moves, as the library did
-    before its chart-pair plans existed.
+    Turns the charts with the validated rotate_once, not topology.turns,
+    so the reference stays independent of the plans it checks.
     """
     ra, rb = a.canonical, b.canonical
-    frame, rotations = topo.canonical_frame(ra.home, ra.shared, rb.home)
-    p1 = ra
-    for _ in range(rotations):
-        p1 = rotate_once(p1)
+    frame = topo.canonical_frame(ra.home, rb.home)
+    p1 = rotate_to_shared(ra, frame.face(2))
     first_id = APPLICABLE_IDS[topo.relation(ra.home, rb.home)][0]
     p2 = rotate_to_shared(rb, frame.face(_P2_CHART_ROLES[first_id][1]))
     return frame, p1, p2
@@ -509,7 +510,7 @@ def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncont
     # reporting chords as leaving their landscape
     a, b = canonicalize(VALIDITY_WITNESSES[4][0]), canonicalize(VALIDITY_WITNESSES[4][1])
     original = landscape.chord_edge_intersections
-    l4_segments = landscape._layout(4, _prepare_pair(a, b)[0])[3]
+    l4_segments = landscape._layout(4, _prepare_pair(a, b)[0]).segments
 
     def leaky(p, q, edges, tol=EPS_IN):
         if uncontained == "all" or edges == l4_segments:

@@ -15,9 +15,10 @@ from octadist.serialize import (
     format_float,
     load_record,
     parse_point,
-    point_to_obj,
     trail_result_to_obj,
 )
+
+from conftest import point_to_obj
 
 
 @pytest.mark.parametrize(

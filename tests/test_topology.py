@@ -172,9 +172,9 @@ def test_frames_preserve_all_neighbor_cycles():
 
 
 def test_canonical_frame_identity_example():
-    frame, rotations = topo.canonical_frame(1, 2, 8)
+    frame = topo.canonical_frame(1, 8)
     assert frame.faces == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert rotations == 0
+    assert topo.turns(1, 2, frame.face(2)) == 0
 
 
 def _brute_force_frame(pins: dict[int, int]) -> Frame:
@@ -191,10 +191,11 @@ def _brute_force_frame(pins: dict[int, int]) -> Frame:
     [(8, 7, 1, 8), (3, 2, 6, 8), (1, 2, 2, 2), (2, 1, 7, 8), (1, 4, 5, 5), (5, 8, 3, 5)],
 )
 def test_canonical_frame_matches_enumeration_oracle(a, shared_a, b, pin_role):
-    frame, rotations = topo.canonical_frame(a, shared_a, b)
+    frame = topo.canonical_frame(a, b)
     assert frame == _brute_force_frame({1: a, pin_role: b})
     assert frame.is_valid()
-    # the rotation count really carries shared_a onto the role-2 face
+    # the turn count really carries shared_a onto the role-2 face
+    rotations = topo.turns(a, shared_a, frame.face(2))
     shared = shared_a
     for _ in range(rotations):
         shared = topo.next_shared_ccw(a, shared)
@@ -203,18 +204,30 @@ def test_canonical_frame_matches_enumeration_oracle(a, shared_a, b, pin_role):
 
 
 def test_canonical_frame_spec_fields():
-    frame, _ = topo.canonical_frame(8, 7, 1)
+    frame = topo.canonical_frame(8, 1)
     assert frame.face(1) == 8 and frame.face(8) == 1
-    frame, _ = topo.canonical_frame(3, 2, 6)
+    frame = topo.canonical_frame(3, 6)
     assert frame.face(1) == 3 and frame.face(8) == 6
     assert frame.face(2) in topo.neighbors(3)
 
 
 def test_canonical_frame_rejects_bad_input():
     with pytest.raises(ValueError):
-        topo.canonical_frame(1, 2, 1)
-    with pytest.raises(ValueError):
-        topo.canonical_frame(1, 8, 2)
+        topo.canonical_frame(1, 1)
+
+
+def test_turns_agrees_with_stepping_next_shared_ccw():
+    cases = 0
+    for home in topo.FACE_INDICES:
+        for shared in topo.neighbors(home):
+            for target in topo.neighbors(home):
+                steps, out = 0, shared
+                while out != target:
+                    out = topo.next_shared_ccw(home, out)
+                    steps += 1
+                assert topo.turns(home, shared, target) == steps
+                cases += 1
+    assert cases == 8 * 3 * 3
 
 
 def test_topology_dump_is_consistent():
