@@ -36,14 +36,12 @@ from .coords import (
 from .landscape import (
     VALIDITY_WITNESSES,
     Crossing,
-    DistanceMinimum,
     DistanceResult,
     LandscapeInstance,
     TrailResult,
     WrongRelation,
     shortest_path,
     surface_distance,
-    surface_minimum,
     trail_crossings,
     trail_length,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "FACE_INDICES",
     "VERTICES",
     "Crossing",
-    "DistanceMinimum",
     "DistanceResult",
     "Frame",
     "FrameMismatch",
@@ -83,7 +80,6 @@ __all__ = [
     "sample_uniform",
     "shortest_path",
     "surface_distance",
-    "surface_minimum",
     "surface_point",
     "trail_crossings",
     "trail_length",

@@ -16,7 +16,7 @@ import math
 import sys
 
 from .coords import canonicalize, sample_uniform
-from .landscape import VALIDITY_WITNESSES, surface_distance, surface_minimum
+from .landscape import VALIDITY_WITNESSES, surface_distance
 from .oracle import compare
 from .render import render_svg
 from .serialize import (
@@ -42,7 +42,7 @@ def _utf8_stdio() -> None:
             reconfigure(encoding="utf-8", errors=errors)
 
 
-def _stream(solve, to_obj) -> int:
+def _stream(to_obj) -> int:
     _utf8_stdio()
     had_errors = False
     try:
@@ -56,7 +56,7 @@ def _stream(solve, to_obj) -> int:
                 record_id = record.get("id")
                 p1 = parse_point(record.get("p1"))
                 p2 = parse_point(record.get("p2"))
-                result = solve(canonicalize(p1), canonicalize(p2))
+                result = surface_distance(canonicalize(p1), canonicalize(p2))
                 obj = to_obj(result, record_id)
             except (ValueError, KeyError) as exc:
                 obj = error_obj(exc, record_id)
@@ -70,11 +70,11 @@ def _stream(solve, to_obj) -> int:
 
 
 def _cmd_distance(args) -> int:
-    return _stream(surface_minimum, distance_result_to_obj)
+    return _stream(distance_result_to_obj)
 
 
 def _cmd_path(args) -> int:
-    return _stream(surface_distance, trail_result_to_obj)
+    return _stream(trail_result_to_obj)
 
 
 def _cmd_validate(args) -> int:

@@ -83,6 +83,16 @@ def barycentric(x: float, y: float) -> tuple[float, float, float]:
     return 1.0 - x - yy, x - yy, 2.0 * yy
 
 
+def _place(corners, x: float, y: float) -> tuple[float, float]:
+    """Plane position of chart point (x, y), given the chart's corners (S, T, U) there."""
+    ls, lt, lu = barycentric(x, y)
+    ps, pt, pu = corners
+    return (
+        ls * ps[0] + lt * pt[0] + lu * pu[0],
+        ls * ps[1] + lt * pt[1] + lu * pu[1],
+    )
+
+
 def turn(x: float, y: float, times: int) -> tuple[float, float]:
     """Chart coordinates of (x, y) after `times` shared-face rotations.
 

@@ -21,16 +21,18 @@ So does the plan of each ordered pair of charts, built on first use: how
 far each point's chart turns (topology.turns, coords.turn) and the
 records of its applicable landscapes.  The minimum then runs on plain
 floats with the same operations, in the same order, as the validated
-trail_length and trail_crossings.  surface_minimum stops there;
-surface_distance also builds the first minimizer's trail.
+trail_length and trail_crossings.  surface_distance keeps the first
+minimizer's chord with its result and builds the trail from it only when
+the result's `trail` is first read, so a caller that wants the numbers
+alone (the `distance` command, the oracle's compare) never pays for it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import topology as topo
 from .coords import (
@@ -41,7 +43,7 @@ from .coords import (
     OrientedPoint,
     Representation,
     SurfacePoint,
-    barycentric,
+    _place,
     turn,
 )
 
@@ -165,16 +167,26 @@ class DistanceResult:
     """Surface distance with all minimizing landscapes.
 
     `argmin` lists the minimizing landscape ids ascending (empty for
-    coincident or same-face pairs, where no landscape id applies) and
-    `trail` is the trail of the first minimizer.  `fallback` marks the
-    degenerate situation where no applicable chord was contained and the
-    unfiltered minimum was reported instead.
+    coincident or same-face pairs, where no landscape id applies).
+    `fallback` marks the degenerate situation where no applicable chord
+    was contained and the unfiltered minimum was reported instead.
+    `trail` is the trail of the first minimizer; it is built the first
+    time it is read and then kept.  Equality and hashing compare
+    `distance`, `argmin` and `fallback` only.
     """
 
     distance: float
     argmin: tuple[int, ...]
-    trail: TrailResult
     fallback: bool
+    # (planned landscape, chord length, intersections) of the first
+    # minimizer, or None for coincident and same-face pairs
+    _winner: tuple | None = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def trail(self) -> TrailResult:
+        if self._winner is None:
+            return TrailResult(self.distance, self.distance, None, (), True)
+        return _trail(*self._winner)
 
 
 def _check_inputs(index: int, p1: Representation, p2: Representation, frame: topo.Frame) -> None:
@@ -340,15 +352,6 @@ def _corners(positions, home: int, shared: int) -> tuple:
     return positions[s], positions[t], positions[u]
 
 
-def _place(corners, x: float, y: float) -> tuple[float, float]:
-    ls, lt, lu = barycentric(x, y)
-    ps, pt, pu = corners
-    return (
-        ls * ps[0] + lt * pt[0] + lu * pu[0],
-        ls * ps[1] + lt * pt[1] + lu * pu[1],
-    )
-
-
 def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
@@ -485,10 +488,6 @@ def trail_crossings(
     return _trail(ls, *_chord(ls, p1.x, p1.y, p2.x, p2.y))
 
 
-def _degenerate_trail(length: float) -> TrailResult:
-    return TrailResult(length, length, None, (), True)
-
-
 @dataclass(frozen=True)
 class _ChartPairPlan:
     """What the minimum needs to know about one ordered chart pair.
@@ -521,18 +520,26 @@ def _plan(home1: int, shared1: int, home2: int, shared2: int) -> _ChartPairPlan:
     )
 
 
-def _minimum(ra: Representation, rb: Representation):
-    """Distance, argmin, fallback and the first minimizer's chord.
+def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
+    """Geodesic distance on the surface, with its minimizing landscapes.
 
-    The last item is (planned landscape, chord length, intersections),
-    or None for coincident and same-face pairs.  Works on canonical
-    representations; see surface_distance for the rule.
+    Adjacent home faces use L1; faces sharing only a vertex use the
+    smaller of L2 and L3; opposite faces the smallest of L4..L9.  Only
+    the minimizing landscapes (within TIE_EPS) are laid out; when all of
+    their chords are contained, that minimum is the result.  Otherwise
+    every applicable landscape is laid out: trails whose chord leaves the
+    landscape count as infinite, and if that filters out every applicable
+    landscape (possible only for boundary-degenerate inputs) the
+    unfiltered minimum is returned with `fallback` set.  Same-face pairs
+    use the in-face straight distance, coincident points return zero;
+    both report an empty `argmin`.
     """
+    ra, rb = a.canonical, b.canonical
     if ra.home == rb.home:
         if ra == rb:
-            return 0.0, (), False, None
+            return DistanceResult(0.0, (), False)
         x, y = turn(rb.x, rb.y, topo.turns(rb.home, rb.shared, ra.shared))
-        return math.hypot(ra.x - x, ra.y - y), (), False, None
+        return DistanceResult(math.hypot(ra.x - x, ra.y - y), (), False)
 
     plan = _plan(ra.home, ra.shared, rb.home, rb.shared)
     x1, y1 = turn(ra.x, ra.y, plan.turns1)
@@ -562,50 +569,9 @@ def _minimum(ra: Representation, rb: Representation):
         winners = [k for k in pool if lengths[k] <= cutoff]
     ids = plan.ids
     first = winners[0]
-    return best, tuple([ids[k] for k in winners]), fallback, (landscapes[first], *chords[first])
-
-
-class DistanceMinimum(NamedTuple):
-    """Surface distance with its minimizing landscape ids, without a trail.
-
-    The fields mean what they mean in DistanceResult.
-    """
-
-    distance: float
-    argmin: tuple[int, ...]
-    fallback: bool
-
-
-def surface_minimum(a: SurfacePoint, b: SurfacePoint) -> DistanceMinimum:
-    """Geodesic distance, minimizing landscapes and fallback flag.
-
-    The same numbers as surface_distance, bit for bit, without building
-    the trail objects.
-    """
-    distance, argmin, fallback, _winner = _minimum(a.canonical, b.canonical)
-    return DistanceMinimum(distance, argmin, fallback)
-
-
-def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
-    """Geodesic distance on the surface, with its minimizing landscapes.
-
-    Adjacent home faces use L1; faces sharing only a vertex use the
-    smaller of L2 and L3; opposite faces the smallest of L4..L9.  Only
-    the minimizing landscapes (within TIE_EPS) are laid out; when all of
-    their chords are contained, that minimum is the result.  Otherwise
-    every applicable landscape is laid out: trails whose chord leaves the
-    landscape count as infinite, and if that filters out every applicable
-    landscape (possible only for boundary-degenerate inputs) the
-    unfiltered minimum is returned with `fallback` set.  Same-face pairs
-    use the in-face straight distance, coincident points return zero;
-    both report an empty `argmin`.
-    """
-    distance, argmin, fallback, winner = _minimum(a.canonical, b.canonical)
-    if winner is None:
-        trail = _degenerate_trail(distance)
-    else:
-        trail = _trail(*winner)
-    return DistanceResult(distance, argmin, trail, fallback)
+    return DistanceResult(
+        best, tuple([ids[k] for k in winners]), fallback, (landscapes[first], *chords[first])
+    )
 
 
 def shortest_path(a: SurfacePoint, b: SurfacePoint) -> TrailResult:

@@ -309,7 +309,6 @@ def _best_chord_3d(
     pb3: np.ndarray,
     min_faces: int,
     max_faces: int,
-    check_samples: bool,
 ) -> float:
     """`best_chord` for embedded endpoints on distinct home faces.
 
@@ -333,19 +332,13 @@ def _best_chord_3d(
         chain, pa, pb = pairs.chains[lo + i], tuple(starts[i]), tuple(ends[i])
         if _chord_in_chain(chain, pa, pb) is None:
             continue
-        if check_samples and not _sampled_containment(chain, pa, pb):
+        if not _sampled_containment(chain, pa, pb):
             raise AssertionError(f"sampled containment check failed on {chain.faces}")
         return length
     return math.inf
 
 
-def best_chord(
-    a: SurfacePoint,
-    b: SurfacePoint,
-    min_faces: int = 2,
-    max_faces: int = 8,
-    check_samples: bool = True,
-) -> float:
+def best_chord(a: SurfacePoint, b: SurfacePoint, min_faces: int = 2, max_faces: int = 8) -> float:
     """Shortest contained chord over simple dual paths of bounded length.
 
     Returns inf when no chain of the requested lengths contains the
@@ -355,9 +348,7 @@ def best_chord(
     ra, rb = a.canonical, b.canonical
     if ra.home == rb.home:
         raise ValueError("best_chord needs distinct home faces")
-    return _best_chord_3d(
-        ra.home, embed_3d(ra), rb.home, embed_3d(rb), min_faces, max_faces, check_samples
-    )
+    return _best_chord_3d(ra.home, embed_3d(ra), rb.home, embed_3d(rb), min_faces, max_faces)
 
 
 def _unfold_3d(
@@ -367,7 +358,7 @@ def _unfold_3d(
         raise ValueError("max_faces must be at least 2")
     if home_a == home_b:
         return float(np.linalg.norm(pa3 - pb3))
-    return _best_chord_3d(home_a, pa3, home_b, pb3, 2, max_faces, True)
+    return _best_chord_3d(home_a, pa3, home_b, pb3, 2, max_faces)
 
 
 def unfold_geodesic(a: SurfacePoint, b: SurfacePoint, max_faces: int = 8) -> float:

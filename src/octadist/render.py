@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from . import topology as topo
-from .coords import Representation, barycentric
+from .coords import Representation, _place, canonicalize
 from .landscape import DistanceResult
 
 _H = math.sqrt(3.0) / 2.0
@@ -38,14 +38,19 @@ _NET_Y_MAX = _H
 
 def net_position(rep: Representation) -> tuple[float, float]:
     """Map a represented point onto its home face in the net."""
-    s, t, u = topo.chart_corners(rep.home, rep.shared)
-    ls, lt, lu = barycentric(rep.x, rep.y)
     corners = NET_CORNERS[rep.home]
-    ps, pt, pu = corners[s], corners[t], corners[u]
-    return (
-        ls * ps[0] + lt * pt[0] + lu * pu[0],
-        ls * ps[1] + lt * pt[1] + lu * pu[1],
-    )
+    s, t, u = topo.chart_corners(rep.home, rep.shared)
+    return _place((corners[s], corners[t], corners[u]), rep.x, rep.y)
+
+
+def _trail_end(rep: Representation) -> tuple[float, float]:
+    """Net position of a trail end, on the copy of the point the trail meets.
+
+    An edge or vertex point has a copy on every face it touches, and the
+    copies on either side of a cut edge lie apart in the net; the trail
+    starts and ends on the home face of the canonical representation.
+    """
+    return net_position(canonicalize(rep).canonical)
 
 
 def _edge_point(face: int, edge, parameter: float) -> tuple[float, float]:
@@ -60,17 +65,17 @@ def trail_segments(
     """Per-face net segments of the trail, in path order."""
     trail = result.trail
     if trail.landscape is None:
-        return [(net_position(p1), net_position(p2))]
+        return [(_trail_end(p1), _trail_end(p2))]
     if not trail.contained:
         return []
     faces = trail.landscape.faces
     segments = []
-    start = net_position(p1)
+    start = _trail_end(p1)
     for i, crossing in enumerate(trail.crossings):
         end = _edge_point(faces[i], crossing.edge, crossing.parameter)
         segments.append((start, end))
         start = _edge_point(faces[i + 1], crossing.edge, crossing.parameter)
-    segments.append((start, net_position(p2)))
+    segments.append((start, _trail_end(p2)))
     return segments
 
 
@@ -126,7 +131,7 @@ def render_svg(
             f'  <polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>'
         )
     for rep, label in ((p1, "p1"), (p2, "p2")):
-        px, py = svg_xy(net_position(rep))
+        px, py = svg_xy(_trail_end(rep))
         lines.append(f'  <circle cx="{fmt(px)}" cy="{fmt(py)}" r="3" fill="black"/>')
         lines.append(
             f'  <text x="{fmt(px + 5)}" y="{fmt(py - 5)}" font-family="sans-serif" '

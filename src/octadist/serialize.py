@@ -14,7 +14,7 @@ import math
 from typing import Any
 
 from .coords import InvalidRepresentation, Representation
-from .landscape import DistanceMinimum, DistanceResult, TrailResult
+from .landscape import DistanceResult, TrailResult
 
 
 class BadRecord(ValueError):
@@ -156,9 +156,7 @@ def _crossings_obj(trail: TrailResult) -> list:
     ]
 
 
-def distance_result_to_obj(
-    result: DistanceResult | DistanceMinimum, record_id: str | None = None
-) -> dict:
+def distance_result_to_obj(result: DistanceResult, record_id: str | None = None) -> dict:
     out: dict = {}
     if record_id is not None:
         out["id"] = record_id

@@ -136,18 +136,6 @@ class Frame:
     def face(self, role: int) -> int:
         return self.faces[role - 1]
 
-    def role(self, face: int) -> int:
-        return self.faces.index(face) + 1
-
-    def is_valid(self) -> bool:
-        if sorted(self.faces) != list(FACE_INDICES):
-            return False
-        if any(opposite(self.face(r)) != self.face(9 - r) for r in range(1, 9)):
-            return False
-        cycle = NEIGHBORS_CCW[self.face(1)]
-        want = (self.face(4), self.face(2), self.face(6))  # pattern of (4, 2, 6) about face 1
-        return any(tuple(cycle[(i + k) % 3] for k in range(3)) == want for i in range(3))
-
     @classmethod
     def from_anchor(cls, n1: int, n2: int) -> "Frame":
         """The unique valid frame with role 1 on n1 and role 2 on n2."""

@@ -149,7 +149,7 @@ def test_criterion_5_long_landscape_dominance():
         if a.canonical.home == b.canonical.home:
             continue
         d = surface_distance(a, b).distance
-        long_best = oracle.best_chord(a, b, 5, 8, check_samples=False)
+        long_best = oracle.best_chord(a, b, 5, 8)
         if long_best < d - 1e-9:
             failures.append(f"{a} {b}: 5..8-face chord {long_best} < {d}")
     _report("5 long-landscape dominance", failures, "2000 pairs, chains of 5-8 faces")

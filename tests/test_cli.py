@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from octadist import cli
+from octadist import cli, landscape
 from octadist.coords import sample_uniform
 from octadist.serialize import dumps
 
@@ -154,6 +154,20 @@ def run_stream(command, text):
         code = cli.main([command])
         stdout.flush()
     return code, raw.getvalue().decode("utf-8")
+
+
+def test_distance_stream_builds_no_trail(monkeypatch):
+    text = corpus_lines(seed=505, count=200) + WITNESS_L1 + "\n" + SURROGATE_ID + "\n"
+    expected = run_stream("distance", text)
+    assert expected[0] == 2
+
+    def no_trail(*args):
+        raise AssertionError("the distance stream built a trail")
+
+    monkeypatch.setattr(landscape, "_trail", no_trail)
+    assert run_stream("distance", text) == expected
+    with pytest.raises(AssertionError):
+        run_stream("path", WITNESS_L1 + "\n")
 
 
 # surrogates included: json.dumps writes them as \uXXXX escapes

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -28,7 +29,6 @@ from octadist.landscape import (
     chain_layout,
     shortest_path,
     surface_distance,
-    surface_minimum,
     trail_crossings,
     trail_length,
 )
@@ -239,6 +239,7 @@ def test_surface_distance_coincident_points():
     assert result.argmin == ()
     assert result.trail.crossings == ()
     assert result.trail.contained
+    assert result.trail.landscape is None
     assert not result.fallback
 
 
@@ -253,6 +254,22 @@ def test_surface_distance_same_face():
     assert result.distance == pytest.approx(chord, abs=1e-12)
     assert result.argmin == ()
     assert result.trail.crossings == ()
+    assert result.trail.contained
+    assert result.trail.landscape is None
+    assert result.trail.length == result.distance
+
+
+def test_trail_is_built_once_and_left_out_of_equality(witness_points):
+    a, b = witness_points[9]
+    result = surface_distance(a, b)
+    assert result.trail is result.trail
+    unread = surface_distance(a, b)
+    same = DistanceResult(result.distance, result.argmin, result.fallback)
+    assert result == unread == same
+    assert hash(result) == hash(unread) == hash(same)
+    assert "trail" not in vars(unread)
+    assert repr(result) == repr(same)
+    assert same.trail.landscape is None
 
 
 def test_surface_distance_witness_rows(witness_points):
@@ -391,7 +408,7 @@ def test_landscape_instances_report_role_patterns(witness_points):
     for index, (a, b) in witness_points.items():
         trail = surface_distance(a, b).trail
         frame = trail.landscape.frame
-        roles = tuple(frame.role(f) for f in trail.landscape.faces)
+        roles = tuple(frame.faces.index(f) + 1 for f in trail.landscape.faces)
         assert roles == PATH_ROLES[index]
 
 
@@ -409,7 +426,16 @@ def _prepare_pair(a, b):
     return frame, p1, p2
 
 
-def all_landscape_distance(a, b) -> DistanceResult:
+class Reference(NamedTuple):
+    """What the reference minimum finds, with its trail built eagerly."""
+
+    distance: float
+    argmin: tuple[int, ...]
+    trail: landscape.TrailResult
+    fallback: bool
+
+
+def all_landscape_distance(a, b) -> Reference:
     """Reference minimum that lays out every applicable landscape.
 
     Chords that leave their landscape count as infinite; with none
@@ -424,7 +450,7 @@ def all_landscape_distance(a, b) -> DistanceResult:
     pool = list(ids) if fallback else contained_ids
     best = min(lengths[i] for i in pool)
     argmin = tuple(i for i in pool if lengths[i] <= best + TIE_EPS)
-    return DistanceResult(best, argmin, trails[argmin[0]], fallback)
+    return Reference(best, argmin, trails[argmin[0]], fallback)
 
 
 def _bits(result):
@@ -433,15 +459,13 @@ def _bits(result):
     def h(value):
         return value.hex()
 
-    head = (h(result.distance), result.argmin, result.fallback)
-    if not hasattr(result, "trail"):
-        return head
     trail = result.trail
     crossings = tuple(
         (c.edge, h(c.point.x), h(c.point.y), h(c.parameter)) for c in trail.crossings
     )
-    return head + (
-        h(trail.length), h(trail.chord_length), trail.landscape, crossings, trail.contained
+    return (
+        h(result.distance), result.argmin, result.fallback,
+        h(trail.length), h(trail.chord_length), trail.landscape, crossings, trail.contained,
     )
 
 
@@ -449,7 +473,6 @@ def assert_matches_reference(a, b):
     result = surface_distance(a, b)
     ref = all_landscape_distance(a, b)
     assert _bits(result) == _bits(ref)
-    assert _bits(surface_minimum(a, b)) == _bits(ref)[:3]
     return result
 
 
@@ -496,16 +519,8 @@ def test_every_chart_pair_matches_reference_bit_for_bit():
         assert_matches_reference(a, b)
 
 
-@pytest.mark.parametrize(
-    "uncontained, solve",
-    [
-        ("minimizer", surface_distance),
-        ("all", surface_distance),
-        ("minimizer", surface_minimum),
-    ],
-    ids=["minimizer", "all", "surface_minimum"],
-)
-def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncontained, solve):
+@pytest.mark.parametrize("uncontained", ["minimizer", "all"])
+def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncontained):
     # valid chords are always contained, so force the other branch by
     # reporting chords as leaving their landscape
     a, b = canonicalize(VALIDITY_WITNESSES[4][0]), canonicalize(VALIDITY_WITNESSES[4][1])
@@ -520,8 +535,8 @@ def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncont
     # the reference's trail_crossings meets the same patched helper
     monkeypatch.setattr(landscape, "chord_edge_intersections", leaky)
     ref = all_landscape_distance(a, b)
-    result = solve(a, b)
-    assert _bits(result) == _bits(ref)[: len(_bits(result))]
+    result = surface_distance(a, b)
+    assert _bits(result) == _bits(ref)
     if uncontained == "all":
         assert result.fallback and result.argmin == (4,)
     else:

@@ -240,7 +240,7 @@ def test_chord_order_search_equals_exhaustive_loop_bit_for_bit():
             want, _ = _best_chord_loop(a, b, 2, max_faces)
             assert oracle.unfold_geodesic(a, b, max_faces).hex() == want.hex(), (a, b)
         want, _ = _best_chord_loop(a, b, 5, 8)
-        got = oracle.best_chord(a, b, 5, 8, check_samples=False)
+        got = oracle.best_chord(a, b, 5, 8)
         assert got.hex() == want.hex(), (a, b)
 
 
@@ -281,9 +281,6 @@ def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
             lambda chain, p, q: None if chain.faces == winner else contained(chain, p, q),
         )
         assert_winner_checked(a, b)
-        checked.clear()
-        oracle.best_chord(a, b, check_samples=False)
-        assert checked == []
 
 
 def test_unfold_same_face_is_planar_distance():
@@ -460,5 +457,5 @@ def test_dominance_of_short_landscapes_sample():
         if a.canonical.home == b.canonical.home:
             continue
         d = surface_distance(a, b).distance
-        long_best = oracle.best_chord(a, b, 5, 8, check_samples=False)
+        long_best = oracle.best_chord(a, b, 5, 8)
         assert long_best >= d - 1e-9

@@ -4,7 +4,13 @@ import math
 import pytest
 
 from octadist import topology as topo
-from octadist.coords import Representation, canonicalize, flip_home_face
+from octadist.coords import (
+    Representation,
+    canonicalize,
+    flip_home_face,
+    rotate_once,
+    vertex_representations,
+)
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 from octadist.render import NET_CORNERS, net_position, render_svg, trail_segments
 
@@ -99,3 +105,36 @@ def test_render_svg_scale_changes_dimensions():
     large = render_svg(r1, r2, result, scale=200.0)
     assert small != large
     assert 'width="195.000000"' in small
+
+
+def _every_chart(rep):
+    """Every chart of a point on rep's shared edge: both homes, each turned 0, 1 and 2 times."""
+    out = []
+    for r in (rep, flip_home_face(rep)):
+        for _ in range(3):
+            out.append(r)
+            r = rotate_once(r)
+    return out
+
+
+def test_trail_ends_on_the_canonical_copy_of_edge_and_vertex_points():
+    # an edge or vertex point written on the far side of a cut edge lies
+    # apart from the copy the trail starts on; the net trail must still
+    # be one unbroken path of the geodesic's length
+    boundary = []
+    for f in topo.FACE_INDICES:
+        for g in topo.neighbors(f):
+            if f < g:
+                for t in (0.25, 0.5):
+                    boundary += _every_chart(Representation(f, g, t, 0.0))
+    for v in topo.VERTICES:
+        for rep in vertex_representations(v):
+            boundary += _every_chart(rep)
+    interior = [Representation(f, topo.neighbors(f)[0], 0.3, 0.2) for f in topo.FACE_INDICES]
+    for p in boundary:
+        for q in interior:
+            for r1, r2 in ((p, q), (q, p)):
+                result = surface_distance(canonicalize(r1), canonicalize(r2))
+                segments = trail_segments(result, r1, r2)
+                total = sum(math.dist(a, b) for a, b in segments)
+                assert total == pytest.approx(result.distance, abs=1e-9), (r1, r2)
