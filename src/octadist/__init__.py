@@ -45,9 +45,23 @@ from .landscape import (
     trail_crossings,
     trail_length,
 )
-from .oracle import compare, embed_3d, mesh_upper_bound, unfold_geodesic
 
 __version__ = "0.1.0"
+
+# the oracle needs numpy (and scipy for the mesh bound): load it on first use
+_ORACLE_NAMES = ("compare", "embed_3d", "mesh_upper_bound", "unfold_geodesic")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES})
 
 __all__ = [
     "EPS_IN",

@@ -17,7 +17,6 @@ import sys
 
 from .coords import canonicalize, sample_uniform
 from .landscape import VALIDITY_WITNESSES, surface_distance
-from .oracle import compare
 from .render import render_svg
 from .serialize import (
     distance_result_to_obj,
@@ -78,6 +77,8 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .oracle import compare
+
     points = sample_uniform(args.seed, 2 * args.count)
     pairs = [(canonicalize(r1), canonicalize(r2)) for r1, r2 in VALIDITY_WITNESSES.values()]
     pairs += list(zip(points[0::2], points[1::2]))

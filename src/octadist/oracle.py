@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from . import topology as topo
 from .coords import EPS_IN, Representation, SurfacePoint, barycentric
@@ -396,6 +394,8 @@ class MeshGraph:
 @lru_cache(maxsize=None)
 def _mesh_graph(subdivisions: int) -> MeshGraph:
     """Shared lattice graph: nodes on every face, unit edges split n-fold."""
+    from scipy.sparse import csr_matrix
+
     n = subdivisions
     key_of = {}
     coords = []
@@ -450,6 +450,8 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
 def _mesh_bound_3d(
     home_a: int, pa3: np.ndarray, home_b: int, pb3: np.ndarray, subdivisions: int
 ) -> float:
+    from scipy.sparse.csgraph import dijkstra
+
     if subdivisions < 1:
         raise ValueError("subdivisions must be at least 1")
     direct = float(np.linalg.norm(pa3 - pb3)) if home_a == home_b else math.inf
