@@ -84,13 +84,7 @@ def _cmd_validate(args) -> int:
     pairs += list(zip(points[0::2], points[1::2]))
     failures = 0
     for a, b in pairs:
-        report = compare(
-            a,
-            b,
-            tolerance=args.tolerance,
-            max_faces=args.max_faces,
-            subdivisions=args.subdivisions,
-        )
+        report = compare(a, b, tolerance=args.tolerance, subdivisions=args.subdivisions)
         if not report.passed:
             failures += 1
             sys.stdout.write(dumps(report.to_dict()) + "\n")
@@ -138,7 +132,6 @@ def _checked(convert, accept, requirement: str):
 
 
 positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
-_max_faces = _checked(int, lambda v: v >= 2, "must be at least 2")
 _subdivisions = _checked(int, lambda v: v >= 0, "must be at least 0")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "must be a finite number >= 0")
 _scale = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "must be a finite number > 0")
@@ -161,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--seed", type=int, default=0)
     p_validate.add_argument("--count", type=positive_int, default=10000)
     p_validate.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    p_validate.add_argument("--max-faces", type=_max_faces, default=8)
     p_validate.add_argument(
         "--subdivisions", type=_subdivisions, default=0,
         help="mesh upper-bound resolution; 0 skips the mesh check (default)",

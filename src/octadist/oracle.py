@@ -11,7 +11,7 @@ bound.  `compare` bundles the checks the validation sweep runs per pair.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -287,8 +287,8 @@ class PairChains:
 
 
 @lru_cache(maxsize=None)
-def _pair_chains(start: int, goal: int, max_faces: int) -> PairChains:
-    chains = tuple(flatten_chain(p) for p in topo.enumerate_dual_paths(start, goal, max_faces))
+def _pair_chains(start: int, goal: int) -> PairChains:
+    chains = tuple(flatten_chain(p) for p in topo.enumerate_dual_paths(start, goal))
     arrays = (
         np.array([c.origin for c in chains]),
         np.array([np.stack([c.ex, c.ey], axis=1) for c in chains]),
@@ -300,26 +300,28 @@ def _pair_chains(start: int, goal: int, max_faces: int) -> PairChains:
     return PairChains(chains, tuple(len(c.faces) for c in chains), *arrays)
 
 
-def _best_chord_3d(
-    home_a: int,
-    pa3: np.ndarray,
-    home_b: int,
-    pb3: np.ndarray,
-    min_faces: int,
-    max_faces: int,
-) -> float:
-    """`best_chord` for embedded endpoints on distinct home faces.
+def best_chord(a: SurfacePoint, b: SurfacePoint, min_faces: int = 2, max_faces: int = 8) -> float:
+    """Shortest contained chord over simple dual paths of bounded length.
 
-    Both endpoints are projected into every chain at once; chains are
-    then tried in (chord length, path index) order, so the first one
-    that contains its chord is the shortest contained one.
+    Both endpoints are projected at once into every chain of min_faces
+    to max_faces faces; chains are then tried in (chord length, path
+    index) order, so the first one that contains its chord is the
+    shortest contained one.  Returns inf when no such chain contains the
+    chord, or there is none.  With the default bounds (8 faces is the
+    whole solid) this is the geodesic distance for points on distinct
+    faces.
     """
-    pairs = _pair_chains(home_a, home_b, max_faces)
+    ra, rb = a.canonical, b.canonical
+    if ra.home == rb.home:
+        raise ValueError("best_chord needs distinct home faces")
+    pairs = _pair_chains(ra.home, rb.home)
     lo = bisect_left(pairs.sizes, min_faces)
-    if lo == len(pairs.sizes):
+    hi = bisect_right(pairs.sizes, max_faces)
+    if lo >= hi:
         return math.inf
-    origin, axes = pairs.origin[lo:], pairs.axes[lo:]
-    pb3_tail = pairs.tail_matrix[lo:] @ pb3 + pairs.tail_offset[lo:]
+    pa3, pb3 = embed_3d(ra), embed_3d(rb)
+    origin, axes = pairs.origin[lo:hi], pairs.axes[lo:hi]
+    pb3_tail = pairs.tail_matrix[lo:hi] @ pb3 + pairs.tail_offset[lo:hi]
     starts = ((pa3 - origin)[:, None, :] @ axes)[:, 0, :].tolist()
     ends = ((pb3_tail - origin)[:, None, :] @ axes)[:, 0, :].tolist()
     order = sorted(
@@ -336,38 +338,17 @@ def _best_chord_3d(
     return math.inf
 
 
-def best_chord(a: SurfacePoint, b: SurfacePoint, min_faces: int = 2, max_faces: int = 8) -> float:
-    """Shortest contained chord over simple dual paths of bounded length.
-
-    Returns inf when no chain of the requested lengths contains the
-    chord.  With the default bounds this is the geodesic distance for
-    points on distinct faces.
-    """
-    ra, rb = a.canonical, b.canonical
-    if ra.home == rb.home:
-        raise ValueError("best_chord needs distinct home faces")
-    return _best_chord_3d(ra.home, embed_3d(ra), rb.home, embed_3d(rb), min_faces, max_faces)
-
-
-def _unfold_3d(
-    home_a: int, pa3: np.ndarray, home_b: int, pb3: np.ndarray, max_faces: int
-) -> float:
-    if max_faces < 2:
-        raise ValueError("max_faces must be at least 2")
-    if home_a == home_b:
-        return float(np.linalg.norm(pa3 - pb3))
-    return _best_chord_3d(home_a, pa3, home_b, pb3, 2, max_faces)
-
-
-def unfold_geodesic(a: SurfacePoint, b: SurfacePoint, max_faces: int = 8) -> float:
+def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
     """Exhaustive unfolding geodesic; the reference the formulas are held to.
 
     Same-face pairs reduce to the 3D chord (the face is flat); otherwise
-    every simple dual path with at most max_faces faces is flattened and
-    the shortest contained chord wins.
+    every simple dual path is flattened and the shortest contained chord
+    wins.
     """
     ra, rb = a.canonical, b.canonical
-    return _unfold_3d(ra.home, embed_3d(ra), rb.home, embed_3d(rb), max_faces)
+    if ra.home == rb.home:
+        return float(np.linalg.norm(embed_3d(ra) - embed_3d(rb)))
+    return best_chord(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +428,6 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
     return MeshGraph(np.array(coords), face_nodes, sources)
 
 
-def _mesh_bound_3d(
-    home_a: int, pa3: np.ndarray, home_b: int, pb3: np.ndarray, subdivisions: int
-) -> float:
-    from scipy.sparse.csgraph import dijkstra
-
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be at least 1")
-    direct = float(np.linalg.norm(pa3 - pb3)) if home_a == home_b else math.inf
-
-    mesh = _mesh_graph(subdivisions)
-    src_ids = mesh.face_nodes[home_a]
-    dst_ids = mesh.face_nodes[home_b]
-    src_w = np.linalg.norm(mesh.points[src_ids] - pa3, axis=1)
-    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb3, axis=1)
-
-    graph = mesh.sources[home_a].copy()
-    graph.data[-len(src_ids):] = src_w
-    dist = dijkstra(graph, directed=True, indices=len(mesh.points))
-    return float(min(direct, np.min(dist[dst_ids] + dst_w)))
-
-
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
     """Shortest path in the face-lattice graph; always >= the geodesic.
 
@@ -475,8 +435,24 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     graph path is a valid surface path.  The endpoints connect to every
     lattice node of their home faces.
     """
+    from scipy.sparse.csgraph import dijkstra
+
+    if subdivisions < 1:
+        raise ValueError("subdivisions must be at least 1")
     ra, rb = a.canonical, b.canonical
-    return _mesh_bound_3d(ra.home, embed_3d(ra), rb.home, embed_3d(rb), subdivisions)
+    pa3, pb3 = embed_3d(ra), embed_3d(rb)
+    direct = float(np.linalg.norm(pa3 - pb3)) if ra.home == rb.home else math.inf
+
+    mesh = _mesh_graph(subdivisions)
+    src_ids = mesh.face_nodes[ra.home]
+    dst_ids = mesh.face_nodes[rb.home]
+    src_w = np.linalg.norm(mesh.points[src_ids] - pa3, axis=1)
+    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb3, axis=1)
+
+    graph = mesh.sources[ra.home].copy()
+    graph.data[-len(src_ids):] = src_w
+    dist = dijkstra(graph, directed=True, indices=len(mesh.points))
+    return float(min(direct, np.min(dist[dst_ids] + dst_w)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +481,7 @@ class CompareReport:
         return all(flags)
 
     def to_dict(self) -> dict:
-        """The report as a wire object; a non-finite value is written as null.
-
-        The oracle is infinite when no chain of at most max_faces faces
-        contains the chord.
-        """
+        """The report as a wire object; a non-finite value is written as null."""
 
         def number(value):
             return value if value is not None and math.isfinite(value) else None
@@ -532,7 +504,6 @@ def compare(
     a: SurfacePoint,
     b: SurfacePoint,
     tolerance: float = 1e-9,
-    max_faces: int = 8,
     subdivisions: int = 0,
 ) -> CompareReport:
     """Check one pair: formula vs unfolding, chord and mesh brackets.
@@ -541,11 +512,9 @@ def compare(
     reference and one-sided anyway).
     """
     result = surface_distance(a, b)
-    ra, rb = a.canonical, b.canonical
-    pa3, pb3 = embed_3d(ra), embed_3d(rb)
-    oracle_value = _unfold_3d(ra.home, pa3, rb.home, pb3, max_faces)
-    chord = float(np.linalg.norm(pa3 - pb3))
-    mesh = _mesh_bound_3d(ra.home, pa3, rb.home, pb3, subdivisions) if subdivisions else None
+    oracle_value = unfold_geodesic(a, b)
+    chord = float(np.linalg.norm(embed_3d(a.canonical) - embed_3d(b.canonical)))
+    mesh = mesh_upper_bound(a, b, subdivisions) if subdivisions else None
     return CompareReport(
         distance=result.distance,
         oracle=oracle_value,

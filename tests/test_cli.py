@@ -315,19 +315,6 @@ def test_validate_strict_tolerance_fails():
     assert "failed" in proc.stdout
 
 
-@pytest.mark.parametrize("max_faces", ["2", "3"])
-def test_validate_short_max_faces_reports_failures_with_null_oracle(max_faces):
-    # no chain that short contains some pairs' chords, so their oracle is inf
-    proc = run_cli(["validate", "--count", "5", "--max-faces", max_faces])
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    *rows, summary = proc.stdout.splitlines()
-    reports = [json.loads(row) for row in rows]
-    assert reports and all(not r["passed"] for r in reports)
-    assert any(r["oracle"] is None for r in reports)
-    assert f"{len(reports)} failed" in summary
-
-
 def test_validate_rejects_count_below_one_as_usage_error():
     proc = run_cli(["validate", "--count", "0"])
     assert proc.returncode == 2
@@ -338,7 +325,7 @@ def test_validate_rejects_count_below_one_as_usage_error():
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["validate", "--max-faces", "1"], "--max-faces"),
+        (["validate", "--count", "-1"], "--count"),
         (["validate", "--subdivisions", "-1"], "--subdivisions"),
         (["validate", "--tolerance", "-1"], "--tolerance"),
         (["validate", "--tolerance", "nan"], "--tolerance"),
@@ -361,12 +348,22 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+def test_validate_has_no_max_faces_flag(capsys):
+    # the unfolding search always spans every simple dual path
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["validate", "--max-faces", "8"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-faces" in captured.err
+
+
 def test_boundary_numbers_are_accepted():
     parser = cli.build_parser()
     args = parser.parse_args(
-        ["validate", "--max-faces", "2", "--subdivisions", "0", "--tolerance", "0"]
+        ["validate", "--count", "1", "--subdivisions", "0", "--tolerance", "0"]
     )
-    assert (args.max_faces, args.subdivisions, args.tolerance) == (2, 0, 0.0)
+    assert (args.count, args.subdivisions, args.tolerance) == (1, 0, 0.0)
     assert parser.parse_args(["render", "--out", "x.svg", "--scale", "1e-3"]).scale == 1e-3
 
 

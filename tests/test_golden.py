@@ -1,18 +1,28 @@
-"""Byte identity of `distance` and `path` output on a fixed corpus.
+"""Byte identity of `distance` and `path` output, and of the oracle's bits.
 
-The digests below were recorded from the CLI before the minimizer-only
-layout path existed; any change to the numbers, the argmin, the trail or
-the wire format shows up here as a different SHA-256.
+The CLI digests below were recorded before the minimizer-only layout
+path existed; any change to the numbers, the argmin, the trail or the
+wire format shows up here as a different SHA-256.  The oracle digests
+pin every bit of `unfold_geodesic` and `mesh_upper_bound` on the pairs
+that `validate --seed 0 --count 700` checks.
 """
 
 import hashlib
 import itertools
 import random
+import struct
 import subprocess
 import sys
 
-from octadist import topology as topo
-from octadist.coords import Representation, rotate_once, sample_uniform, vertex_representations
+from octadist import oracle, topology as topo
+from octadist.coords import (
+    Representation,
+    canonicalize,
+    rotate_once,
+    sample_uniform,
+    vertex_representations,
+)
+from octadist.landscape import VALIDITY_WITNESSES
 from octadist.serialize import dumps
 
 from conftest import point_to_obj
@@ -20,6 +30,13 @@ from conftest import point_to_obj
 DIGESTS = {
     "distance": "f3fb0b3f7cb10ea109a787856aae3214e2fb31e9ddd5564a99344764d31344a5",
     "path": "a03a11ea766ed56bfbb63d3f8072c69b494d018b758eb765d3af0f559056dc53",
+}
+
+ORACLE_DIGESTS = {
+    "unfold_geodesic": "e28aec5708be9373932fb12e69e13353055e845528af58df3b183965e898ebda",
+    "mesh_upper_bound_4": "7b10fde89172238c4f107f35a7fd090c00d2f00888097e1d1e4371ad0f824c92",
+    "mesh_upper_bound_8": "0a2cc48139debfe73f91609d461b391e296c2574e8f7d1744c161fccf0cc0bd3",
+    "mesh_upper_bound_16": "e3c7b0d783ed6e175bcc46b8fa48c4cca5471dd7fcc5fc3b9c3b7c9d6091db82",
 }
 
 
@@ -82,3 +99,18 @@ def test_cli_output_is_byte_identical_to_recorded_digests():
         stdout, stderr = outputs[cmd]
         assert proc.returncode == 0, stderr.decode()
         assert hashlib.sha256(stdout).hexdigest() == DIGESTS[cmd], cmd
+
+
+def test_oracle_values_match_recorded_digests():
+    # the pairs `validate --seed 0 --count 700` checks, in its order
+    pairs = [(canonicalize(r1), canonicalize(r2)) for r1, r2 in VALIDITY_WITNESSES.values()]
+    points = sample_uniform(0, 1400)
+    pairs += list(zip(points[0::2], points[1::2]))
+
+    def digest(values):
+        return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+    got = {"unfold_geodesic": digest([oracle.unfold_geodesic(a, b) for a, b in pairs])}
+    for n in (4, 8, 16):
+        got[f"mesh_upper_bound_{n}"] = digest([oracle.mesh_upper_bound(a, b, n) for a, b in pairs])
+    assert got == ORACLE_DIGESTS

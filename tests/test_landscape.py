@@ -116,7 +116,7 @@ def test_trail_length_witness_row_nine_matches_oracle():
     p1, p2 = VALIDITY_WITNESSES[9]
     frame = topo.Frame.from_anchor(1, 2)
     value = trail_length(9, p1, p2, frame)
-    oracle_value = unfold_geodesic(canonicalize(p1), canonicalize(p2), 8)
+    oracle_value = unfold_geodesic(canonicalize(p1), canonicalize(p2))
     assert value == pytest.approx(oracle_value, abs=1e-12)
 
 
@@ -277,7 +277,7 @@ def test_surface_distance_witness_rows(witness_points):
         result = surface_distance(a, b)
         assert result.argmin == (index,)
         assert not result.fallback
-        oracle_value = unfold_geodesic(a, b, 8)
+        oracle_value = unfold_geodesic(a, b)
         assert result.distance == pytest.approx(oracle_value, abs=1e-9)
 
 
@@ -308,7 +308,7 @@ def test_surface_distance_edge_point_to_opposite_face():
     a = canonicalize(Representation(1, 2, 0.3, 0.0))
     b = canonicalize(Representation(8, 7, 0.4, 0.2))
     result = surface_distance(a, b)
-    assert result.distance == pytest.approx(unfold_geodesic(a, b, 8), abs=1e-9)
+    assert result.distance == pytest.approx(unfold_geodesic(a, b), abs=1e-9)
 
 
 @given(framed_pairs(ids=st.just(4)))
@@ -380,7 +380,7 @@ def test_boundary_point_pairs_match_oracle():
     for a, b in itertools.combinations(boundary_points(), 2):
         result = surface_distance(a, b)
         assert not result.fallback
-        assert result.distance == pytest.approx(unfold_geodesic(a, b, 8), abs=1e-9)
+        assert result.distance == pytest.approx(unfold_geodesic(a, b), abs=1e-9)
         assert result.distance == pytest.approx(
             surface_distance(b, a).distance, abs=1e-12
         )

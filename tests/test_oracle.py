@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from octadist.coords import (
     vertex_representations,
 )
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
+from octadist.serialize import dumps
 
 from conftest import boundary_points, interior_rep
 
@@ -238,10 +240,18 @@ def test_chord_order_search_equals_exhaustive_loop_bit_for_bit():
         assert oracle.best_chord(a, b).hex() == want.hex(), (a, b)
         for max_faces in (2, 4):
             want, _ = _best_chord_loop(a, b, 2, max_faces)
-            assert oracle.unfold_geodesic(a, b, max_faces).hex() == want.hex(), (a, b)
-        want, _ = _best_chord_loop(a, b, 5, 8)
-        got = oracle.best_chord(a, b, 5, 8)
-        assert got.hex() == want.hex(), (a, b)
+            assert oracle.best_chord(a, b, 2, max_faces).hex() == want.hex(), (a, b)
+        for min_faces, max_faces in ((3, 5), (5, 8)):
+            want, _ = _best_chord_loop(a, b, min_faces, max_faces)
+            got = oracle.best_chord(a, b, min_faces, max_faces)
+            assert got.hex() == want.hex(), (a, b, min_faces, max_faces)
+
+
+def test_best_chord_with_empty_bounds_is_inf():
+    a = canonicalize(Representation(1, 2, 0.3, 0.1))
+    b = canonicalize(Representation(8, 7, 0.3, 0.1))
+    assert oracle.best_chord(a, b, 5, 4) == math.inf
+    assert oracle.best_chord(a, b, 9, 12) == math.inf
 
 
 def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
@@ -287,20 +297,13 @@ def test_unfold_same_face_is_planar_distance():
     a = canonicalize(Representation(4, 1, 0.2, 0.1))
     b = canonicalize(Representation(4, 1, 0.7, 0.15))
     expected = math.hypot(0.5, 0.05)
-    assert oracle.unfold_geodesic(a, b, 8) == pytest.approx(expected, abs=1e-12)
+    assert oracle.unfold_geodesic(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 def test_unfold_witness_row_one():
     a = canonicalize(VALIDITY_WITNESSES[1][0])
     b = canonicalize(VALIDITY_WITNESSES[1][1])
-    assert oracle.unfold_geodesic(a, b, 8) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_unfold_rejects_tiny_max_faces():
-    a = canonicalize(Representation(1, 2, 0.3, 0.1))
-    b = canonicalize(Representation(8, 7, 0.3, 0.1))
-    with pytest.raises(ValueError):
-        oracle.unfold_geodesic(a, b, 1)
+    assert oracle.unfold_geodesic(a, b) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_unfold_four_faces_suffice():
@@ -308,8 +311,8 @@ def test_unfold_four_faces_suffice():
     for a, b in zip(points[0::2], points[1::2]):
         if a.canonical.home == b.canonical.home:
             continue
-        d4 = oracle.unfold_geodesic(a, b, 4)
-        d8 = oracle.unfold_geodesic(a, b, 8)
+        d4 = oracle.best_chord(a, b, 2, 4)
+        d8 = oracle.unfold_geodesic(a, b)
         assert d4 == pytest.approx(d8, abs=1e-12)
 
 
@@ -328,7 +331,7 @@ def test_mesh_bounds_unfold_from_above():
     points = sample_uniform(777, 60)
     for a, b in zip(points[0::2], points[1::2]):
         mesh = oracle.mesh_upper_bound(a, b, 16)
-        assert mesh >= oracle.unfold_geodesic(a, b, 8) - 1e-12
+        assert mesh >= oracle.unfold_geodesic(a, b) - 1e-12
 
 
 def test_mesh_decreases_under_doubling():
@@ -448,6 +451,34 @@ def test_compare_report_serializes():
         "distance_ok", "chord_ok", "mesh_ok", "passed",
     }
     assert obj["passed"] is True
+    # a non-finite value is written null, whatever produced it
+    report = oracle.CompareReport(
+        distance=0.5, oracle=math.inf, chord=0.25, mesh=math.inf, argmin=(1,),
+        fallback=False, distance_ok=False, chord_ok=True, mesh_ok=False,
+    )
+    obj = report.to_dict()
+    assert obj["oracle"] is None and obj["mesh"] is None
+    assert json.loads(dumps(obj)) == obj
+
+
+def test_compare_calls_the_public_oracle_functions(monkeypatch):
+    calls = []
+
+    def unfold(a, b):
+        calls.append("unfold")
+        return 0.125
+
+    def mesh(a, b, subdivisions):
+        calls.append(("mesh", subdivisions))
+        return 2.5
+
+    monkeypatch.setattr(oracle, "unfold_geodesic", unfold)
+    monkeypatch.setattr(oracle, "mesh_upper_bound", mesh)
+    a = canonicalize(Representation(1, 2, 0.2, 0.1))
+    b = canonicalize(Representation(7, 4, 0.3, 0.2))
+    report = oracle.compare(a, b, subdivisions=4)
+    assert (report.oracle, report.mesh) == (0.125, 2.5)
+    assert calls == ["unfold", ("mesh", 4)]
 
 
 def test_dominance_of_short_landscapes_sample():
