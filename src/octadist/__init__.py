@@ -48,7 +48,7 @@ from .landscape import (
 
 __version__ = "0.1.0"
 
-# the oracle needs numpy (and scipy for the mesh bound): load it on first use
+# the oracle needs numpy: load it on first use
 _ORACLE_NAMES = ("compare", "embed_3d", "mesh_upper_bound", "unfold_geodesic")
 
 

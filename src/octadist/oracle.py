@@ -100,11 +100,24 @@ def _face_normal(face: int) -> np.ndarray:
 FACE_NORMALS: dict[int, np.ndarray] = {face: _face_normal(face) for face in topo.FACE_INDICES}
 
 
+#: The same coordinates as tuples of floats.
+_VERTEX_TUPLES: dict[topo.VertexLabel, tuple[float, ...]] = {
+    v: tuple(c.tolist()) for v, c in VERTEX_COORDS.items()
+}
+
+
 def embed_3d(rep: Representation) -> np.ndarray:
-    """3D position of a represented point (barycentric over its chart)."""
+    """3D position of a represented point (barycentric over its chart).
+
+    Summed on floats, coordinate by coordinate, in the order the vector
+    sum ls*S + lt*T + lu*U would take.
+    """
     s, t, u = topo.chart_corners(rep.home, rep.shared)
     ls, lt, lu = barycentric(rep.x, rep.y)
-    return ls * VERTEX_COORDS[s] + lt * VERTEX_COORDS[t] + lu * VERTEX_COORDS[u]
+    return np.array([
+        ls * ps + lt * pt + lu * pu
+        for ps, pt, pu in zip(_VERTEX_TUPLES[s], _VERTEX_TUPLES[t], _VERTEX_TUPLES[u])
+    ])
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -357,75 +370,91 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
 
 @dataclass(frozen=True)
 class MeshGraph:
-    """The lattice of one subdivision count, as a search graph per home face.
+    """The lattice of one subdivision count n, as hop counts.
 
-    `sources[face]` holds every lattice segment once in each direction,
-    as the entries (i, j) and (j, i) of weight 1/n with each row's
-    indices sorted, plus a last row for a virtual source node
-    (index len(points)) joined to each node of `face` in the order of
-    `face_nodes[face]`; those last entries hold zeros for the caller to
-    overwrite in a copy.
+    Every face holds the same local lattice: node (i, j) sits at
+    (i A + j B + k C) / n, k = n - i - j, over the face's corners A, B, C.
+    `face_nodes[face]` maps each local node to its row of `points`.
+    `neighbors` lists each local node's in-face neighbours, padded with
+    the node itself, and `boundary` lists the local nodes on the face's
+    edges.  `inward[r, v]` is r (n + 1) + h, where h <= n is the in-face
+    hop count from boundary node r to node v: the place of h hops from r
+    in a table with one row per boundary node.  The boundary nodes of
+    all faces form the skeleton: `skeleton[face][r]` is the skeleton
+    index of boundary node r, and `closure` holds the lattice hop count
+    between two skeleton nodes.  Every array is read-only.
     """
 
     points: np.ndarray
     face_nodes: dict[int, np.ndarray]
-    sources: dict[int, csr_matrix]
+    neighbors: np.ndarray
+    boundary: np.ndarray
+    inward: np.ndarray
+    skeleton: dict[int, np.ndarray]
+    closure: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _mesh_graph(subdivisions: int) -> MeshGraph:
-    """Shared lattice graph: nodes on every face, unit edges split n-fold."""
-    from scipy.sparse import csr_matrix
-
+    """Shared lattice: nodes on every face, unit edges split n-fold."""
     n = subdivisions
+    local = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    index = {ij: v for v, ij in enumerate(local)}
+    ijk = np.array([(i, j, n - i - j) for i, j in local])
+    neighbors = np.array([
+        [index.get((i + di, j + dj), v) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
+        for v, (i, j) in enumerate(local)
+    ])
+    boundary = np.flatnonzero((ijk == 0).any(axis=1))
+    hops = np.abs(ijk[boundary, None, :] - ijk[None, :, :]).max(axis=2)
+
+    # a node on an octahedron edge is met from both faces; it keeps the
+    # coordinates of the first
     key_of = {}
     coords = []
     face_nodes = {}
-    edges = set()
-
-    def node_id(point: np.ndarray) -> int:
-        key = tuple(np.round(point * 1e9).astype(np.int64))
-        idx = key_of.get(key)
-        if idx is None:
-            idx = len(coords)
-            key_of[key] = idx
-            coords.append(point)
-        return idx
-
     for face in topo.FACE_INDICES:
         pa, pb, pc = (VERTEX_COORDS[v] for v in topo.face_vertices(face))
-        grid = {}
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                k = n - i - j
-                point = (i * pa + j * pb + k * pc) / n
-                grid[(i, j)] = node_id(point)
-        face_nodes[face] = np.array(sorted(set(grid.values())))
-        for (i, j), idx in grid.items():
-            for di, dj in ((1, 0), (0, 1), (1, -1)):
-                neighbor = grid.get((i + di, j + dj))
-                if neighbor is not None:
-                    # a segment on an octahedron edge is met from both faces
-                    edges.add((idx, neighbor) if idx < neighbor else (neighbor, idx))
-    n_nodes = len(coords)
-    rows, cols = np.array(sorted(edges)).T
-    upper = csr_matrix(
-        (np.full(len(edges), 1.0 / n), (rows, cols)), shape=(n_nodes, n_nodes)
-    )
-    # both directions stored, so the search can run directed
-    lattice = (upper + upper.T).tocsr()
-    lattice.sort_indices()
-    sources = {}
-    for face, nodes in face_nodes.items():
-        sources[face] = csr_matrix(
-            (
-                np.concatenate([lattice.data, np.zeros(len(nodes))]),
-                np.concatenate([lattice.indices, nodes]).astype(lattice.indices.dtype),
-                np.append(lattice.indptr, lattice.nnz + len(nodes)),
-            ),
-            shape=(n_nodes + 1, n_nodes + 1),
-        )
-    return MeshGraph(np.array(coords), face_nodes, sources)
+        face_points = (ijk[:, :1] * pa + ijk[:, 1:2] * pb + ijk[:, 2:] * pc) / n
+        keys = np.round(face_points * 1e9).astype(np.int64).tolist()
+        ids = []
+        for key, point in zip(map(tuple, keys), face_points):
+            if key not in key_of:
+                key_of[key] = len(coords)
+                coords.append(point)
+            ids.append(key_of[key])
+        face_nodes[face] = np.array(ids)
+
+    skeleton_ids = np.unique(np.concatenate([nodes[boundary] for nodes in face_nodes.values()]))
+    skeleton = {face: np.searchsorted(skeleton_ids, nodes[boundary]) for face, nodes in face_nodes.items()}
+    # every lattice path between skeleton nodes is a chain of in-face legs;
+    # 4n + 1 exceeds every hop count (at most 2n), and the dtype holds twice it
+    unreached = 4 * n + 1
+    closure = np.full((len(skeleton_ids),) * 2, unreached, dtype=np.min_scalar_type(2 * unreached))
+    for ids in skeleton.values():
+        legs = np.ix_(ids, ids)
+        closure[legs] = np.minimum(closure[legs], hops[:, boundary])
+    for k in range(len(skeleton_ids)):
+        np.minimum(closure, closure[:, k, None] + closure[k], out=closure)
+
+    points = np.array(coords)
+    inward = hops + np.arange(len(boundary))[:, None] * (n + 1)
+    for array in (points, neighbors, boundary, inward, closure, *face_nodes.values(), *skeleton.values()):
+        array.setflags(write=False)
+    return MeshGraph(points, face_nodes, neighbors, boundary, inward, skeleton, closure)
+
+
+def _replay(start: np.ndarray, index: np.ndarray, width: int, step: float) -> np.ndarray:
+    """Column minima of F(start[r], h) at the places r * width + h that `index` holds.
+
+    F(x, h) is x with `step` added h times, rounded after each add: the
+    sum a shortest-path search forms along h edges of weight `step`.
+    Row r of the table is F(start[r], 0), F(start[r], 1), ...
+    """
+    table = np.full((len(start), width), step)
+    table[:, 0] = start
+    np.add.accumulate(table, axis=1, out=table)
+    return table.take(index).min(axis=0)
 
 
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
@@ -434,9 +463,15 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     Every graph hop is a straight segment inside a single face, so any
     graph path is a valid surface path.  The endpoints connect to every
     lattice node of their home faces.
-    """
-    from scipy.sparse.csgraph import dijkstra
 
+    The value is the one Dijkstra's search finds, bit for bit.  Every
+    lattice edge weighs 1/n, so the search's distance at a node is the
+    weight of some source edge with 1/n added once per hop, rounded
+    after each add.  Rounded addition is monotone, so only the fewest
+    hops from each source node count.  The search is replayed in three
+    legs: within the source face, across the skeleton, and into the
+    target face.
+    """
     if subdivisions < 1:
         raise ValueError("subdivisions must be at least 1")
     ra, rb = a.canonical, b.canonical
@@ -444,15 +479,22 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     direct = float(np.linalg.norm(pa3 - pb3)) if ra.home == rb.home else math.inf
 
     mesh = _mesh_graph(subdivisions)
-    src_ids = mesh.face_nodes[ra.home]
-    dst_ids = mesh.face_nodes[rb.home]
-    src_w = np.linalg.norm(mesh.points[src_ids] - pa3, axis=1)
-    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb3, axis=1)
-
-    graph = mesh.sources[ra.home].copy()
-    graph.data[-len(src_ids):] = src_w
-    dist = dijkstra(graph, directed=True, indices=len(mesh.points))
-    return float(min(direct, np.min(dist[dst_ids] + dst_w)))
+    step = 1.0 / subdivisions
+    dist = np.linalg.norm(mesh.points[mesh.face_nodes[ra.home]] - pa3, axis=1)
+    while True:
+        relaxed = np.minimum(dist, dist[mesh.neighbors].min(axis=1) + step)
+        if not (relaxed < dist).any():
+            break
+        dist = relaxed
+    legs = mesh.closure[mesh.skeleton[ra.home]][:, mesh.skeleton[rb.home]]
+    width = int(legs.max()) + 1
+    rows = np.arange(len(legs))[:, None] * width
+    rim = _replay(dist[mesh.boundary], legs + rows, width, step)
+    dist_t = _replay(rim, mesh.inward, subdivisions + 1, step)
+    if ra.home == rb.home:
+        dist_t = np.minimum(dist_t, dist)
+    dst_w = np.linalg.norm(mesh.points[mesh.face_nodes[rb.home]] - pb3, axis=1)
+    return float(min(direct, np.min(dist_t + dst_w)))
 
 
 # ---------------------------------------------------------------------------

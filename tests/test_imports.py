@@ -1,4 +1,4 @@
-"""numpy and scipy load only where the oracle needs them.
+"""numpy loads only where the oracle needs it, and scipy never does.
 
 Each case runs in a fresh interpreter, since this process has long
 since imported both.
@@ -58,6 +58,6 @@ def test_validate_loads_numpy_but_not_the_mesh_graph():
     assert loaded_after(run_main(["validate", "--count", "1"])) == {"numpy"}
 
 
-def test_validate_with_mesh_loads_scipy_sparse():
+def test_validate_with_mesh_loads_numpy_only():
     argv = ["validate", "--count", "1", "--subdivisions", "4"]
-    assert loaded_after(run_main(argv)) == set(HEAVY)
+    assert loaded_after(run_main(argv)) == {"numpy"}

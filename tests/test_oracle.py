@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from octadist import oracle, topology as topo
 from octadist.coords import (
@@ -342,54 +343,116 @@ def test_mesh_decreases_under_doubling():
         assert values[2] <= values[1] + 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_lattice(n):
+    """The lattice built anew from VERTEX_COORDS and the face corners.
+
+    Returns the node coordinates (a node met from two faces keeps the
+    first face's), each face's node ids, and the lattice as a symmetric
+    CSR matrix of weight 1/n per segment.
+    """
+    key_of, coords, face_ids, edges = {}, [], {}, set()
+    for face in topo.FACE_INDICES:
+        pa, pb, pc = (oracle.VERTEX_COORDS[v] for v in topo.face_vertices(face))
+        grid = {}
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                point = (i * pa + j * pb + (n - i - j) * pc) / n
+                key = tuple(np.round(point * 1e9).astype(np.int64).tolist())
+                if key not in key_of:
+                    key_of[key] = len(coords)
+                    coords.append(point)
+                grid[i, j] = key_of[key]
+        face_ids[face] = sorted(set(grid.values()))
+        for (i, j), node in grid.items():
+            for di, dj in ((1, 0), (0, 1), (1, -1)):
+                other = grid.get((i + di, j + dj))
+                if other is not None:
+                    edges.add((min(node, other), max(node, other)))
+    rows, cols = np.array(sorted(edges)).T
+    upper = csr_matrix((np.full(len(rows), 1.0 / n), (rows, cols)), shape=(len(coords),) * 2)
+    return np.array(coords), face_ids, (upper + upper.T).tocsr()
+
+
 @pytest.mark.parametrize("n", [1, 4, 16])
-def test_mesh_graph_holds_each_lattice_segment_once(n):
-    # once per direction: the stored lattice is symmetric
+def test_mesh_graph_hop_tables_match_scipy_hop_counts(n):
     mesh = oracle._mesh_graph(n)
-    n_nodes = len(mesh.points)
-    assert n_nodes == 4 * n * n + 2
-    for face, graph in mesh.sources.items():
-        assert graph.has_sorted_indices
-        both = graph[:n_nodes, :n_nodes]
-        assert (both != both.T).nnz == 0
-        lattice = _lattice(graph, n_nodes)
-        assert lattice.nnz == 12 * n * n
-        assert np.all(lattice.data == 1.0 / n)
-        assert np.all(lattice.row < lattice.col)
-        assert len(set(zip(lattice.row.tolist(), lattice.col.tolist()))) == lattice.nnz
-        assert both.nnz == 2 * lattice.nnz
-        assert graph.nnz == both.nnz + len(mesh.face_nodes[face])
+    coords, face_ids, lattice = _reference_lattice(n)
+    assert len(mesh.points) == len(coords) == 4 * n * n + 2
+    assert _bits(mesh.points) == _bits(coords)
+    for value in vars(mesh).values():
+        for array in value.values() if isinstance(value, dict) else [value]:
+            assert not array.flags.writeable
 
-
-def _lattice(graph, n_nodes):
-    """Each lattice edge of a source-augmented graph once, as (i, j) with i < j."""
-    return triu(graph[:n_nodes, :n_nodes], k=1, format="coo")
+    skeleton = {}
+    for face, nodes in mesh.face_nodes.items():
+        assert sorted(nodes.tolist()) == face_ids[face]
+        # the boundary is what the face shares with the others
+        shared = {v for f, ids in face_ids.items() if f != face for v in ids}
+        assert set(nodes[mesh.boundary].tolist()) == shared & set(face_ids[face])
+        in_face = lattice[nodes][:, nodes]
+        for v, row in enumerate(mesh.neighbors):
+            assert set(row.tolist()) - {v} == set(in_face[v].indices.tolist())
+        hops = shortest_path(in_face, unweighted=True, indices=mesh.boundary)
+        rows = np.arange(len(mesh.boundary))[:, None] * (n + 1)
+        assert np.array_equal(mesh.inward - rows, hops)
+        for index, node in zip(mesh.skeleton[face].tolist(), nodes[mesh.boundary].tolist()):
+            assert skeleton.setdefault(index, node) == node
+    assert sorted(skeleton) == list(range(len(mesh.closure))) == list(range(12 * n - 6))
+    nodes = [skeleton[i] for i in range(len(skeleton))]
+    hops = shortest_path(lattice, unweighted=True, indices=nodes)[:, nodes]
+    assert np.array_equal(mesh.closure, hops)
 
 
 def _mesh_with_graph_per_call(a, b, n):
-    """The mesh bound with the source-augmented graph built from COO anew."""
-    mesh = oracle._mesh_graph(n)
-    n_nodes = len(mesh.points)
+    """The mesh bound as scipy's Dijkstra finds it on the reference lattice."""
+    coords, face_ids, lattice = _reference_lattice(n)
+    n_nodes = len(coords)
     ra, rb = a.canonical, b.canonical
-    lattice = _lattice(mesh.sources[ra.home], n_nodes)
     pa, pb = oracle.embed_3d(ra), oracle.embed_3d(rb)
     direct = float(np.linalg.norm(pa - pb)) if ra.home == rb.home else math.inf
-    src_ids = np.array(mesh.face_nodes[ra.home])
-    dst_ids = np.array(mesh.face_nodes[rb.home])
-    src_w = np.linalg.norm(mesh.points[src_ids] - pa, axis=1)
-    dst_w = np.linalg.norm(mesh.points[dst_ids] - pb, axis=1)
+    src_ids = np.array(face_ids[ra.home])
+    dst_ids = np.array(face_ids[rb.home])
+    src_w = np.linalg.norm(coords[src_ids] - pa, axis=1)
+    dst_w = np.linalg.norm(coords[dst_ids] - pb, axis=1)
+    segments = lattice.tocoo()
     graph = csr_matrix(
         (
-            np.concatenate([lattice.data, src_w]),
+            np.concatenate([segments.data, src_w]),
             (
-                np.concatenate([lattice.row, np.full(len(src_ids), n_nodes)]),
-                np.concatenate([lattice.col, src_ids]),
+                np.concatenate([segments.row, np.full(len(src_ids), n_nodes)]),
+                np.concatenate([segments.col, src_ids]),
             ),
         ),
         shape=(n_nodes + 1, n_nodes + 1),
     )
-    dist = dijkstra(graph, directed=False, indices=n_nodes)
+    dist = dijkstra(graph, directed=True, indices=n_nodes)
     return float(min(direct, np.min(dist[dst_ids] + dst_w)))
+
+
+# at n = 16, the mesh bound of the first pair (an edge point and a lattice
+# node) moves by an ulp without the in-face relaxation, and that of the
+# second (a vertex and an edge point) without the in-face leg of a
+# same-face pair
+PINNED_MESH_PAIRS = (
+    (
+        canonicalize(Representation(1, 4, 0.375, 0.0)),
+        canonicalize(Representation(1, 4, 0.5, math.sqrt(3.0) / 8)),
+    ),
+    (canonicalize(Representation(1, 6, 0.0, 0.0)), canonicalize(Representation(1, 4, 0.5, 0.0))),
+)
+
+
+def test_pinned_pair_needs_the_in_face_relaxation():
+    # some lattice node is nearer by a hop from a neighbour than by its own
+    # source edge, so the relaxation changes a value
+    n = 16
+    coords, face_ids, lattice = _reference_lattice(n)
+    p = PINNED_MESH_PAIRS[0][0]
+    nodes = np.array(face_ids[p.canonical.home])
+    weights = np.linalg.norm(coords[nodes] - oracle.embed_3d(p.canonical), axis=1)
+    in_face = lattice[nodes][:, nodes].tocoo()
+    assert np.any(weights[in_face.row] + 1.0 / n < weights[in_face.col])
 
 
 def test_mesh_upper_bound_equals_graph_built_per_call():
@@ -403,8 +466,13 @@ def test_mesh_upper_bound_equals_graph_built_per_call():
     vertices = [canonicalize(vertex_representations(v)[0]) for v in topo.VERTICES]
     pairs += list(zip(vertices, points))
     pairs += list(itertools.combinations(vertices, 2))
-    for n in (4, 16):
+    pairs += PINNED_MESH_PAIRS
+    for n in (1, 2, 4, 8, 16):
         for a, b in pairs:
+            got = oracle.mesh_upper_bound(a, b, n)
+            assert got.hex() == _mesh_with_graph_per_call(a, b, n).hex(), (a, b, n)
+    for n in (32, 64):
+        for a, b in pairs[:4] + pairs[-6:]:
             got = oracle.mesh_upper_bound(a, b, n)
             assert got.hex() == _mesh_with_graph_per_call(a, b, n).hex(), (a, b, n)
 
