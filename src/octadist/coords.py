@@ -177,8 +177,8 @@ def canonicalize(r: Representation) -> SurfacePoint:
             vertex = corners[1]
         else:
             vertex = corners[2]
-        best = min(vertex_representations(vertex), key=lambda q: (q.home, q.shared))
-        return SurfacePoint(best)
+        # the first chart has the smallest home face, so the smallest (home, shared)
+        return SurfacePoint(vertex_representations(vertex)[0])
 
     if on_base or on_right or on_left:  # on one edge only
         aligned = r

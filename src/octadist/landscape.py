@@ -356,18 +356,18 @@ def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
 
-def chord_edge_intersections(a, b, edges, tol: float = EPS_IN):
+def chord_edge_intersections(a, b, edges):
     """Ordered intersections of the chord a-b with a list of segments.
 
     Each entry of `edges` is (ps, pt); returns a list of (edge parameter,
     chord parameter, point) or None when the chord misses a segment, hits
-    them out of order, or leaves [0, 1] on either parameter beyond tol.
+    them out of order, or leaves [0, 1] on either parameter beyond EPS_IN.
     Endpoint grazes count as crossings; parameters are clamped on output.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
     chord_len = math.hypot(dx, dy)
     out = []
-    prev_t = -tol
+    prev_t = -EPS_IN
     for ps, pt in edges:
         ex, ey = pt[0] - ps[0], pt[1] - ps[1]
         if chord_len < 1e-12:
@@ -375,7 +375,7 @@ def chord_edge_intersections(a, b, edges, tol: float = EPS_IN):
             ee = ex * ex + ey * ey
             s = _clamp01(((a[0] - ps[0]) * ex + (a[1] - ps[1]) * ey) / ee)
             px, py = ps[0] + s * ex, ps[1] + s * ey
-            if math.hypot(a[0] - px, a[1] - py) > tol:
+            if math.hypot(a[0] - px, a[1] - py) > EPS_IN:
                 return None
             out.append((s, 0.0, (px, py)))
             continue
@@ -384,25 +384,25 @@ def chord_edge_intersections(a, b, edges, tol: float = EPS_IN):
         if abs(denom) < 1e-14:
             # chord parallel to the edge line: contained only if collinear
             dist_a = abs(fx * ey - fy * ex) / math.hypot(ex, ey)
-            if dist_a > tol:
+            if dist_a > EPS_IN:
                 return None
             ee = ex * ex + ey * ey
             sa = (-fx * ex - fy * ey) / ee
             sb = ((b[0] - ps[0]) * ex + (b[1] - ps[1]) * ey) / ee
             lo, hi = min(sa, sb), max(sa, sb)
             lo, hi = max(lo, 0.0), min(hi, 1.0)
-            if lo > hi + tol:
+            if lo > hi + EPS_IN:
                 return None
             s = _clamp01((lo + hi) / 2.0)
             t = 0.5 if abs(sb - sa) < 1e-12 else _clamp01((s - sa) / (sb - sa))
         else:
             t = (fx * ey - fy * ex) / denom
             s = (fx * dy - fy * dx) / denom
-            if s < -tol or s > 1.0 + tol:
+            if s < -EPS_IN or s > 1.0 + EPS_IN:
                 return None
-            if t < -tol or t > 1.0 + tol:
+            if t < -EPS_IN or t > 1.0 + EPS_IN:
                 return None
-            if t < prev_t - tol:
+            if t < prev_t - EPS_IN:
                 return None
             prev_t = max(prev_t, t)
             s = _clamp01(s)

@@ -223,7 +223,7 @@ def _point_in_triangle(p, tri, tol: float) -> bool:
     return min(d1, d2, d3) >= -tol
 
 
-def _chord_in_chain(chain: UnfoldChain, a, b, tol: float = EPS_IN):
+def _chord_in_chain(chain: UnfoldChain, a, b):
     """Crossing parameters of the chord with the hinge edges, or None.
 
     Contained means: every hinge is met within its segment, in path
@@ -233,14 +233,14 @@ def _chord_in_chain(chain: UnfoldChain, a, b, tol: float = EPS_IN):
     dx, dy = b[0] - a[0], b[1] - a[1]
     chord_len = math.hypot(dx, dy)
     params = []
-    prev_t = -tol
+    prev_t = -EPS_IN
     for _edge, ps, pt in chain.hinges:
         ex, ey = pt[0] - ps[0], pt[1] - ps[1]
         if chord_len < 1e-12:
             ee = ex * ex + ey * ey
             s = ((a[0] - ps[0]) * ex + (a[1] - ps[1]) * ey) / ee
             s = min(1.0, max(0.0, s))
-            if math.hypot(a[0] - ps[0] - s * ex, a[1] - ps[1] - s * ey) > tol:
+            if math.hypot(a[0] - ps[0] - s * ex, a[1] - ps[1] - s * ey) > EPS_IN:
                 return None
             params.append((s, 0.0))
             continue
@@ -248,29 +248,30 @@ def _chord_in_chain(chain: UnfoldChain, a, b, tol: float = EPS_IN):
         fx, fy = ps[0] - a[0], ps[1] - a[1]
         if abs(denom) < 1e-14:
             elen = math.hypot(ex, ey)
-            if abs(fx * ey - fy * ex) / elen > tol:
+            if abs(fx * ey - fy * ex) / elen > EPS_IN:
                 return None
             ee = ex * ex + ey * ey
             sa = (-fx * ex - fy * ey) / ee
             sb = ((b[0] - ps[0]) * ex + (b[1] - ps[1]) * ey) / ee
             lo, hi = max(min(sa, sb), 0.0), min(max(sa, sb), 1.0)
-            if lo > hi + tol:
+            if lo > hi + EPS_IN:
                 return None
             params.append(((lo + hi) / 2.0, 0.5))
             continue
         t = (fx * ey - fy * ex) / denom
         s = (fx * dy - fy * dx) / denom
-        if not (-tol <= s <= 1.0 + tol) or not (-tol <= t <= 1.0 + tol):
+        if not (-EPS_IN <= s <= 1.0 + EPS_IN) or not (-EPS_IN <= t <= 1.0 + EPS_IN):
             return None
-        if t < prev_t - tol:
+        if t < prev_t - EPS_IN:
             return None
         prev_t = max(prev_t, t)
         params.append((s, t))
     return params
 
 
-def _sampled_containment(chain: UnfoldChain, a, b, samples: int = 16) -> bool:
+def _sampled_containment(chain: UnfoldChain, a, b) -> bool:
     # cross-check: interior chord samples must land in some triangle
+    samples = 16
     tris = [tuple(tri.values()) for tri in chain.triangles]
     for i in range(1, samples + 1):
         t = i / (samples + 1.0)
@@ -372,23 +373,21 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
 class MeshGraph:
     """The lattice of one subdivision count n, as hop counts.
 
-    Every face holds the same local lattice: node (i, j) sits at
-    (i A + j B + k C) / n, k = n - i - j, over the face's corners A, B, C.
-    `face_nodes[face]` maps each local node to its row of `points`.
-    `neighbors` lists each local node's in-face neighbours, padded with
-    the node itself, and `boundary` lists the local nodes on the face's
-    edges.  `inward[r, v]` is r (n + 1) + h, where h <= n is the in-face
-    hop count from boundary node r to node v: the place of h hops from r
-    in a table with one row per boundary node.  The boundary nodes of
-    all faces form the skeleton: `skeleton[face][r]` is the skeleton
-    index of boundary node r, and `closure` holds the lattice hop count
-    between two skeleton nodes.  Every array is read-only.
+    Every face holds the same local lattice: node (i, j, k), i + j + k = n,
+    sits at (i A + j B + k C) / n over the face's corners A, B, C, and the
+    3n nodes on the face's edges come first.  `face_points[face]` holds
+    the local nodes' positions on that face.  `neighbors` lists each local
+    node's in-face neighbours, padded with the node itself.  `inward[r, v]`
+    is r (n + 1) + h, where h <= n is the in-face hop count from edge node
+    r to node v: the place of h hops from r in a table with one row per
+    edge node.  The edge nodes of all faces form the skeleton:
+    `skeleton[face][r]` is the skeleton index of edge node r, and
+    `closure` holds the lattice hop count between two skeleton nodes.
+    Every array is read-only.
     """
 
-    points: np.ndarray
-    face_nodes: dict[int, np.ndarray]
+    face_points: dict[int, np.ndarray]
     neighbors: np.ndarray
-    boundary: np.ndarray
     inward: np.ndarray
     skeleton: dict[int, np.ndarray]
     closure: np.ndarray
@@ -398,50 +397,46 @@ class MeshGraph:
 def _mesh_graph(subdivisions: int) -> MeshGraph:
     """Shared lattice: nodes on every face, unit edges split n-fold."""
     n = subdivisions
-    local = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
-    index = {ij: v for v, ij in enumerate(local)}
-    ijk = np.array([(i, j, n - i - j) for i, j in local])
+    # the 3n nodes with a zero count lie on the face's edges
+    local = sorted(
+        ((i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)),
+        key=lambda counts: 0 not in counts,
+    )
+    index = {(i, j): v for v, (i, j, _) in enumerate(local)}
     neighbors = np.array([
         [index.get((i + di, j + dj), v) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
-        for v, (i, j) in enumerate(local)
+        for v, (i, j, _) in enumerate(local)
     ])
-    boundary = np.flatnonzero((ijk == 0).any(axis=1))
-    hops = np.abs(ijk[boundary, None, :] - ijk[None, :, :]).max(axis=2)
+    ijk = np.array(local)
+    rim = 3 * n
+    hops = np.abs(ijk[:rim, None, :] - ijk[None, :, :]).max(axis=2)
 
-    # a node on an octahedron edge is met from both faces; it keeps the
-    # coordinates of the first
-    key_of = {}
-    coords = []
-    face_nodes = {}
+    # a skeleton node is named by its corners and their non-zero counts, so
+    # both faces of an edge give each of its nodes the same name
+    names, face_points, skeleton = {}, {}, {}
     for face in topo.FACE_INDICES:
-        pa, pb, pc = (VERTEX_COORDS[v] for v in topo.face_vertices(face))
-        face_points = (ijk[:, :1] * pa + ijk[:, 1:2] * pb + ijk[:, 2:] * pc) / n
-        keys = np.round(face_points * 1e9).astype(np.int64).tolist()
-        ids = []
-        for key, point in zip(map(tuple, keys), face_points):
-            if key not in key_of:
-                key_of[key] = len(coords)
-                coords.append(point)
-            ids.append(key_of[key])
-        face_nodes[face] = np.array(ids)
+        corners = topo.face_vertices(face)
+        pa, pb, pc = (VERTEX_COORDS[v] for v in corners)
+        face_points[face] = (ijk[:, :1] * pa + ijk[:, 1:2] * pb + ijk[:, 2:] * pc) / n
+        skeleton[face] = np.array([
+            names.setdefault(frozenset((v, c) for v, c in zip(corners, counts) if c), len(names))
+            for counts in local[:rim]
+        ])
 
-    skeleton_ids = np.unique(np.concatenate([nodes[boundary] for nodes in face_nodes.values()]))
-    skeleton = {face: np.searchsorted(skeleton_ids, nodes[boundary]) for face, nodes in face_nodes.items()}
     # every lattice path between skeleton nodes is a chain of in-face legs;
     # 4n + 1 exceeds every hop count (at most 2n), and the dtype holds twice it
     unreached = 4 * n + 1
-    closure = np.full((len(skeleton_ids),) * 2, unreached, dtype=np.min_scalar_type(2 * unreached))
+    closure = np.full((len(names),) * 2, unreached, dtype=np.min_scalar_type(2 * unreached))
     for ids in skeleton.values():
         legs = np.ix_(ids, ids)
-        closure[legs] = np.minimum(closure[legs], hops[:, boundary])
-    for k in range(len(skeleton_ids)):
+        closure[legs] = np.minimum(closure[legs], hops[:, :rim])
+    for k in range(len(names)):
         np.minimum(closure, closure[:, k, None] + closure[k], out=closure)
 
-    points = np.array(coords)
-    inward = hops + np.arange(len(boundary))[:, None] * (n + 1)
-    for array in (points, neighbors, boundary, inward, closure, *face_nodes.values(), *skeleton.values()):
+    inward = hops + np.arange(rim)[:, None] * (n + 1)
+    for array in (neighbors, inward, closure, *face_points.values(), *skeleton.values()):
         array.setflags(write=False)
-    return MeshGraph(points, face_nodes, neighbors, boundary, inward, skeleton, closure)
+    return MeshGraph(face_points, neighbors, inward, skeleton, closure)
 
 
 def _replay(start: np.ndarray, index: np.ndarray, width: int, step: float) -> np.ndarray:
@@ -480,7 +475,7 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
 
     mesh = _mesh_graph(subdivisions)
     step = 1.0 / subdivisions
-    dist = np.linalg.norm(mesh.points[mesh.face_nodes[ra.home]] - pa3, axis=1)
+    dist = np.linalg.norm(mesh.face_points[ra.home] - pa3, axis=1)
     while True:
         relaxed = np.minimum(dist, dist[mesh.neighbors].min(axis=1) + step)
         if not (relaxed < dist).any():
@@ -489,11 +484,11 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     legs = mesh.closure[mesh.skeleton[ra.home]][:, mesh.skeleton[rb.home]]
     width = int(legs.max()) + 1
     rows = np.arange(len(legs))[:, None] * width
-    rim = _replay(dist[mesh.boundary], legs + rows, width, step)
+    rim = _replay(dist[: 3 * subdivisions], legs + rows, width, step)
     dist_t = _replay(rim, mesh.inward, subdivisions + 1, step)
     if ra.home == rb.home:
         dist_t = np.minimum(dist_t, dist)
-    dst_w = np.linalg.norm(mesh.points[mesh.face_nodes[rb.home]] - pb3, axis=1)
+    dst_w = np.linalg.norm(mesh.face_points[rb.home] - pb3, axis=1)
     return float(min(direct, np.min(dist_t + dst_w)))
 
 

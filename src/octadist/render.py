@@ -79,10 +79,10 @@ def trail_segments(
     return segments
 
 
-def _polylines(segments, tol: float = 1e-9):
+def _polylines(segments):
     runs = []
     for seg in segments:
-        if runs and math.dist(runs[-1][-1], seg[0]) <= tol:
+        if runs and math.dist(runs[-1][-1], seg[0]) <= 1e-9:
             runs[-1].append(seg[1])
         else:
             runs.append([seg[0], seg[1]])

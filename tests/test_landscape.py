@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from octadist import landscape
 from octadist import topology as topo
 from octadist.coords import (
-    EPS_IN,
     FrameMismatch,
     Representation,
     canonicalize,
@@ -136,6 +135,20 @@ def test_trail_length_chart_mismatch():
     p2 = Representation(2, 1, 0.3, 0.1)
     with pytest.raises(FrameMismatch):
         trail_length(1, p1, p2, frame)
+    # L1 wants the second point in the chart (F2, F1)
+    p1 = Representation(1, 2, 0.3, 0.1)
+    p2 = Representation(2, 3, 0.3, 0.1)
+    with pytest.raises(FrameMismatch, match=r"\(F2, F1\)"):
+        trail_length(1, p1, p2, frame)
+
+
+@pytest.mark.parametrize("index", [0, 10])
+def test_trail_length_rejects_an_index_outside_one_to_nine(index):
+    frame = topo.Frame.from_anchor(1, 2)
+    p1 = Representation(1, 2, 0.3, 0.1)
+    p2 = Representation(2, 1, 0.3, 0.1)
+    with pytest.raises(ValueError, match="1..9"):
+        trail_length(index, p1, p2, frame)
 
 
 @given(framed_pairs())
@@ -229,6 +242,12 @@ def test_chord_intersection_rejects_misses_and_disorder():
     # endpoint grazes count as crossings
     hits = chord_edge_intersections((0.0, -1.0), (0.0, 1.0), [edge])
     assert hits is not None and hits[0][0] == 0.0
+    # a zero-length chord off the segment
+    assert chord_edge_intersections((0.5, 1.0), (0.5, 1.0), [edge]) is None
+    # a chord on the edge's line but beside the segment
+    assert chord_edge_intersections((2.0, 0.0), (3.0, 0.0), [edge]) is None
+    # a chord that ends before it reaches the edge
+    assert chord_edge_intersections((0.5, -2.0), (0.5, -1.0), [edge]) is None
 
 
 def test_surface_distance_coincident_points():
@@ -527,10 +546,10 @@ def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncont
     original = landscape.chord_edge_intersections
     l4_segments = landscape._layout(4, _prepare_pair(a, b)[0]).segments
 
-    def leaky(p, q, edges, tol=EPS_IN):
+    def leaky(p, q, edges):
         if uncontained == "all" or edges == l4_segments:
             return None
-        return original(p, q, edges, tol)
+        return original(p, q, edges)
 
     # the reference's trail_crossings meets the same patched helper
     monkeypatch.setattr(landscape, "chord_edge_intersections", leaky)

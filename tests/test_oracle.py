@@ -258,7 +258,7 @@ def test_best_chord_with_empty_bounds_is_inf():
 def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
     checked = []
 
-    def failing(chain, a, b, samples=16):
+    def failing(chain, a, b):
         checked.append((chain.faces, a, b))
         return False
 
@@ -292,6 +292,52 @@ def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
             lambda chain, p, q: None if chain.faces == winner else contained(chain, p, q),
         )
         assert_winner_checked(a, b)
+
+
+def _centroid(triangle):
+    xs, ys = zip(*triangle.values())
+    return sum(xs) / 3.0, sum(ys) / 3.0
+
+
+def test_chord_in_chain_degenerate_and_collinear_chords():
+    chain = oracle.flatten_chain((1, 2))
+    ((_edge, ps, pt),) = chain.hinges
+    ex, ey = pt[0] - ps[0], pt[1] - ps[1]
+
+    def along(s, off=0.0):  # s along the hinge, off across it
+        return ps[0] + s * ex - off * ey, ps[1] + s * ey + off * ex
+
+    # a zero-length chord is contained only where it lies on the hinge
+    ((s, t),) = oracle._chord_in_chain(chain, along(0.25), along(0.25))
+    assert s == pytest.approx(0.25, abs=1e-12) and t == 0.0
+    assert oracle._chord_in_chain(chain, along(0.25, 0.1), along(0.25, 0.1)) is None
+    # a chord along the hinge's line is contained where it overlaps the segment
+    ((s, t),) = oracle._chord_in_chain(chain, along(-0.5), along(0.5))
+    assert s == pytest.approx(0.25, abs=1e-12) and t == 0.5
+    assert oracle._chord_in_chain(chain, along(0.0, 0.1), along(1.0, 0.1)) is None
+    assert oracle._chord_in_chain(chain, along(1.5), along(2.5)) is None
+
+
+def test_chord_in_chain_rejects_hinges_met_out_of_order():
+    chain = oracle.flatten_chain((1, 2, 3))
+    first, last = _centroid(chain.triangles[0]), _centroid(chain.triangles[-1])
+    params = oracle._chord_in_chain(chain, first, last)
+    assert params is not None and params[0][1] < params[1][1]
+    assert oracle._chord_in_chain(chain, last, first) is None
+
+
+def test_sampled_containment_rejects_a_chord_leaving_the_chain():
+    chain = oracle.flatten_chain((1, 2))
+    first, last = _centroid(chain.triangles[0]), _centroid(chain.triangles[1])
+    assert oracle._sampled_containment(chain, first, last)
+    assert not oracle._sampled_containment(chain, first, (first[0] + 3.0, first[1]))
+
+
+def test_best_chord_rejects_a_shared_home_face():
+    a = canonicalize(Representation(1, 2, 0.3, 0.1))
+    b = canonicalize(Representation(1, 4, 0.2, 0.2))
+    with pytest.raises(ValueError, match="distinct home faces"):
+        oracle.best_chord(a, b)
 
 
 def test_unfold_same_face_is_planar_distance():
@@ -378,25 +424,29 @@ def _reference_lattice(n):
 def test_mesh_graph_hop_tables_match_scipy_hop_counts(n):
     mesh = oracle._mesh_graph(n)
     coords, face_ids, lattice = _reference_lattice(n)
-    assert len(mesh.points) == len(coords) == 4 * n * n + 2
-    assert _bits(mesh.points) == _bits(coords)
     for value in vars(mesh).values():
         for array in value.values() if isinstance(value, dict) else [value]:
             assert not array.flags.writeable
+    # a node met from two faces may differ only in the sign of a zero
+    node_of = {tuple((point + 0.0).tolist()): v for v, point in enumerate(coords)}
+    assert len(node_of) == len(coords) == 4 * n * n + 2
 
     skeleton = {}
-    for face, nodes in mesh.face_nodes.items():
-        assert sorted(nodes.tolist()) == face_ids[face]
-        # the boundary is what the face shares with the others
+    for face, points in mesh.face_points.items():
+        nodes = [node_of[tuple((point + 0.0).tolist())] for point in points]
+        assert sorted(nodes) == face_ids[face]
+        assert np.array_equal(points, coords[nodes])
+        # the first 3n nodes are what the face shares with the others
         shared = {v for f, ids in face_ids.items() if f != face for v in ids}
-        assert set(nodes[mesh.boundary].tolist()) == shared & set(face_ids[face])
+        assert set(nodes[: 3 * n]) == shared & set(nodes)
         in_face = lattice[nodes][:, nodes]
         for v, row in enumerate(mesh.neighbors):
             assert set(row.tolist()) - {v} == set(in_face[v].indices.tolist())
-        hops = shortest_path(in_face, unweighted=True, indices=mesh.boundary)
-        rows = np.arange(len(mesh.boundary))[:, None] * (n + 1)
-        assert np.array_equal(mesh.inward - rows, hops)
-        for index, node in zip(mesh.skeleton[face].tolist(), nodes[mesh.boundary].tolist()):
+        rim = np.arange(3 * n)
+        hops = shortest_path(in_face, unweighted=True, indices=rim)
+        assert np.array_equal(mesh.inward - rim[:, None] * (n + 1), hops)
+        assert len(mesh.skeleton[face]) == 3 * n
+        for index, node in zip(mesh.skeleton[face].tolist(), nodes):
             assert skeleton.setdefault(index, node) == node
     assert sorted(skeleton) == list(range(len(mesh.closure))) == list(range(12 * n - 6))
     nodes = [skeleton[i] for i in range(len(skeleton))]
