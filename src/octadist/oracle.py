@@ -5,15 +5,17 @@ chart algebra of the landscape module: the octahedron is embedded in 3D,
 face chains are flattened by composing hinge rotations in space, and an
 exhaustive search over all simple dual paths yields the geodesic
 distance.  A lattice-graph shortest path supplies a one-sided upper
-bound.  `compare` bundles the checks the validation sweep runs per pair.
+bound.  `compare_pairs` bundles the checks the validation sweep runs on
+its pairs, and `compare` on one pair.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -137,24 +139,50 @@ def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
 class UnfoldChain:
     """A dual path flattened into the plane of its first face.
 
+    `tail_matrix`/`tail_offset` is the rigid map that carries 3D points
+    of the last face into the flattening plane, and `parent` the chain
+    of the path without its last face (None for the one-face root).  The
+    2D geometry is built from the parent the first time it is read:
     `triangles` holds each face's corner positions keyed by vertex label,
-    `hinges` the interior shared edges as ((S, T), 2D S, 2D T) in path
-    order, and `tail_matrix`/`tail_offset` the rigid map that carries 3D
-    points of the last face into the flattening plane.
+    `corners` the same positions as tuples, and `hinges` the interior
+    shared edges as ((S, T), 2D S, 2D T) in path order.
     """
 
     faces: tuple[int, ...]
-    triangles: tuple[dict, ...]
-    hinges: tuple[tuple, ...]
     origin: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
     tail_matrix: np.ndarray
     tail_offset: np.ndarray
+    parent: UnfoldChain | None = field(default=None, repr=False)
 
     def project(self, point3: np.ndarray) -> tuple[float, float]:
         rel = point3 - self.origin
         return float(rel @ self.ex), float(rel @ self.ey)
+
+    def place(self, vertex: topo.VertexLabel) -> np.ndarray:
+        """Where the tail map carries a vertex of the last face."""
+        return self.tail_matrix @ VERTEX_COORDS[vertex] + self.tail_offset
+
+    @cached_property
+    def triangles(self) -> tuple[dict, ...]:
+        if self.parent is None:
+            return ({v: self.project(VERTEX_COORDS[v]) for v in topo.face_vertices(self.faces[0])},)
+        triangle = {v: self.project(self.place(v)) for v in topo.face_vertices(self.faces[-1])}
+        return self.parent.triangles + (triangle,)
+
+    @cached_property
+    def corners(self) -> tuple[tuple, ...]:
+        return tuple(tuple(triangle.values()) for triangle in self.triangles)
+
+    @cached_property
+    def hinges(self) -> tuple[tuple, ...]:
+        parent = self.parent
+        if parent is None:
+            return ()
+        edge = topo.shared_edge(parent.faces[-1], self.faces[-1])
+        pa, pb = (self.project(parent.place(v)) for v in edge)
+        return parent.hinges + ((edge, pa, pb),)
 
 
 @lru_cache(maxsize=None)
@@ -174,44 +202,32 @@ def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
     ey = _cross(FACE_NORMALS[first], ex)
     root = UnfoldChain(
         faces=(first,),
-        triangles=(),
-        hinges=(),
         origin=origin,
         ex=ex,
         ey=ey,
         tail_matrix=np.eye(3),
         tail_offset=np.zeros(3),
     )
-    triangle = {v: root.project(VERTEX_COORDS[v]) for v in topo.face_vertices(first)}
-    return _add_hinge(replace(root, triangles=(triangle,)), faces[1])
+    return _add_hinge(root, faces[1])
 
 
 def _add_hinge(chain: UnfoldChain, cur: int) -> UnfoldChain:
     """Unfold face `cur` about its edge with the chain's last face."""
-    matrix, offset = chain.tail_matrix, chain.tail_offset
     n0 = FACE_NORMALS[chain.faces[0]]
-    edge = topo.shared_edge(chain.faces[-1], cur)
-    pa = matrix @ VERTEX_COORDS[edge[0]] + offset
-    pb = matrix @ VERTEX_COORDS[edge[1]] + offset
+    pa, pb = (chain.place(v) for v in topo.shared_edge(chain.faces[-1], cur))
     axis = pb - pa
     axis = axis / np.linalg.norm(axis)
-    m = matrix @ FACE_NORMALS[cur]
+    m = chain.tail_matrix @ FACE_NORMALS[cur]
     angle = math.atan2(float(axis @ _cross(m, n0)), float(m @ n0))
     rot = _rodrigues(axis, angle)
-    matrix = rot @ matrix
-    offset = rot @ (offset - pa) + pa
-    triangle = {
-        v: chain.project(matrix @ VERTEX_COORDS[v] + offset) for v in topo.face_vertices(cur)
-    }
     return UnfoldChain(
         faces=chain.faces + (cur,),
-        triangles=chain.triangles + (triangle,),
-        hinges=chain.hinges + ((edge, chain.project(pa), chain.project(pb)),),
         origin=chain.origin,
         ex=chain.ex,
         ey=chain.ey,
-        tail_matrix=matrix,
-        tail_offset=offset,
+        tail_matrix=rot @ chain.tail_matrix,
+        tail_offset=rot @ (chain.tail_offset - pa) + pa,
+        parent=chain,
     )
 
 
@@ -270,13 +286,21 @@ def _chord_in_chain(chain: UnfoldChain, a, b):
 
 
 def _sampled_containment(chain: UnfoldChain, a, b) -> bool:
-    # cross-check: interior chord samples must land in some triangle
+    # cross-check: interior chord samples must land in some triangle.  Each
+    # sample tries the triangles in path order from the last one hit, and
+    # all of them before it counts as a miss.
     samples = 16
-    tris = [tuple(tri.values()) for tri in chain.triangles]
+    corners = chain.corners
+    count = len(corners)
+    last = 0
     for i in range(1, samples + 1):
         t = i / (samples + 1.0)
         p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        if not any(_point_in_triangle(p, tri, 1e-7) for tri in tris):
+        for k in range(last, last + count):
+            if _point_in_triangle(p, corners[k % count], 1e-7):
+                last = k % count
+                break
+        else:
             return False
     return True
 
@@ -369,6 +393,11 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
 # lattice-graph upper bound
 
 
+#: Rows a mesh-bound step stacks at most.  A row's temporaries hold about
+#: 9 n^2 floats, so a step stays bounded however many pairs share a face pair.
+_MESH_ROWS = 32
+
+
 @dataclass(frozen=True)
 class MeshGraph:
     """The lattice of one subdivision count n, as hop counts.
@@ -377,18 +406,21 @@ class MeshGraph:
     sits at (i A + j B + k C) / n over the face's corners A, B, C, and the
     3n nodes on the face's edges come first.  `face_points[face]` holds
     the local nodes' positions on that face.  `neighbors` lists each local
-    node's in-face neighbours, padded with the node itself.  `inward[r, v]`
-    is r (n + 1) + h, where h <= n is the in-face hop count from edge node
-    r to node v: the place of h hops from r in a table with one row per
-    edge node.  The edge nodes of all faces form the skeleton:
-    `skeleton[face][r]` is the skeleton index of edge node r, and
-    `closure` holds the lattice hop count between two skeleton nodes.
-    Every array is read-only.
+    node's in-face neighbours, padded with the node itself.  Each edge e
+    of the face (the nodes whose e-th count is zero) has a sweep: row h
+    holds the nodes h hops from the edge in order along it, so that node p
+    of row h is next to nodes p and p + 1 of row h - 1.  `edges[e]` lists
+    row 0, and `sweep[e, v]` is node v's place in a table that stacks the
+    three sweeps row by row, (n + 1)(n + 2)/2 places each.  The edge nodes
+    of all faces form the skeleton: `skeleton[face][r]` is the skeleton
+    index of edge node r, and `closure` holds the lattice hop count
+    between two skeleton nodes.  Every array is read-only.
     """
 
     face_points: dict[int, np.ndarray]
     neighbors: np.ndarray
-    inward: np.ndarray
+    edges: np.ndarray
+    sweep: np.ndarray
     skeleton: dict[int, np.ndarray]
     closure: np.ndarray
 
@@ -407,9 +439,17 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
         [index.get((i + di, j + dj), v) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
         for v, (i, j, _) in enumerate(local)
     ])
+    # in edge e's sweep, a node sits in the row of its e-th count, at the
+    # place of its next count; rows 0 .. h - 1 take h (n + 1) - h (h - 1) / 2 places
+    def sweep_place(e, counts):
+        h = counts[e]
+        return e * len(local) + h * (n + 1) - h * (h - 1) // 2 + counts[(e + 1) % 3]
+
+    sweep = np.array([[sweep_place(e, counts) for counts in local] for e in range(3)])
+    edges = np.argsort(sweep, axis=1)[:, : n + 1]
     ijk = np.array(local)
     rim = 3 * n
-    hops = np.abs(ijk[:rim, None, :] - ijk[None, :, :]).max(axis=2)
+    hops = np.abs(ijk[:rim, None, :] - ijk[None, :rim, :]).max(axis=2)
 
     # a skeleton node is named by its corners and their non-zero counts, so
     # both faces of an edge give each of its nodes the same name
@@ -429,27 +469,103 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
     closure = np.full((len(names),) * 2, unreached, dtype=np.min_scalar_type(2 * unreached))
     for ids in skeleton.values():
         legs = np.ix_(ids, ids)
-        closure[legs] = np.minimum(closure[legs], hops[:, :rim])
+        closure[legs] = np.minimum(closure[legs], hops)
     for k in range(len(names)):
         np.minimum(closure, closure[:, k, None] + closure[k], out=closure)
 
-    inward = hops + np.arange(rim)[:, None] * (n + 1)
-    for array in (neighbors, inward, closure, *face_points.values(), *skeleton.values()):
+    for array in (neighbors, edges, sweep, closure, *face_points.values(), *skeleton.values()):
         array.setflags(write=False)
-    return MeshGraph(face_points, neighbors, inward, skeleton, closure)
+    return MeshGraph(face_points, neighbors, edges, sweep, skeleton, closure)
 
 
 def _replay(start: np.ndarray, index: np.ndarray, width: int, step: float) -> np.ndarray:
-    """Column minima of F(start[r], h) at the places r * width + h that `index` holds.
+    """Per row of `start`, column minima of F(start[r], h) at the places r * width + h in `index`.
 
     F(x, h) is x with `step` added h times, rounded after each add: the
     sum a shortest-path search forms along h edges of weight `step`.
-    Row r of the table is F(start[r], 0), F(start[r], 1), ...
+    Row r of a row's table is F(start[r], 0), F(start[r], 1), ...
     """
-    table = np.full((len(start), width), step)
-    table[:, 0] = start
-    np.add.accumulate(table, axis=1, out=table)
-    return table.take(index).min(axis=0)
+    table = np.full((*start.shape, width), step)
+    table[:, :, 0] = start
+    np.add.accumulate(table, axis=2, out=table)
+    return table.reshape(len(start), -1)[:, index].min(axis=1)
+
+
+def _sweep(rim: np.ndarray, mesh: MeshGraph, n: int) -> np.ndarray:
+    """Per row of `rim` (values at the 3n edge nodes), the value at every node of the face.
+
+    A node h hops from an edge is h hops from the h + 1 edge nodes of its
+    window there, and further from the rest.  A neighbour on the edge is
+    at most one rounded step further on, so the window's nodes hold the
+    edge's best, and G_h(p) = min(G_{h-1}(p), G_{h-1}(p + 1)) + step,
+    rounded, gives it: rounded addition is monotone.  A node takes the
+    minimum of the three edges' sweeps.
+    """
+    step = 1.0 / n
+    table = np.empty((len(rim), 3, mesh.sweep.shape[1]))
+    table[:, :, : n + 1] = rim[:, mesh.edges]
+    start = 0
+    for width in range(n + 1, 1, -1):
+        row = table[:, :, start : start + width]
+        below = table[:, :, start + width : start + 2 * width - 1]
+        np.minimum(row[:, :, :-1], row[:, :, 1:], out=below)
+        below += step
+        start += width
+    return table.reshape(len(rim), -1)[:, mesh.sweep].min(axis=1)
+
+
+def _mesh_rows(
+    mesh: MeshGraph, n: int, homes: tuple[int, int], pa3: np.ndarray, pb3: np.ndarray
+) -> np.ndarray:
+    """Lattice path values of rows that share a face pair, without the direct chord."""
+    home_a, home_b = homes
+    rim_size = 3 * n
+    step = 1.0 / n
+    dist = np.linalg.norm(mesh.face_points[home_a] - pa3[:, None, :], axis=2)
+    while True:
+        relaxed = np.minimum(dist, dist[:, mesh.neighbors].min(axis=2) + step)
+        if not (relaxed < dist).any():
+            break
+        dist = relaxed
+    legs = mesh.closure[mesh.skeleton[home_a]][:, mesh.skeleton[home_b]]
+    width = int(legs.max()) + 1
+    rows = np.arange(rim_size)[:, None] * width
+    rim = _replay(dist[:, :rim_size], legs + rows, width, step)
+    dist_t = _sweep(rim, mesh, n)
+    if home_a == home_b:
+        dist_t = np.minimum(dist_t, dist)
+    dst_w = np.linalg.norm(mesh.face_points[home_b] - pb3[:, None, :], axis=2)
+    return (dist_t + dst_w).min(axis=1)
+
+
+def mesh_upper_bounds(
+    pairs: Sequence[tuple[SurfacePoint, SurfacePoint]], subdivisions: int
+) -> list[float]:
+    """`mesh_upper_bound` of each pair, in order.
+
+    Pairs with the same two home faces go through the lattice together,
+    up to `_MESH_ROWS` at a time; a row's value does not depend on the
+    rows it goes with.
+    """
+    if subdivisions < 1:
+        raise ValueError("subdivisions must be at least 1")
+    mesh = _mesh_graph(subdivisions)
+    ends, groups = [], {}
+    for i, (a, b) in enumerate(pairs):
+        ra, rb = a.canonical, b.canonical
+        ends.append((embed_3d(ra), embed_3d(rb)))
+        groups.setdefault((ra.home, rb.home), []).append(i)
+    bounds = [math.inf] * len(ends)
+    for homes, rows in groups.items():
+        for lo in range(0, len(rows), _MESH_ROWS):
+            block = rows[lo : lo + _MESH_ROWS]
+            pa3 = np.array([ends[i][0] for i in block])
+            pb3 = np.array([ends[i][1] for i in block])
+            for i, value in zip(block, _mesh_rows(mesh, subdivisions, homes, pa3, pb3).tolist()):
+                if homes[0] == homes[1]:
+                    value = min(float(np.linalg.norm(ends[i][0] - ends[i][1])), value)
+                bounds[i] = value
+    return bounds
 
 
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
@@ -465,31 +581,9 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     after each add.  Rounded addition is monotone, so only the fewest
     hops from each source node count.  The search is replayed in three
     legs: within the source face, across the skeleton, and into the
-    target face.
+    target face, one sweep per edge.
     """
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be at least 1")
-    ra, rb = a.canonical, b.canonical
-    pa3, pb3 = embed_3d(ra), embed_3d(rb)
-    direct = float(np.linalg.norm(pa3 - pb3)) if ra.home == rb.home else math.inf
-
-    mesh = _mesh_graph(subdivisions)
-    step = 1.0 / subdivisions
-    dist = np.linalg.norm(mesh.face_points[ra.home] - pa3, axis=1)
-    while True:
-        relaxed = np.minimum(dist, dist[mesh.neighbors].min(axis=1) + step)
-        if not (relaxed < dist).any():
-            break
-        dist = relaxed
-    legs = mesh.closure[mesh.skeleton[ra.home]][:, mesh.skeleton[rb.home]]
-    width = int(legs.max()) + 1
-    rows = np.arange(len(legs))[:, None] * width
-    rim = _replay(dist[: 3 * subdivisions], legs + rows, width, step)
-    dist_t = _replay(rim, mesh.inward, subdivisions + 1, step)
-    if ra.home == rb.home:
-        dist_t = np.minimum(dist_t, dist)
-    dst_w = np.linalg.norm(mesh.face_points[rb.home] - pb3, axis=1)
-    return float(min(direct, np.min(dist_t + dst_w)))
+    return mesh_upper_bounds([(a, b)], subdivisions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,29 +631,42 @@ class CompareReport:
         }
 
 
+def compare_pairs(
+    pairs: Sequence[tuple[SurfacePoint, SurfacePoint]],
+    tolerance: float = 1e-9,
+    subdivisions: int = 0,
+) -> list[CompareReport]:
+    """Check each pair, in order: formula vs unfolding, chord and mesh brackets.
+
+    subdivisions = 0 skips the mesh bound (it is by far the slowest
+    reference and one-sided anyway); otherwise `mesh_upper_bounds` takes
+    all the pairs at once.
+    """
+    meshes = mesh_upper_bounds(pairs, subdivisions) if subdivisions else [None] * len(pairs)
+    reports = []
+    for (a, b), mesh in zip(pairs, meshes):
+        result = surface_distance(a, b)
+        oracle_value = unfold_geodesic(a, b)
+        chord = float(np.linalg.norm(embed_3d(a.canonical) - embed_3d(b.canonical)))
+        reports.append(CompareReport(
+            distance=result.distance,
+            oracle=oracle_value,
+            chord=chord,
+            mesh=mesh,
+            argmin=result.argmin,
+            fallback=result.fallback,
+            distance_ok=abs(result.distance - oracle_value) <= tolerance,
+            chord_ok=chord <= result.distance + 1e-12,
+            mesh_ok=None if mesh is None else result.distance <= mesh + 1e-12,
+        ))
+    return reports
+
+
 def compare(
     a: SurfacePoint,
     b: SurfacePoint,
     tolerance: float = 1e-9,
     subdivisions: int = 0,
 ) -> CompareReport:
-    """Check one pair: formula vs unfolding, chord and mesh brackets.
-
-    subdivisions = 0 skips the mesh bound (it is by far the slowest
-    reference and one-sided anyway).
-    """
-    result = surface_distance(a, b)
-    oracle_value = unfold_geodesic(a, b)
-    chord = float(np.linalg.norm(embed_3d(a.canonical) - embed_3d(b.canonical)))
-    mesh = mesh_upper_bound(a, b, subdivisions) if subdivisions else None
-    return CompareReport(
-        distance=result.distance,
-        oracle=oracle_value,
-        chord=chord,
-        mesh=mesh,
-        argmin=result.argmin,
-        fallback=result.fallback,
-        distance_ok=abs(result.distance - oracle_value) <= tolerance,
-        chord_ok=chord <= result.distance + 1e-12,
-        mesh_ok=None if mesh is None else result.distance <= mesh + 1e-12,
-    )
+    """Check one pair: `compare_pairs` of that pair alone."""
+    return compare_pairs([(a, b)], tolerance, subdivisions)[0]

@@ -348,6 +348,18 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["129", "2000"])
+def test_validate_caps_subdivisions_at_128(capsys, value):
+    # the lattice cache builds in O(n^3) steps: above 128 is a usage error, before any work
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["validate", "--count", "1", "--subdivisions", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--subdivisions" in captured.err and "128" in captured.err
+    assert cli.build_parser().parse_args(["validate", "--subdivisions", "128"]).subdivisions == 128
+
+
 def test_validate_has_no_max_faces_flag(capsys):
     # the unfolding search always spans every simple dual path
     with pytest.raises(SystemExit) as exit_info:

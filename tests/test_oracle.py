@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -104,9 +105,16 @@ def test_vertex_charts_all_embed_to_one_point():
         assert np.allclose(positions[0], oracle.VERTEX_COORDS[v], atol=1e-15)
 
 
+def _every_pair_chain():
+    for start in topo.FACE_INDICES:
+        for goal in topo.FACE_INDICES:
+            if goal != start:
+                yield from oracle._pair_chains(start, goal).chains
+
+
 def test_flatten_chain_triangles_are_unit():
-    for path in topo.enumerate_dual_paths(1, 8, 8):
-        chain = oracle.flatten_chain(path)
+    for chain in _every_pair_chain():
+        assert len(chain.triangles) == len(chain.faces)
         for tri in chain.triangles:
             pts = list(tri.values())
             for p, q in itertools.combinations(pts, 2):
@@ -114,13 +122,38 @@ def test_flatten_chain_triangles_are_unit():
 
 
 def test_flatten_chain_hinges_are_shared():
-    # the hinge edge must occupy the same segment in both adjacent triangles
-    for path in topo.enumerate_dual_paths(2, 7, 6):
-        chain = oracle.flatten_chain(path)
+    # each hinge is the shared corners of the face before it, bit for bit,
+    # and occupies the same segment in the face after it
+    for chain in _every_pair_chain():
+        assert len(chain.hinges) == len(chain.faces) - 1
         for i, (edge, ps, pt) in enumerate(chain.hinges):
-            for tri in (chain.triangles[i], chain.triangles[i + 1]):
-                assert math.dist(tri[edge[0]], ps) < 1e-12
-                assert math.dist(tri[edge[1]], pt) < 1e-12
+            before, after = chain.triangles[i], chain.triangles[i + 1]
+            assert _bits(before[edge[0]] + before[edge[1]]) == _bits(ps + pt)
+            assert math.dist(after[edge[0]], ps) < 1e-12
+            assert math.dist(after[edge[1]], pt) < 1e-12
+
+
+def test_flatten_chain_builds_the_plane_geometry_when_read():
+    path = next(p for p in topo.enumerate_dual_paths(1, 8) if len(p) == 4)
+    oracle.flatten_chain.cache_clear()
+    chain = oracle.flatten_chain(path)
+    lazy = ("triangles", "corners", "hinges")
+    links = []
+    link = chain
+    while link is not None:
+        links.append(link)
+        assert not set(lazy) & set(vars(link))
+        link = link.parent
+    assert [c.faces for c in links] == [path[:k] for k in (4, 3, 2, 1)]
+    assert links[1] is oracle.flatten_chain(path[:3])
+    assert chain.corners == tuple(tuple(tri.values()) for tri in chain.triangles)
+    assert len(chain.hinges) == 3
+    # each link's geometry is built once, and its parent's is reused
+    for link in links:
+        assert {"triangles", "hinges"} <= set(vars(link))
+    for child, parent in zip(links, links[1:]):
+        assert child.triangles[:-1] == parent.triangles
+        assert all(a is b for a, b in zip(child.triangles, parent.triangles))
 
 
 def _bits(values) -> bytes:
@@ -333,6 +366,71 @@ def test_sampled_containment_rejects_a_chord_leaving_the_chain():
     assert not oracle._sampled_containment(chain, first, (first[0] + 3.0, first[1]))
 
 
+def _sampled_containment_scan(chain, a, b):
+    """The sampled containment check as an exhaustive scan of every triangle."""
+    tris = [tuple(tri.values()) for tri in chain.triangles]
+    for i in range(1, 17):
+        t = i / 17.0
+        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        if not any(oracle._point_in_triangle(p, tri, 1e-7) for tri in tris):
+            return False
+    return True
+
+
+def test_sampled_containment_walk_equals_exhaustive_scan():
+    rng = random.Random(31337)
+    chains = list(_every_pair_chain())
+    verdicts = []
+
+    def in_triangle(tri):
+        u, v = rng.random(), rng.random()
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        (ax, ay), (bx, by), (cx, cy) = tri.values()
+        return ax + u * (bx - ax) + v * (cx - ax), ay + u * (by - ay) + v * (cy - ay)
+
+    for chain in rng.sample(chains, 300):
+        tris = chain.triangles
+        xs, ys = zip(*(p for tri in tris for p in tri.values()))
+        chords = [
+            # from the first face to the last, to a middle one and back
+            (in_triangle(tris[0]), in_triangle(tris[-1])),
+            (in_triangle(tris[-1]), in_triangle(tris[0])),
+            (in_triangle(tris[len(tris) // 2]), in_triangle(tris[0])),
+            # anywhere near the chain: most of these leave it
+            tuple(
+                (rng.uniform(min(xs) - 0.5, max(xs) + 0.5), rng.uniform(min(ys) - 0.5, max(ys) + 0.5))
+                for _ in range(2)
+            ),
+        ]
+        for a, b in chords:
+            want = _sampled_containment_scan(chain, a, b)
+            assert oracle._sampled_containment(chain, a, b) == want, (chain.faces, a, b)
+            verdicts.append(want)
+    assert 200 < sum(verdicts) < len(verdicts) - 200
+
+
+def test_sampled_containment_walks_a_contained_chord_in_one_pass(monkeypatch):
+    # a chord contained in path order meets the triangles in that order, so
+    # the walk tries each triangle at most once beyond one hit per sample
+    tried = []
+    inside = oracle._point_in_triangle
+
+    def counted(p, tri, tol):
+        tried.append(tri)
+        return inside(p, tri, tol)
+
+    monkeypatch.setattr(oracle, "_point_in_triangle", counted)
+    longest = 0
+    for a, b in _distinct_face_pairs()[::3]:
+        _length, (chain, pa, pb) = _best_chord_loop(a, b)
+        tried.clear()
+        assert oracle._sampled_containment(chain, pa, pb)
+        assert len(tried) <= 16 + len(chain.faces) - 1, chain.faces
+        longest = max(longest, len(chain.faces))
+    assert longest >= 4
+
+
 def test_best_chord_rejects_a_shared_home_face():
     a = canonicalize(Representation(1, 2, 0.3, 0.1))
     b = canonicalize(Representation(1, 4, 0.2, 0.2))
@@ -442,9 +540,24 @@ def test_mesh_graph_hop_tables_match_scipy_hop_counts(n):
         in_face = lattice[nodes][:, nodes]
         for v, row in enumerate(mesh.neighbors):
             assert set(row.tolist()) - {v} == set(in_face[v].indices.tolist())
-        rim = np.arange(3 * n)
-        hops = shortest_path(in_face, unweighted=True, indices=rim)
-        assert np.array_equal(mesh.inward - rim[:, None] * (n + 1), hops)
+        hops = shortest_path(in_face, unweighted=True, indices=np.arange(3 * n))
+        # each edge's sweep: row h is every node h hops from the edge, and
+        # node p of row h is next to nodes p and p + 1 of row h - 1
+        for e, (edge, places) in enumerate(zip(mesh.edges, mesh.sweep)):
+            assert np.array_equal(np.sort(places), e * len(points) + np.arange(len(points)))
+            order = np.argsort(places)
+            assert np.array_equal(order[: n + 1], edge)
+            start, above = 0, None
+            for h in range(n + 1):
+                row = order[start : start + n + 1 - h]
+                assert (hops[edge][:, row].min(axis=0) == h).all()
+                for p, v in enumerate(row.tolist()):
+                    near = set(in_face[v].indices.tolist())
+                    if above is not None:
+                        assert {above[p], above[p + 1]} <= near
+                    if h == 0 and p < n:
+                        assert row[p + 1] in near
+                start, above = start + len(row), row.tolist()
         assert len(mesh.skeleton[face]) == 3 * n
         for index, node in zip(mesh.skeleton[face].tolist(), nodes):
             assert skeleton.setdefault(index, node) == node
@@ -478,6 +591,53 @@ def _mesh_with_graph_per_call(a, b, n):
     )
     dist = dijkstra(graph, directed=True, indices=n_nodes)
     return float(min(direct, np.min(dist[dst_ids] + dst_w)))
+
+
+def _target_face_sweep_cases(n, seed):
+    """Dijkstra's values on the reference lattice from seeded sources, per other face.
+
+    Yields (rim, values): the search's values at a face's 3n edge nodes and
+    at all its nodes, in the face's local order, for faces other than the
+    source's home (a path into such a face enters it through its edges).
+    """
+    coords, face_ids, lattice = _reference_lattice(n)
+    mesh = oracle._mesh_graph(n)
+    node_of = {tuple((point + 0.0).tolist()): v for v, point in enumerate(coords)}
+    segments = lattice.tocoo()
+    sources = sample_uniform(seed, 3)
+    sources += [canonicalize(vertex_representations(topo.VERTICES[0])[0])]
+    sources += [canonicalize(Representation(2, 3, 0.375, 0.0))]
+    for p in sources:
+        home = p.canonical.home
+        ids = np.array(face_ids[home])
+        weights = np.linalg.norm(coords[ids] - oracle.embed_3d(p.canonical), axis=1)
+        graph = csr_matrix(
+            (
+                np.concatenate([segments.data, weights]),
+                (
+                    np.concatenate([segments.row, np.full(len(ids), len(coords))]),
+                    np.concatenate([segments.col, ids]),
+                ),
+            ),
+            shape=(len(coords) + 1,) * 2,
+        )
+        dist = dijkstra(graph, directed=True, indices=len(coords))
+        for face, points in mesh.face_points.items():
+            if face != home:
+                nodes = [node_of[tuple((point + 0.0).tolist())] for point in points]
+                yield dist[nodes[: 3 * n]], dist[nodes]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_target_face_sweep_equals_graph_search(n):
+    # the final bound rarely takes an inner node of the target face, so the
+    # sweep is held to the search's value at every node of the face
+    mesh = oracle._mesh_graph(n)
+    rims, want = zip(*_target_face_sweep_cases(n, 600 + n))
+    got = oracle._sweep(np.array(rims), mesh, n)
+    assert got.tobytes() == np.array(want).tobytes()
+    for rim, values in zip(rims[:5], want):
+        assert oracle._sweep(rim[None, :], mesh, n)[0].tobytes() == values.tobytes()
 
 
 # at n = 16, the mesh bound of the first pair (an edge point and a lattice
@@ -525,6 +685,51 @@ def test_mesh_upper_bound_equals_graph_built_per_call():
         for a, b in pairs[:4] + pairs[-6:]:
             got = oracle.mesh_upper_bound(a, b, n)
             assert got.hex() == _mesh_with_graph_per_call(a, b, n).hex(), (a, b, n)
+
+
+def _every_face_pair_mesh_rows(seed):
+    """Every ordered face pair, plus coincident, same-face, vertex and edge pairs."""
+    rng = random.Random(seed)
+
+    def point(face):
+        shared = rng.choice(topo.neighbors(face))
+        return canonicalize(interior_rep(face, shared, rng.random(), rng.random()))
+
+    pairs = [(point(f), point(g)) for f in topo.FACE_INDICES for g in topo.FACE_INDICES]
+    pairs += [(a, a) for a, _ in pairs[::9]]
+    vertices = [canonicalize(vertex_representations(v)[0]) for v in topo.VERTICES]
+    pairs += list(itertools.product(vertices, repeat=2))
+    pairs += [(v, point(f)) for v, f in zip(vertices, topo.FACE_INDICES)]
+    edges = [canonicalize(Representation(f, g, 0.375, 0.0)) for f in (1, 8) for g in topo.neighbors(f)]
+    pairs += list(zip(edges, edges[1:] + vertices[:1]))
+    pairs += PINNED_MESH_PAIRS
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_mesh_upper_bounds_do_not_depend_on_the_batch(n, monkeypatch):
+    pairs = _every_face_pair_mesh_rows(n)
+    if n >= 32:
+        pairs = pairs[::7] + pairs[64:70] + pairs[-4:]
+    single = [oracle.mesh_upper_bound(a, b, n).hex() for a, b in pairs]
+    assert [v.hex() for v in oracle.mesh_upper_bounds(pairs, n)] == single
+    if n == 3:  # the only odd n: held to the graph search as well
+        assert single == [_mesh_with_graph_per_call(a, b, n).hex() for a, b in pairs]
+    rng = random.Random(n)
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    shuffled = oracle.mesh_upper_bounds([pairs[i] for i in order], n)
+    assert [single[i] for i in order] == [v.hex() for v in shuffled]
+    # split into blocks of a few rows, and into separate calls
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(oracle, "_MESH_ROWS", rows)
+        assert [v.hex() for v in oracle.mesh_upper_bounds(pairs, n)] == single
+    cuts = sorted(rng.sample(range(1, len(pairs)), 4))
+    split = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(pairs)]):
+        split += oracle.mesh_upper_bounds(pairs[lo:hi], n)
+    assert [v.hex() for v in split] == single
+    assert oracle.mesh_upper_bounds([], n) == []
 
 
 def test_mesh_witness_row_one_tight_at_64():
@@ -586,17 +791,29 @@ def test_compare_calls_the_public_oracle_functions(monkeypatch):
         calls.append("unfold")
         return 0.125
 
-    def mesh(a, b, subdivisions):
-        calls.append(("mesh", subdivisions))
-        return 2.5
+    def meshes(pairs, subdivisions):
+        calls.append(("mesh", len(pairs), subdivisions))
+        return [2.5] * len(pairs)
 
     monkeypatch.setattr(oracle, "unfold_geodesic", unfold)
-    monkeypatch.setattr(oracle, "mesh_upper_bound", mesh)
+    monkeypatch.setattr(oracle, "mesh_upper_bounds", meshes)
     a = canonicalize(Representation(1, 2, 0.2, 0.1))
     b = canonicalize(Representation(7, 4, 0.3, 0.2))
     report = oracle.compare(a, b, subdivisions=4)
     assert (report.oracle, report.mesh) == (0.125, 2.5)
-    assert calls == ["unfold", ("mesh", 4)]
+    assert calls == [("mesh", 1, 4), "unfold"]
+    calls.clear()
+    reports = oracle.compare_pairs([(a, b), (b, a), (a, a)], subdivisions=8)
+    assert [r.mesh for r in reports] == [2.5] * 3
+    assert calls == [("mesh", 3, 8), "unfold", "unfold", "unfold"]
+
+
+def test_compare_pairs_equals_compare_per_pair():
+    points = sample_uniform(8080, 60)
+    pairs = list(zip(points[0::2], points[1::2])) + [(points[0], points[0])]
+    for n in (0, 4):
+        reports = oracle.compare_pairs(pairs, subdivisions=n)
+        assert reports == [oracle.compare(a, b, subdivisions=n) for a, b in pairs]
 
 
 def test_dominance_of_short_landscapes_sample():
