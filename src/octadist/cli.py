@@ -82,15 +82,19 @@ def _cmd_validate(args) -> int:
     points = sample_uniform(args.seed, 2 * args.count)
     pairs = [(canonicalize(r1), canonicalize(r2)) for r1, r2 in VALIDITY_WITNESSES.values()]
     pairs += list(zip(points[0::2], points[1::2]))
-    failures = 0
-    for report in compare_pairs(pairs, tolerance=args.tolerance, subdivisions=args.subdivisions):
-        if not report.passed:
-            failures += 1
-            sys.stdout.write(dumps(report.to_dict()) + "\n")
+    reports = compare_pairs(pairs, tolerance=args.tolerance, subdivisions=args.subdivisions)
+    failures = [report for report in reports if not report.passed]
     total = len(pairs)
-    print(f"checked {total} pairs ({len(VALIDITY_WITNESSES)} witness rows + {args.count} random): "
-          f"{total - failures} passed, {failures} failed")
-    return 0 if failures == 0 else 1
+    try:
+        for report in failures:
+            sys.stdout.write(dumps(report.to_dict()) + "\n")
+        print(f"checked {total} pairs ({len(VALIDITY_WITNESSES)} witness rows + {args.count} random): "
+              f"{total - len(failures)} passed, {len(failures)} failed")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
+    return 0 if not failures else 1
 
 
 def _cmd_render(args) -> int:

@@ -403,53 +403,30 @@ class MeshGraph:
     """The lattice of one subdivision count n, as hop counts.
 
     Every face holds the same local lattice: node (i, j, k), i + j + k = n,
-    sits at (i A + j B + k C) / n over the face's corners A, B, C, and the
-    3n nodes on the face's edges come first.  `face_points[face]` holds
-    the local nodes' positions on that face.  `neighbors` lists each local
-    node's in-face neighbours, padded with the node itself.  Each edge e
-    of the face (the nodes whose e-th count is zero) has a sweep: row h
-    holds the nodes h hops from the edge in order along it, so that node p
-    of row h is next to nodes p and p + 1 of row h - 1.  `edges[e]` lists
-    row 0, and `sweep[e, v]` is node v's place in a table that stacks the
-    three sweeps row by row, (n + 1)(n + 2)/2 places each.  The edge nodes
-    of all faces form the skeleton: `skeleton[face][r]` is the skeleton
-    index of edge node r, and `closure` holds the lattice hop count
-    between two skeleton nodes.  Every array is read-only.
+    sits at (i A + j B + k C) / n over the face's corners A, B, C.  Only
+    the 3n nodes on the face's edges (a count of zero) are kept:
+    `face_points[face]` holds their positions on that face.  The edge
+    nodes of all faces form the skeleton: `skeleton[face][r]` is the
+    skeleton index of edge node r, and `closure` holds the lattice hop
+    count between two skeleton nodes, through inner nodes too.  Every
+    array is read-only.
     """
 
     face_points: dict[int, np.ndarray]
-    neighbors: np.ndarray
-    edges: np.ndarray
-    sweep: np.ndarray
     skeleton: dict[int, np.ndarray]
     closure: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _mesh_graph(subdivisions: int) -> MeshGraph:
-    """Shared lattice: nodes on every face, unit edges split n-fold."""
+    """Shared lattice, unit edges split n-fold: each face's edge nodes and the skeleton's hop counts."""
     n = subdivisions
-    # the 3n nodes with a zero count lie on the face's edges
-    local = sorted(
-        ((i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)),
-        key=lambda counts: 0 not in counts,
-    )
-    index = {(i, j): v for v, (i, j, _) in enumerate(local)}
-    neighbors = np.array([
-        [index.get((i + di, j + dj), v) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
-        for v, (i, j, _) in enumerate(local)
-    ])
-    # in edge e's sweep, a node sits in the row of its e-th count, at the
-    # place of its next count; rows 0 .. h - 1 take h (n + 1) - h (h - 1) / 2 places
-    def sweep_place(e, counts):
-        h = counts[e]
-        return e * len(local) + h * (n + 1) - h * (h - 1) // 2 + counts[(e + 1) % 3]
-
-    sweep = np.array([[sweep_place(e, counts) for counts in local] for e in range(3)])
-    edges = np.argsort(sweep, axis=1)[:, : n + 1]
-    ijk = np.array(local)
-    rim = 3 * n
-    hops = np.abs(ijk[:rim, None, :] - ijk[None, :rim, :]).max(axis=2)
+    rim = [
+        (i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i) if 0 in (i, j, n - i - j)
+    ]
+    ijk = np.array(rim)
+    # in-face hops between two nodes: the largest change of one count
+    hops = np.abs(ijk[:, None, :] - ijk[None, :, :]).max(axis=2)
 
     # a skeleton node is named by its corners and their non-zero counts, so
     # both faces of an edge give each of its nodes the same name
@@ -460,7 +437,7 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
         face_points[face] = (ijk[:, :1] * pa + ijk[:, 1:2] * pb + ijk[:, 2:] * pc) / n
         skeleton[face] = np.array([
             names.setdefault(frozenset((v, c) for v, c in zip(corners, counts) if c), len(names))
-            for counts in local[:rim]
+            for counts in rim
         ])
 
     # every lattice path between skeleton nodes is a chain of in-face legs;
@@ -473,9 +450,9 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
     for k in range(len(names)):
         np.minimum(closure, closure[:, k, None] + closure[k], out=closure)
 
-    for array in (neighbors, edges, sweep, closure, *face_points.values(), *skeleton.values()):
+    for array in (closure, *face_points.values(), *skeleton.values()):
         array.setflags(write=False)
-    return MeshGraph(face_points, neighbors, edges, sweep, skeleton, closure)
+    return MeshGraph(face_points, skeleton, closure)
 
 
 def _replay(start: np.ndarray, index: np.ndarray, width: int, step: float) -> np.ndarray:
@@ -491,51 +468,18 @@ def _replay(start: np.ndarray, index: np.ndarray, width: int, step: float) -> np
     return table.reshape(len(start), -1)[:, index].min(axis=1)
 
 
-def _sweep(rim: np.ndarray, mesh: MeshGraph, n: int) -> np.ndarray:
-    """Per row of `rim` (values at the 3n edge nodes), the value at every node of the face.
-
-    A node h hops from an edge is h hops from the h + 1 edge nodes of its
-    window there, and further from the rest.  A neighbour on the edge is
-    at most one rounded step further on, so the window's nodes hold the
-    edge's best, and G_h(p) = min(G_{h-1}(p), G_{h-1}(p + 1)) + step,
-    rounded, gives it: rounded addition is monotone.  A node takes the
-    minimum of the three edges' sweeps.
-    """
-    step = 1.0 / n
-    table = np.empty((len(rim), 3, mesh.sweep.shape[1]))
-    table[:, :, : n + 1] = rim[:, mesh.edges]
-    start = 0
-    for width in range(n + 1, 1, -1):
-        row = table[:, :, start : start + width]
-        below = table[:, :, start + width : start + 2 * width - 1]
-        np.minimum(row[:, :, :-1], row[:, :, 1:], out=below)
-        below += step
-        start += width
-    return table.reshape(len(rim), -1)[:, mesh.sweep].min(axis=1)
-
-
 def _mesh_rows(
     mesh: MeshGraph, n: int, homes: tuple[int, int], pa3: np.ndarray, pb3: np.ndarray
 ) -> np.ndarray:
     """Lattice path values of rows that share a face pair, without the direct chord."""
     home_a, home_b = homes
-    rim_size = 3 * n
-    step = 1.0 / n
-    dist = np.linalg.norm(mesh.face_points[home_a] - pa3[:, None, :], axis=2)
-    while True:
-        relaxed = np.minimum(dist, dist[:, mesh.neighbors].min(axis=2) + step)
-        if not (relaxed < dist).any():
-            break
-        dist = relaxed
+    src_w = np.linalg.norm(mesh.face_points[home_a] - pa3[:, None, :], axis=2)
     legs = mesh.closure[mesh.skeleton[home_a]][:, mesh.skeleton[home_b]]
     width = int(legs.max()) + 1
-    rows = np.arange(rim_size)[:, None] * width
-    rim = _replay(dist[:, :rim_size], legs + rows, width, step)
-    dist_t = _sweep(rim, mesh, n)
-    if home_a == home_b:
-        dist_t = np.minimum(dist_t, dist)
+    rows = np.arange(3 * n)[:, None] * width
+    dist = _replay(src_w, legs + rows, width, 1.0 / n)
     dst_w = np.linalg.norm(mesh.face_points[home_b] - pb3[:, None, :], axis=2)
-    return (dist_t + dst_w).min(axis=1)
+    return (dist + dst_w).min(axis=1)
 
 
 def mesh_upper_bounds(
@@ -571,17 +515,20 @@ def mesh_upper_bounds(
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
     """Shortest path in the face-lattice graph; always >= the geodesic.
 
-    Every graph hop is a straight segment inside a single face, so any
-    graph path is a valid surface path.  The endpoints connect to every
-    lattice node of their home faces.
+    Each endpoint is joined straight to the 3n lattice nodes on its home
+    face's edges; a same-face pair also takes the straight chord.  Every
+    graph hop and every join is a straight segment inside a single face,
+    so any graph path is a valid surface path.  Joining an endpoint to
+    the inner nodes too would give no shorter path in exact arithmetic:
+    a path from a through an inner node u and h hops to the first edge
+    node r has length |a - u| + h/n >= |a - u| + |u - r| >= |a - r|.
 
-    The value is the one Dijkstra's search finds, bit for bit.  Every
-    lattice edge weighs 1/n, so the search's distance at a node is the
-    weight of some source edge with 1/n added once per hop, rounded
-    after each add.  Rounded addition is monotone, so only the fewest
-    hops from each source node count.  The search is replayed in three
-    legs: within the source face, across the skeleton, and into the
-    target face, one sweep per edge.
+    The value is the one Dijkstra's search on that graph finds, bit for
+    bit.  Every lattice edge weighs 1/n, so the search's distance at an
+    edge node of b's face is the join weight of some edge node of a's
+    face with 1/n added once per hop, rounded after each add.  Rounded
+    addition is monotone, so only the fewest hops between the two nodes
+    count, and the search is replayed from the skeleton's hop counts.
     """
     return mesh_upper_bounds([(a, b)], subdivisions)[0]
 

@@ -384,6 +384,44 @@ def test_validate_with_mesh_subdivisions():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+class RefusingStdout(io.StringIO):
+    """A stdout whose `write` raises `error`, keeping the first text it refused."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error, self.refused = error, None
+
+    def write(self, text):
+        if self.refused is None:
+            self.refused = text
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(28, "No space left on device"), BrokenPipeError(32, "Broken pipe")],
+    ids=["OSError", "BrokenPipeError"],
+)
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["distance"], "{"),
+        (["path"], "{"),
+        (["validate", "--count", "1", "--tolerance", "0"], "{"),  # a failing pair's report
+        (["validate", "--count", "1"], "checked "),  # the summary
+    ],
+    ids=["distance", "path", "validate-report", "validate-summary"],
+)
+def test_stdout_write_failure_is_an_io_error(capsys, error, argv, line):
+    stdout = RefusingStdout(error)
+    with mock.patch.object(sys, "stdin", io.StringIO(WITNESS_L1 + "\n")), \
+            mock.patch.object(sys, "stdout", stdout):
+        code = cli.main(argv)
+    assert code == 1
+    assert stdout.refused.startswith(line)
+    assert capsys.readouterr().err == f"I/O error: {error}\n"
+
+
 def test_help_runs():
     proc = run_cli(["--help"])
     assert proc.returncode == 0

@@ -477,6 +477,10 @@ def test_mesh_bounds_unfold_from_above():
     for a, b in zip(points[0::2], points[1::2]):
         mesh = oracle.mesh_upper_bound(a, b, 16)
         assert mesh >= oracle.unfold_geodesic(a, b) - 1e-12
+    pairs = list(itertools.product(boundary_points(), repeat=2))
+    for n in (4, 16):
+        for (a, b), mesh in zip(pairs, oracle.mesh_upper_bounds(pairs, n)):
+            assert mesh >= oracle.unfold_geodesic(a, b) - 1e-12, (a, b, n)
 
 
 def test_mesh_decreases_under_doubling():
@@ -532,32 +536,11 @@ def test_mesh_graph_hop_tables_match_scipy_hop_counts(n):
     skeleton = {}
     for face, points in mesh.face_points.items():
         nodes = [node_of[tuple((point + 0.0).tolist())] for point in points]
-        assert sorted(nodes) == face_ids[face]
         assert np.array_equal(points, coords[nodes])
-        # the first 3n nodes are what the face shares with the others
+        # the 3n edge nodes are exactly what the face shares with the others
         shared = {v for f, ids in face_ids.items() if f != face for v in ids}
-        assert set(nodes[: 3 * n]) == shared & set(nodes)
-        in_face = lattice[nodes][:, nodes]
-        for v, row in enumerate(mesh.neighbors):
-            assert set(row.tolist()) - {v} == set(in_face[v].indices.tolist())
-        hops = shortest_path(in_face, unweighted=True, indices=np.arange(3 * n))
-        # each edge's sweep: row h is every node h hops from the edge, and
-        # node p of row h is next to nodes p and p + 1 of row h - 1
-        for e, (edge, places) in enumerate(zip(mesh.edges, mesh.sweep)):
-            assert np.array_equal(np.sort(places), e * len(points) + np.arange(len(points)))
-            order = np.argsort(places)
-            assert np.array_equal(order[: n + 1], edge)
-            start, above = 0, None
-            for h in range(n + 1):
-                row = order[start : start + n + 1 - h]
-                assert (hops[edge][:, row].min(axis=0) == h).all()
-                for p, v in enumerate(row.tolist()):
-                    near = set(in_face[v].indices.tolist())
-                    if above is not None:
-                        assert {above[p], above[p + 1]} <= near
-                    if h == 0 and p < n:
-                        assert row[p + 1] in near
-                start, above = start + len(row), row.tolist()
+        assert len(set(nodes)) == 3 * n
+        assert set(nodes) == shared & set(face_ids[face])
         assert len(mesh.skeleton[face]) == 3 * n
         for index, node in zip(mesh.skeleton[face].tolist(), nodes):
             assert skeleton.setdefault(index, node) == node
@@ -567,15 +550,27 @@ def test_mesh_graph_hop_tables_match_scipy_hop_counts(n):
     assert np.array_equal(mesh.closure, hops)
 
 
-def _mesh_with_graph_per_call(a, b, n):
-    """The mesh bound as scipy's Dijkstra finds it on the reference lattice."""
+def _mesh_with_graph_per_call(a, b, n, full_lattice=False):
+    """The mesh bound as scipy's Dijkstra finds it on the reference lattice.
+
+    Each endpoint is joined to the nodes its home face shares with
+    another face (its edge nodes), or with `full_lattice` to every node
+    of its home face.
+    """
     coords, face_ids, lattice = _reference_lattice(n)
     n_nodes = len(coords)
     ra, rb = a.canonical, b.canonical
     pa, pb = oracle.embed_3d(ra), oracle.embed_3d(rb)
     direct = float(np.linalg.norm(pa - pb)) if ra.home == rb.home else math.inf
-    src_ids = np.array(face_ids[ra.home])
-    dst_ids = np.array(face_ids[rb.home])
+
+    def joined(home):
+        ids = face_ids[home]
+        if not full_lattice:
+            shared = set().union(*(face_ids[f] for f in face_ids if f != home))
+            ids = [v for v in ids if v in shared]
+        return np.array(ids)
+
+    src_ids, dst_ids = joined(ra.home), joined(rb.home)
     src_w = np.linalg.norm(coords[src_ids] - pa, axis=1)
     dst_w = np.linalg.norm(coords[dst_ids] - pb, axis=1)
     segments = lattice.tocoo()
@@ -593,57 +588,10 @@ def _mesh_with_graph_per_call(a, b, n):
     return float(min(direct, np.min(dist[dst_ids] + dst_w)))
 
 
-def _target_face_sweep_cases(n, seed):
-    """Dijkstra's values on the reference lattice from seeded sources, per other face.
-
-    Yields (rim, values): the search's values at a face's 3n edge nodes and
-    at all its nodes, in the face's local order, for faces other than the
-    source's home (a path into such a face enters it through its edges).
-    """
-    coords, face_ids, lattice = _reference_lattice(n)
-    mesh = oracle._mesh_graph(n)
-    node_of = {tuple((point + 0.0).tolist()): v for v, point in enumerate(coords)}
-    segments = lattice.tocoo()
-    sources = sample_uniform(seed, 3)
-    sources += [canonicalize(vertex_representations(topo.VERTICES[0])[0])]
-    sources += [canonicalize(Representation(2, 3, 0.375, 0.0))]
-    for p in sources:
-        home = p.canonical.home
-        ids = np.array(face_ids[home])
-        weights = np.linalg.norm(coords[ids] - oracle.embed_3d(p.canonical), axis=1)
-        graph = csr_matrix(
-            (
-                np.concatenate([segments.data, weights]),
-                (
-                    np.concatenate([segments.row, np.full(len(ids), len(coords))]),
-                    np.concatenate([segments.col, ids]),
-                ),
-            ),
-            shape=(len(coords) + 1,) * 2,
-        )
-        dist = dijkstra(graph, directed=True, indices=len(coords))
-        for face, points in mesh.face_points.items():
-            if face != home:
-                nodes = [node_of[tuple((point + 0.0).tolist())] for point in points]
-                yield dist[nodes[: 3 * n]], dist[nodes]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-def test_target_face_sweep_equals_graph_search(n):
-    # the final bound rarely takes an inner node of the target face, so the
-    # sweep is held to the search's value at every node of the face
-    mesh = oracle._mesh_graph(n)
-    rims, want = zip(*_target_face_sweep_cases(n, 600 + n))
-    got = oracle._sweep(np.array(rims), mesh, n)
-    assert got.tobytes() == np.array(want).tobytes()
-    for rim, values in zip(rims[:5], want):
-        assert oracle._sweep(rim[None, :], mesh, n)[0].tobytes() == values.tobytes()
-
-
 # at n = 16, the mesh bound of the first pair (an edge point and a lattice
-# node) moves by an ulp without the in-face relaxation, and that of the
-# second (a vertex and an edge point) without the in-face leg of a
-# same-face pair
+# node) and that of the second (a vertex and an edge point) lie an ulp
+# above the search over the full lattice; the second's is exactly the
+# geodesic sqrt(3)/2, which the full lattice undershoots
 PINNED_MESH_PAIRS = (
     (
         canonicalize(Representation(1, 4, 0.375, 0.0)),
@@ -652,17 +600,34 @@ PINNED_MESH_PAIRS = (
     (canonicalize(Representation(1, 6, 0.0, 0.0)), canonicalize(Representation(1, 4, 0.5, 0.0))),
 )
 
+# pairs of inner lattice nodes whose full-lattice search value is decided
+# at an inner node of the target face, each with its subdivision count
+INNER_NODE_MESH_PAIRS = (
+    (
+        canonicalize(Representation(3, 8, 0.4375, 0.10825317547305482)),
+        canonicalize(Representation(1, 4, 0.4375, 0.3247595264191645)),
+        8,
+    ),
+    (
+        canonicalize(Representation(2, 3, 0.34375, 0.27063293868263705)),
+        canonicalize(Representation(1, 4, 0.6875, 0.4330127018922193)),
+        16,
+    ),
+)
 
-def test_pinned_pair_needs_the_in_face_relaxation():
-    # some lattice node is nearer by a hop from a neighbour than by its own
-    # source edge, so the relaxation changes a value
-    n = 16
-    coords, face_ids, lattice = _reference_lattice(n)
-    p = PINNED_MESH_PAIRS[0][0]
-    nodes = np.array(face_ids[p.canonical.home])
-    weights = np.linalg.norm(coords[nodes] - oracle.embed_3d(p.canonical), axis=1)
-    in_face = lattice[nodes][:, nodes].tocoo()
-    assert np.any(weights[in_face.row] + 1.0 / n < weights[in_face.col])
+
+def test_mesh_bound_is_bracketed_by_the_full_lattice_search():
+    # joining the endpoints to their faces' inner nodes as well gives no
+    # shorter path in exact arithmetic, so only rounding separates the two
+    cases = [(a, b, n) for a, b in PINNED_MESH_PAIRS for n in (4, 8, 16)]
+    cases += INNER_NODE_MESH_PAIRS
+    above = 0
+    for a, b, n in cases:
+        got = oracle.mesh_upper_bound(a, b, n)
+        full = _mesh_with_graph_per_call(a, b, n, full_lattice=True)
+        assert full <= got <= full + 8 * math.ulp(full), (a, b, n)
+        above += got > full
+    assert above == 4  # both pinned pairs at n = 16, and both inner-node pairs
 
 
 def test_mesh_upper_bound_equals_graph_built_per_call():
