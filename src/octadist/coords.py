@@ -147,9 +147,8 @@ def vertex_representations(v: topo.VertexLabel) -> list[Representation]:
     reps = []
     home = min(v)
     for _ in range(4):
-        shared = next(
-            s for s in topo.neighbors(home) if topo.chart_corners(home, s)[0] == v
-        )
+        # the chart (home, shared) has S = corner i when shared is neighbor i
+        shared = topo.neighbors(home)[topo.face_vertices(home).index(v)]
         reps.append(Representation(home, shared, 0.0, 0.0))
         home = shared
     assert home == min(v)

@@ -11,6 +11,10 @@ the bare formula (trail_length) and once via an explicit planar layout
 with chord/edge intersections (trail_crossings).  The two codings are
 held to agree to 1e-12 by the test suite.
 
+chain_layout places each face by the counter-clockwise rule: the layout
+keeps every face's ccw corner order, so each face lies right of the ccw
+hinge edge of the face before it, and no side is searched for.
+
 surface_distance takes the minimum of the formulas and lays out only the
 minimizing landscapes; every applicable landscape is laid out only when
 a minimizer's chord is not contained.  Each landscape's layout through a
@@ -300,30 +304,16 @@ def trail_length(index: int, p1: Representation, p2: Representation, frame: topo
     return _FORMULAS[index](p1.x, p1.y, p2.x, p2.y)
 
 
-def _rot60(vx: float, vy: float, ccw: bool) -> tuple[float, float]:
-    if ccw:
-        return 0.5 * vx - HALF_SQRT3 * vy, HALF_SQRT3 * vx + 0.5 * vy
-    return 0.5 * vx + HALF_SQRT3 * vy, -HALF_SQRT3 * vx + 0.5 * vy
-
-
 def _extend_layout(positions, known: int, new: int) -> None:
-    shared = set(topo.face_vertices(known)) & set(topo.face_vertices(new))
-    a, b = tuple(shared)
-    (third_new,) = set(topo.face_vertices(new)) - shared
-    (third_known,) = set(topo.face_vertices(known)) - shared
-    pa = positions[known][a]
-    pb = positions[known][b]
-    pk = positions[known][third_known]
-    ex, ey = pb[0] - pa[0], pb[1] - pa[1]
-    side_known = ex * (pk[1] - pa[1]) - ey * (pk[0] - pa[0])
-    for ccw in (True, False):
-        rx, ry = _rot60(ex, ey, ccw)
-        cand = (pa[0] + rx, pa[1] + ry)
-        side = ex * (cand[1] - pa[1]) - ey * (cand[0] - pa[0])
-        if side * side_known < 0.0:
-            positions[new] = {a: pa, b: pb, third_new: cand}
-            return
-    raise AssertionError("no opposite-side placement found")
+    # the ccw rule (see chain_layout): new's third corner is t - s turned
+    # 60 degrees clockwise about s
+    s, t = topo.shared_edge(known, new)
+    (third,) = set(topo.face_vertices(new)) - {s, t}
+    ps, pt = positions[known][s], positions[known][t]
+    (sx, sy), (tx, ty) = ps, pt
+    ex, ey = tx - sx, ty - sy
+    apex = (sx + (0.5 * ex + HALF_SQRT3 * ey), sy + (-HALF_SQRT3 * ex + 0.5 * ey))
+    positions[new] = {s: ps, t: pt, third: apex}
 
 
 def chain_layout(
@@ -334,7 +324,11 @@ def chain_layout(
     The face faces[base_index] is laid out in its (face, ref_face) chart
     (shared edge on the unit base segment, face in the upper half-plane);
     the remaining faces unfold from it along the chain, each congruent to
-    the unit triangle and on the far side of the hinge edge.
+    the unit triangle and on the far side of the hinge edge.  No side is
+    searched for: the layout keeps the faces' counter-clockwise corner
+    order, so a face already placed lies left of its hinge edge s -> t
+    (in its own ccw order) and the next face right of it, with its third
+    corner at s + (t - s) turned 60 degrees clockwise.
     """
     base = faces[base_index]
     s, t, u = topo.chart_corners(base, ref_face)

@@ -12,7 +12,6 @@ its pairs, and `compare` on one pair.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -310,14 +309,13 @@ class PairChains:
     """Every flattened dual path between two faces, stacked for projection.
 
     `chains` are the `flatten_chain` results of `enumerate_dual_paths`
-    in its (length, face sequence) order and `sizes` their face counts.
+    in its (length, face sequence) order.
     Row i of `origin` (k x 3), `axes` (k x 3 x 2, columns ex and ey),
     `tail_matrix` (k x 3 x 3) and `tail_offset` (k x 3) is chain i's;
     the arrays are read-only.
     """
 
     chains: tuple[UnfoldChain, ...]
-    sizes: tuple[int, ...]
     origin: np.ndarray
     axes: np.ndarray
     tail_matrix: np.ndarray
@@ -335,58 +333,39 @@ def _pair_chains(start: int, goal: int) -> PairChains:
     )
     for array in arrays:
         array.setflags(write=False)
-    return PairChains(chains, tuple(len(c.faces) for c in chains), *arrays)
+    return PairChains(chains, *arrays)
 
 
-def best_chord(a: SurfacePoint, b: SurfacePoint, min_faces: int = 2, max_faces: int = 8) -> float:
-    """Shortest contained chord over simple dual paths of bounded length.
+def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
+    """Exhaustive unfolding geodesic; the reference the formulas are held to.
 
-    Both endpoints are projected at once into every chain of min_faces
-    to max_faces faces; chains are then tried in (chord length, path
-    index) order, so the first one that contains its chord is the
-    shortest contained one.  Returns inf when no such chain contains the
-    chord, or there is none.  With the default bounds (8 faces is the
-    whole solid) this is the geodesic distance for points on distinct
-    faces.
+    Same-face pairs reduce to the 3D chord (the face is flat).  Otherwise
+    both endpoints are projected at once into every flattened simple
+    dual path between the two faces; chains are then tried in (chord
+    length, path index) order, so the first one that contains its chord
+    is the shortest contained one.  Returns inf when no chain contains
+    its chord.
     """
     ra, rb = a.canonical, b.canonical
-    if ra.home == rb.home:
-        raise ValueError("best_chord needs distinct home faces")
-    pairs = _pair_chains(ra.home, rb.home)
-    lo = bisect_left(pairs.sizes, min_faces)
-    hi = bisect_right(pairs.sizes, max_faces)
-    if lo >= hi:
-        return math.inf
     pa3, pb3 = embed_3d(ra), embed_3d(rb)
-    origin, axes = pairs.origin[lo:hi], pairs.axes[lo:hi]
-    pb3_tail = pairs.tail_matrix[lo:hi] @ pb3 + pairs.tail_offset[lo:hi]
-    starts = ((pa3 - origin)[:, None, :] @ axes)[:, 0, :].tolist()
-    ends = ((pb3_tail - origin)[:, None, :] @ axes)[:, 0, :].tolist()
+    if ra.home == rb.home:
+        return float(np.linalg.norm(pa3 - pb3))
+    pairs = _pair_chains(ra.home, rb.home)
+    pb3_tail = pairs.tail_matrix @ pb3 + pairs.tail_offset
+    starts = ((pa3 - pairs.origin)[:, None, :] @ pairs.axes)[:, 0, :].tolist()
+    ends = ((pb3_tail - pairs.origin)[:, None, :] @ pairs.axes)[:, 0, :].tolist()
     order = sorted(
         (math.hypot(bx - ax, by - ay), i)
         for i, ((ax, ay), (bx, by)) in enumerate(zip(starts, ends))
     )
     for length, i in order:
-        chain, pa, pb = pairs.chains[lo + i], tuple(starts[i]), tuple(ends[i])
+        chain, pa, pb = pairs.chains[i], tuple(starts[i]), tuple(ends[i])
         if _chord_in_chain(chain, pa, pb) is None:
             continue
         if not _sampled_containment(chain, pa, pb):
             raise AssertionError(f"sampled containment check failed on {chain.faces}")
         return length
     return math.inf
-
-
-def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
-    """Exhaustive unfolding geodesic; the reference the formulas are held to.
-
-    Same-face pairs reduce to the 3D chord (the face is flat); otherwise
-    every simple dual path is flattened and the shortest contained chord
-    wins.
-    """
-    ra, rb = a.canonical, b.canonical
-    if ra.home == rb.home:
-        return float(np.linalg.norm(embed_3d(ra) - embed_3d(rb)))
-    return best_chord(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,28 +12,26 @@ from __future__ import annotations
 import math
 
 from . import topology as topo
-from .coords import Representation, _place, canonicalize
+from .coords import HALF_SQRT3, Representation, _place, canonicalize
 from .landscape import DistanceResult
-
-_H = math.sqrt(3.0) / 2.0
 
 _V146_7, _V1256, _V1234, _V2358, _V3478, _V5678 = topo.VERTICES
 
 #: Net position of each face's corners (unit edge length).
 NET_CORNERS: dict[int, dict[topo.VertexLabel, tuple[float, float]]] = {
-    1: {_V146_7: (1.0, 0.0), _V1234: (0.5, -_H), _V1256: (1.5, -_H)},
-    2: {_V1234: (0.5, -_H), _V1256: (1.5, -_H), _V2358: (1.0, -2 * _H)},
-    3: {_V3478: (3.0, 0.0), _V2358: (2.5, -_H), _V1234: (3.5, -_H)},
-    4: {_V3478: (0.0, 0.0), _V146_7: (1.0, 0.0), _V1234: (0.5, -_H)},
-    5: {_V5678: (2.0, 0.0), _V1256: (1.5, -_H), _V2358: (2.5, -_H)},
-    6: {_V146_7: (1.0, 0.0), _V5678: (2.0, 0.0), _V1256: (1.5, -_H)},
-    7: {_V146_7: (2.5, _H), _V5678: (2.0, 0.0), _V3478: (3.0, 0.0)},
-    8: {_V5678: (2.0, 0.0), _V2358: (2.5, -_H), _V3478: (3.0, 0.0)},
+    1: {_V146_7: (1.0, 0.0), _V1234: (0.5, -HALF_SQRT3), _V1256: (1.5, -HALF_SQRT3)},
+    2: {_V1234: (0.5, -HALF_SQRT3), _V1256: (1.5, -HALF_SQRT3), _V2358: (1.0, -2 * HALF_SQRT3)},
+    3: {_V3478: (3.0, 0.0), _V2358: (2.5, -HALF_SQRT3), _V1234: (3.5, -HALF_SQRT3)},
+    4: {_V3478: (0.0, 0.0), _V146_7: (1.0, 0.0), _V1234: (0.5, -HALF_SQRT3)},
+    5: {_V5678: (2.0, 0.0), _V1256: (1.5, -HALF_SQRT3), _V2358: (2.5, -HALF_SQRT3)},
+    6: {_V146_7: (1.0, 0.0), _V5678: (2.0, 0.0), _V1256: (1.5, -HALF_SQRT3)},
+    7: {_V146_7: (2.5, HALF_SQRT3), _V5678: (2.0, 0.0), _V3478: (3.0, 0.0)},
+    8: {_V5678: (2.0, 0.0), _V2358: (2.5, -HALF_SQRT3), _V3478: (3.0, 0.0)},
 }
 
 _NET_X_MAX = 3.5
-_NET_Y_MIN = -2 * _H
-_NET_Y_MAX = _H
+_NET_Y_MIN = -2 * HALF_SQRT3
+_NET_Y_MAX = HALF_SQRT3
 
 
 def net_position(rep: Representation) -> tuple[float, float]:

@@ -160,7 +160,8 @@ def canonical_frame(a: int, b: int) -> Frame:
     Depending on relation(a, b) the frame puts b in role 2 (adjacent),
     role 5 (neither adjacent nor opposite) or role 8 (opposite); for
     opposite pairs, where three valid frames exist, the lexicographically
-    smallest role tuple is chosen.
+    smallest role tuple is chosen.  Those three share role 1 and differ
+    first at role 2, so it is the one anchored on a's smallest neighbor.
     """
     if a == b:
         raise ValueError("frame anchor faces must differ")
@@ -173,7 +174,7 @@ def canonical_frame(a: int, b: int) -> Frame:
         frame = Frame.from_anchor(a, cycle[(cycle.index(n4) + 1) % 3])
         assert frame.face(5) == b
     else:  # OPPOSITE
-        frame = min((Frame.from_anchor(a, n2) for n2 in cycle), key=lambda f: f.faces)
+        frame = Frame.from_anchor(a, min(cycle))
         assert frame.face(8) == b
     return frame
 

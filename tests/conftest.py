@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, settings
 
-from octadist import topology as topo
+from octadist import oracle, topology as topo
 from octadist.coords import Representation, canonicalize, rotate_once, vertex_representations
 
 settings.register_profile(
@@ -70,6 +70,30 @@ def boundary_points():
     special.append(canonicalize(Representation(1, 2, 0.3, 0.25)))
     special.append(canonicalize(Representation(5, 2, 0.3, 0.25)))
     return special
+
+
+def best_chord_loop(a, b, min_faces=2, max_faces=8):
+    """Shortest contained chord over the dual paths of min_faces..max_faces faces.
+
+    One pass over every path, with per-chain projections and a strict <,
+    so the first of equal chords wins.  Returns (length, (chain, pa, pb))
+    for the winner, or (inf, None) when no chain contains its chord.
+    """
+    ra, rb = a.canonical, b.canonical
+    pa3, pb3 = oracle.embed_3d(ra), oracle.embed_3d(rb)
+    best, best_pair = math.inf, None
+    for path in topo.enumerate_dual_paths(ra.home, rb.home, max_faces):
+        if len(path) < min_faces:
+            continue
+        chain = oracle.flatten_chain(path)
+        pa = chain.project(pa3)
+        pb = chain.project(chain.tail_matrix @ pb3 + chain.tail_offset)
+        if oracle._chord_in_chain(chain, pa, pb) is None:
+            continue
+        length = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
+        if length < best:
+            best, best_pair = length, (chain, pa, pb)
+    return best, best_pair
 
 
 @pytest.fixture(scope="session")

@@ -182,6 +182,44 @@ def test_layout_places_points_as_derived(case):
     assert b[0] == pytest.approx(ex, abs=1e-12) and b[1] == pytest.approx(ey, abs=1e-12)
 
 
+def test_every_layout_unfolds_each_face_across_its_hinge():
+    # each face after the base is a unit triangle that shares its hinge's
+    # two positions, bit for bit, with the face it unfolds from, and lies
+    # on the other side of that hinge
+    frames = [
+        topo.Frame.from_anchor(n1, n2) for n1 in topo.FACE_INDICES for n2 in topo.neighbors(n1)
+    ]
+    layouts = 0
+    for frame in frames:
+        for index in landscape.LANDSCAPE_IDS:
+            roles = PATH_ROLES[index]
+            faces = tuple(frame.face(r) for r in roles)
+            base_role, ref_role = landscape._ORIENT_ROLES[index]
+            base = roles.index(base_role)
+            positions = chain_layout(faces, base, frame.face(ref_role))
+            for i, face in enumerate(faces):
+                if i == base:
+                    continue
+                known = faces[i - 1] if i > base else faces[i + 1]
+                tri, before = positions[face], positions[known]
+                assert set(tri) == set(topo.face_vertices(face))
+                for p, q in itertools.combinations(tri.values(), 2):
+                    assert math.dist(p, q) == pytest.approx(1.0, abs=1e-12)
+                s, t = topo.shared_edge(known, face)
+                for v in (s, t):
+                    assert [c.hex() for c in tri[v]] == [c.hex() for c in before[v]]
+                (sx, sy), (tx, ty) = tri[s], tri[t]
+                (apex,) = set(tri) - {s, t}
+                (other,) = set(before) - {s, t}
+
+                def side(p):
+                    return (tx - sx) * (p[1] - sy) - (ty - sy) * (p[0] - sx)
+
+                assert side(tri[apex]) * side(before[other]) < 0.0
+            layouts += 1
+    assert layouts == 9 * 24
+
+
 @given(framed_pairs())
 def test_valid_landscape_chords_are_always_contained(case):
     # the nine landscape regions are convex, so in-chart chords never leave

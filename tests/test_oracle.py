@@ -23,7 +23,7 @@ from octadist.coords import (
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 from octadist.serialize import dumps
 
-from conftest import boundary_points, interior_rep
+from conftest import best_chord_loop, boundary_points, interior_rep
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -231,25 +231,6 @@ def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
         assert _bits(chain.tail_offset) == _bits(offset)
 
 
-def _best_chord_loop(a, b, min_faces=2, max_faces=8):
-    """best_chord as one pass over every path: per-chain projections, strict <."""
-    ra, rb = a.canonical, b.canonical
-    pa3, pb3 = oracle.embed_3d(ra), oracle.embed_3d(rb)
-    best, best_pair = math.inf, None
-    for path in topo.enumerate_dual_paths(ra.home, rb.home, max_faces):
-        if len(path) < min_faces:
-            continue
-        chain = oracle.flatten_chain(path)
-        pa = chain.project(pa3)
-        pb = chain.project(chain.tail_matrix @ pb3 + chain.tail_offset)
-        if oracle._chord_in_chain(chain, pa, pb) is None:
-            continue
-        length = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
-        if length < best:
-            best, best_pair = length, (chain, pa, pb)
-    return best, best_pair
-
-
 def _distinct_face_pairs():
     """Seeded pairs, boundary-point pairs and vertex pairs on distinct faces."""
     points = sample_uniform(2718, 300)
@@ -269,23 +250,8 @@ def test_chord_order_search_equals_exhaustive_loop_bit_for_bit():
     pairs = _distinct_face_pairs()
     assert len(pairs) > 900
     for a, b in pairs:
-        want, _ = _best_chord_loop(a, b)
+        want, _ = best_chord_loop(a, b)
         assert oracle.unfold_geodesic(a, b).hex() == want.hex(), (a, b)
-        assert oracle.best_chord(a, b).hex() == want.hex(), (a, b)
-        for max_faces in (2, 4):
-            want, _ = _best_chord_loop(a, b, 2, max_faces)
-            assert oracle.best_chord(a, b, 2, max_faces).hex() == want.hex(), (a, b)
-        for min_faces, max_faces in ((3, 5), (5, 8)):
-            want, _ = _best_chord_loop(a, b, min_faces, max_faces)
-            got = oracle.best_chord(a, b, min_faces, max_faces)
-            assert got.hex() == want.hex(), (a, b, min_faces, max_faces)
-
-
-def test_best_chord_with_empty_bounds_is_inf():
-    a = canonicalize(Representation(1, 2, 0.3, 0.1))
-    b = canonicalize(Representation(8, 7, 0.3, 0.1))
-    assert oracle.best_chord(a, b, 5, 4) == math.inf
-    assert oracle.best_chord(a, b, 9, 12) == math.inf
 
 
 def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
@@ -296,7 +262,7 @@ def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
         return False
 
     def assert_winner_checked(a, b):
-        length, winner = _best_chord_loop(a, b)
+        length, winner = best_chord_loop(a, b)
         checked.clear()
         if winner is None:
             assert oracle.unfold_geodesic(a, b) == length == math.inf
@@ -423,19 +389,12 @@ def test_sampled_containment_walks_a_contained_chord_in_one_pass(monkeypatch):
     monkeypatch.setattr(oracle, "_point_in_triangle", counted)
     longest = 0
     for a, b in _distinct_face_pairs()[::3]:
-        _length, (chain, pa, pb) = _best_chord_loop(a, b)
+        _length, (chain, pa, pb) = best_chord_loop(a, b)
         tried.clear()
         assert oracle._sampled_containment(chain, pa, pb)
         assert len(tried) <= 16 + len(chain.faces) - 1, chain.faces
         longest = max(longest, len(chain.faces))
     assert longest >= 4
-
-
-def test_best_chord_rejects_a_shared_home_face():
-    a = canonicalize(Representation(1, 2, 0.3, 0.1))
-    b = canonicalize(Representation(1, 4, 0.2, 0.2))
-    with pytest.raises(ValueError, match="distinct home faces"):
-        oracle.best_chord(a, b)
 
 
 def test_unfold_same_face_is_planar_distance():
@@ -456,7 +415,8 @@ def test_unfold_four_faces_suffice():
     for a, b in zip(points[0::2], points[1::2]):
         if a.canonical.home == b.canonical.home:
             continue
-        d4 = oracle.best_chord(a, b, 2, 4)
+        d4, winner = best_chord_loop(a, b, 2, 4)
+        assert winner is not None and oracle._sampled_containment(*winner)
         d8 = oracle.unfold_geodesic(a, b)
         assert d4 == pytest.approx(d8, abs=1e-12)
 
@@ -788,5 +748,7 @@ def test_dominance_of_short_landscapes_sample():
         if a.canonical.home == b.canonical.home:
             continue
         d = surface_distance(a, b).distance
-        long_best = oracle.best_chord(a, b, 5, 8)
+        long_best, winner = best_chord_loop(a, b, 5, 8)
+        if winner is not None:
+            assert oracle._sampled_containment(*winner)
         assert long_best >= d - 1e-9
