@@ -20,7 +20,6 @@ from .topology import (
 )
 from .coords import (
     EPS_IN,
-    FrameMismatch,
     InvalidRepresentation,
     NotOnSharedEdge,
     OrientedPoint,
@@ -28,7 +27,7 @@ from .coords import (
     SurfacePoint,
     canonicalize,
     flip_home_face,
-    rotate_shared_face,
+    rotate_once,
     sample_uniform,
     surface_point,
     vertex_representations,
@@ -37,6 +36,7 @@ from .landscape import (
     VALIDITY_WITNESSES,
     Crossing,
     DistanceResult,
+    FrameMismatch,
     LandscapeInstance,
     TrailResult,
     WrongRelation,
@@ -90,7 +90,7 @@ __all__ = [
     "mesh_upper_bound",
     "opposite",
     "relation",
-    "rotate_shared_face",
+    "rotate_once",
     "sample_uniform",
     "shortest_path",
     "surface_distance",

@@ -32,10 +32,6 @@ class NotOnSharedEdge(ValueError):
     """Home-face flips are only defined for points with y = 0."""
 
 
-class FrameMismatch(ValueError):
-    """The representation does not use the chart a frame prescribes."""
-
-
 @dataclass(frozen=True)
 class Representation:
     """Quadruple (home face, shared face, x, y) locating a surface point."""
@@ -109,18 +105,6 @@ def rotate_once(r: Representation) -> Representation:
     """Re-express r with the next shared face counter-clockwise (see turn)."""
     u, v = turn(r.x, r.y, 1)
     return Representation(r.home, topo.next_shared_ccw(r.home, r.shared), u, v)
-
-
-def rotate_shared_face(r: Representation, frame: topo.Frame) -> Representation:
-    """Shared-face rotation in a frame's terms: role-2 chart to role-6 chart."""
-    if r.home != frame.face(1) or r.shared != frame.face(2):
-        raise FrameMismatch(
-            f"expected home F{frame.face(1)} with shared F{frame.face(2)}, "
-            f"got home F{r.home} with shared F{r.shared}"
-        )
-    out = rotate_once(r)
-    assert out.shared == frame.face(6)
-    return out
 
 
 def flip_home_face(r: Representation) -> Representation:

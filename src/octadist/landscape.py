@@ -9,7 +9,9 @@ landscapes (L4..L9).  Each landscape has a closed-form trail length in
 the coordinates of the two points, coded here twice on purpose: once as
 the bare formula (trail_length) and once via an explicit planar layout
 with chord/edge intersections (trail_crossings).  The two codings are
-held to agree to 1e-12 by the test suite.
+held to agree to 1e-12 by the test suite.  Both per-landscape calls take
+their frame from the first point's chart: role 1 is its home face and
+role 2 its shared face.
 
 chain_layout places each face by the counter-clockwise rule: the layout
 keeps every face's ccw corner order, so each face lies right of the ccw
@@ -43,7 +45,6 @@ from .coords import (
     EPS_IN,
     SQRT3,
     HALF_SQRT3,
-    FrameMismatch,
     OrientedPoint,
     Representation,
     SurfacePoint,
@@ -57,6 +58,10 @@ TIE_EPS = 1e-12
 
 class WrongRelation(ValueError):
     """The landscape does not apply to this pair of home faces."""
+
+
+class FrameMismatch(ValueError):
+    """The second point is not in the chart the landscape prescribes."""
 
 
 LANDSCAPE_IDS = tuple(range(1, 10))
@@ -193,7 +198,8 @@ class DistanceResult:
         return _trail(*self._winner)
 
 
-def _check_inputs(index: int, p1: Representation, p2: Representation, frame: topo.Frame) -> None:
+def _check_inputs(index: int, p1: Representation, p2: Representation) -> topo.Frame:
+    """Check the index, the relation and p2's chart; return the frame of p1's chart."""
     if index not in LANDSCAPE_IDS:
         raise ValueError(f"landscape index must be 1..9, got {index}")
     rel = topo.relation(p1.home, p2.home)
@@ -202,18 +208,14 @@ def _check_inputs(index: int, p1: Representation, p2: Representation, frame: top
             f"L{index} needs {_RELATION_FOR_ID[index].value} home faces, "
             f"got F{p1.home} and F{p2.home} ({rel.value})"
         )
-    if p1.home != frame.face(1) or p1.shared != frame.face(2):
-        raise _chart_mismatch(index, 1, 2, p1, frame)
+    frame = topo.Frame.from_anchor(p1.home, p1.shared)
     h_role, s_role = _P2_CHART_ROLES[index]
     if p2.home != frame.face(h_role) or p2.shared != frame.face(s_role):
-        raise _chart_mismatch(index, h_role, s_role, p2, frame)
-
-
-def _chart_mismatch(index, h_role, s_role, rep, frame) -> FrameMismatch:
-    return FrameMismatch(
-        f"L{index} expects the chart (F{frame.face(h_role)}, F{frame.face(s_role)}), "
-        f"got (F{rep.home}, F{rep.shared})"
-    )
+        raise FrameMismatch(
+            f"L{index} with p1 in the chart (F{p1.home}, F{p1.shared}) expects p2 in "
+            f"(F{frame.face(h_role)}, F{frame.face(s_role)}), got (F{p2.home}, F{p2.shared})"
+        )
+    return frame
 
 
 def _formula_1(x1, y1, x2, y2):
@@ -291,16 +293,18 @@ _FORMULAS = {
 }
 
 
-def trail_length(index: int, p1: Representation, p2: Representation, frame: topo.Frame) -> float:
+def trail_length(index: int, p1: Representation, p2: Representation) -> float:
     """Closed-form trail length of landscape L1..L9.
 
-    p1 must be in the chart (role-1 face, role-2 face) and p2 in the
-    chart the landscape's class prescribes: (role 2, role 1) for L1,
-    (role 5, role 6) for L2/L3, (role 8, role 7) for L4..L9.  Each
-    formula bakes in the chart rotations that align both points with the
-    landscape's reference orientation.
+    The frame is taken from p1's chart: its home face is role 1 and its
+    shared face role 2 (topology.Frame.from_anchor).  p2 must be in the
+    chart the landscape's class prescribes in that frame: (role 2,
+    role 1) for L1, (role 5, role 6) for L2/L3, (role 8, role 7) for
+    L4..L9; FrameMismatch otherwise.  Each formula bakes in the chart
+    rotations that align both points with the landscape's reference
+    orientation.
     """
-    _check_inputs(index, p1, p2, frame)
+    _check_inputs(index, p1, p2)
     return _FORMULAS[index](p1.x, p1.y, p2.x, p2.y)
 
 
@@ -466,19 +470,17 @@ def _trail(ls: _PlannedLandscape, chord: float, hits) -> TrailResult:
     return TrailResult(chord, chord, ls.instance, crossings, True)
 
 
-def trail_crossings(
-    index: int, p1: Representation, p2: Representation, frame: topo.Frame
-) -> TrailResult:
+def trail_crossings(index: int, p1: Representation, p2: Representation) -> TrailResult:
     """Trail of landscape L1..L9 via its planar layout.
 
-    Lays the landscape's faces out in its reference orientation, places
-    both points, and intersects the chord with the interior shared edges
-    in dual-path order.  The trail is contained exactly when every
+    Takes its frame and charts as trail_length does.  Lays the
+    landscape's faces out in its reference orientation, places both
+    points, and intersects the chord with the interior shared edges in
+    dual-path order.  The trail is contained exactly when every
     intersection parameter stays in [0, 1] (endpoints included) and the
     chord meets the edges in path order.
     """
-    _check_inputs(index, p1, p2, frame)  # so p1 and p2 are in the layout's charts
-    ls = _layout(index, frame)
+    ls = _layout(index, _check_inputs(index, p1, p2))  # p1 and p2 are in the layout's charts
     return _trail(ls, *_chord(ls, p1.x, p1.y, p2.x, p2.y))
 
 

@@ -144,7 +144,8 @@ class UnfoldChain:
     2D geometry is built from the parent the first time it is read:
     `triangles` holds each face's corner positions keyed by vertex label,
     `corners` the same positions as tuples, and `hinges` the interior
-    shared edges as ((S, T), 2D S, 2D T) in path order.
+    shared edges as ((S, T), 2D S, 2D T) in path order, read from the
+    triangle of the face before each edge.
     """
 
     faces: tuple[int, ...]
@@ -176,12 +177,11 @@ class UnfoldChain:
 
     @cached_property
     def hinges(self) -> tuple[tuple, ...]:
-        parent = self.parent
-        if parent is None:
-            return ()
-        edge = topo.shared_edge(parent.faces[-1], self.faces[-1])
-        pa, pb = (self.project(parent.place(v)) for v in edge)
-        return parent.hinges + ((edge, pa, pb),)
+        hinges = []
+        for before, face, nxt in zip(self.triangles, self.faces, self.faces[1:]):
+            s, t = topo.shared_edge(face, nxt)
+            hinges.append(((s, t), before[s], before[t]))
+        return tuple(hinges)
 
 
 @lru_cache(maxsize=None)

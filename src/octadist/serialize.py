@@ -33,6 +33,8 @@ _encode_str = json.encoder.encode_basestring
 
 @functools.lru_cache(maxsize=256)
 def _encode_key(key: str) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
     return json.dumps(key)
 
 
@@ -52,17 +54,14 @@ def dumps(obj: Any) -> str:
     # no class derives from two of dict, list, tuple, str, int and float, so the
     # order of these checks does not change which branch a value takes
     if isinstance(obj, dict):
-        items = ", ".join([
-            (_encode_key(k) if type(k) is str else json.dumps(k)) + ": " + dumps(v)
-            for k, v in obj.items()
-        ])
+        items = ", ".join([_encode_key(k) + ": " + dumps(v) for k, v in obj.items()])
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([dumps(v) for v in obj]) + "]"
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, int):
-        return str(obj)
+        return int.__repr__(obj)  # the digits, also for an IntEnum member on 3.10
     if isinstance(obj, float):
         return format_float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

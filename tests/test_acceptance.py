@@ -18,7 +18,7 @@ from octadist.coords import (
     Representation,
     canonicalize,
     flip_home_face,
-    rotate_shared_face,
+    rotate_once,
     sample_uniform,
     vertex_representations,
 )
@@ -92,14 +92,13 @@ def test_criterion_3_rotation_round_trip():
         rep = sp.canonical
         out = rep
         for _ in range(3):
-            frame = topo.Frame.from_anchor(out.home, out.shared)
-            out = rotate_shared_face(out, frame)
+            out = rotate_once(out)
         if abs(out.x - rep.x) > 1e-12 or abs(out.y - rep.y) > 1e-12:
             failures.append(f"triple rotation moved {rep}")
         base = oracle.embed_3d(rep)
         cur = rep
         for _ in range(2):
-            cur = rotate_shared_face(cur, topo.Frame.from_anchor(cur.home, cur.shared))
+            cur = rotate_once(cur)
             if np.linalg.norm(oracle.embed_3d(cur) - base) > 1e-12:
                 failures.append(f"embedding moved under rotation of {rep}")
     # flips need edge points; reuse the seeds for deterministic abscissae

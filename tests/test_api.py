@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "mesh_upper_bound",
     "opposite",
     "relation",
-    "rotate_shared_face",
+    "rotate_once",
     "sample_uniform",
     "shortest_path",
     "surface_distance",

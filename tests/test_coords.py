@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from octadist import topology as topo
 from octadist.coords import (
     SQRT3,
-    FrameMismatch,
     InvalidRepresentation,
     NotOnSharedEdge,
     Representation,
     canonicalize,
     flip_home_face,
     rotate_once,
-    rotate_shared_face,
     sample_uniform,
     surface_point,
     turn,
@@ -56,22 +54,19 @@ def test_rotation_derived_value():
     assert out.y == pytest.approx((0.7 * math.sqrt(3.0) - 0.2) / 2.0, abs=1e-15)
 
 
-def test_rotate_shared_face_respects_frame():
-    frame = topo.Frame.from_anchor(1, 2)
-    out = rotate_shared_face(Representation(1, 2, 0.3, 0.2), frame)
-    assert out.shared == frame.face(6)
-    with pytest.raises(FrameMismatch):
-        rotate_shared_face(Representation(1, 4, 0.3, 0.2), frame)
-    with pytest.raises(FrameMismatch):
-        rotate_shared_face(Representation(2, 1, 0.3, 0.2), frame)
+def test_rotate_once_moves_the_chart_from_role_two_to_role_six():
+    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
+    assert len(charts) == 24
+    for home, shared in charts:
+        out = rotate_once(Representation(home, shared, 0.3, 0.2))
+        assert (out.home, out.shared) == (home, topo.Frame.from_anchor(home, shared).face(6))
 
 
 @given(interior_reps())
 def test_triple_rotation_is_identity(rep):
     out = rep
     for _ in range(3):
-        frame = topo.Frame.from_anchor(out.home, out.shared)
-        out = rotate_shared_face(out, frame)
+        out = rotate_once(out)
     assert (out.home, out.shared) == (rep.home, rep.shared)
     assert out.x == pytest.approx(rep.x, abs=1e-12)
     assert out.y == pytest.approx(rep.y, abs=1e-12)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from octadist import landscape
 from octadist import topology as topo
 from octadist.coords import (
-    FrameMismatch,
     Representation,
     canonicalize,
     flip_home_face,
@@ -23,6 +22,7 @@ from octadist.landscape import (
     TIE_EPS,
     VALIDITY_WITNESSES,
     DistanceResult,
+    FrameMismatch,
     WrongRelation,
     _P2_CHART_ROLES,
     chain_layout,
@@ -95,9 +95,8 @@ _EXPECTED_POSITIONS = {
 
 
 def test_trail_length_witness_row_one():
-    frame = topo.Frame.from_anchor(1, 2)
     p1, p2 = VALIDITY_WITNESSES[1]
-    value = trail_length(1, p1, p2, frame)
+    value = trail_length(1, p1, p2)
     assert value == pytest.approx(math.sqrt((0.5 + 0.5 - 1) ** 2 + 0.4**2), abs=1e-15)
     assert value == pytest.approx(0.4, abs=1e-15)
 
@@ -108,54 +107,68 @@ def test_trail_length_zero_for_shared_edge_point(x):
     frame = topo.Frame.from_anchor(3, 2)
     p1 = Representation(frame.face(1), frame.face(2), x, 0.0)
     p2 = Representation(frame.face(2), frame.face(1), 1.0 - x, 0.0)
-    assert trail_length(1, p1, p2, frame) == pytest.approx(0.0, abs=1e-15)
+    assert trail_length(1, p1, p2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_trail_length_witness_row_nine_matches_oracle():
     p1, p2 = VALIDITY_WITNESSES[9]
-    frame = topo.Frame.from_anchor(1, 2)
-    value = trail_length(9, p1, p2, frame)
+    value = trail_length(9, p1, p2)
     oracle_value = unfold_geodesic(canonicalize(p1), canonicalize(p2))
     assert value == pytest.approx(oracle_value, abs=1e-12)
 
 
 def test_trail_length_wrong_relation():
-    frame = topo.Frame.from_anchor(1, 2)
     p1 = Representation(1, 2, 0.3, 0.1)
     p2 = Representation(2, 1, 0.3, 0.1)
     with pytest.raises(WrongRelation):
-        trail_length(4, p1, p2, frame)
+        trail_length(4, p1, p2)
     with pytest.raises(WrongRelation):
-        trail_crossings(2, p1, p2, frame)
+        trail_crossings(2, p1, p2)
 
 
 def test_trail_length_chart_mismatch():
-    frame = topo.Frame.from_anchor(1, 2)
-    p1 = Representation(1, 4, 0.3, 0.1)  # wrong shared face
+    # p1's chart (F1, F4) fixes the frame, so L1 wants p2 in (F4, F1)
+    p1 = Representation(1, 4, 0.3, 0.1)
     p2 = Representation(2, 1, 0.3, 0.1)
-    with pytest.raises(FrameMismatch):
-        trail_length(1, p1, p2, frame)
-    # L1 wants the second point in the chart (F2, F1)
+    expected = r"p1 in the chart \(F1, F4\) expects p2 in \(F4, F1\), got \(F2, F1\)"
+    with pytest.raises(FrameMismatch, match=expected):
+        trail_length(1, p1, p2)
+    # with p1 in (F1, F2), L1 wants the second point in the chart (F2, F1)
     p1 = Representation(1, 2, 0.3, 0.1)
     p2 = Representation(2, 3, 0.3, 0.1)
     with pytest.raises(FrameMismatch, match=r"\(F2, F1\)"):
-        trail_length(1, p1, p2, frame)
+        trail_crossings(1, p1, p2)
 
 
 @pytest.mark.parametrize("index", [0, 10])
 def test_trail_length_rejects_an_index_outside_one_to_nine(index):
-    frame = topo.Frame.from_anchor(1, 2)
     p1 = Representation(1, 2, 0.3, 0.1)
     p2 = Representation(2, 1, 0.3, 0.1)
     with pytest.raises(ValueError, match="1..9"):
-        trail_length(index, p1, p2, frame)
+        trail_length(index, p1, p2)
+
+
+def test_per_landscape_calls_take_the_frame_of_the_first_chart():
+    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
+    assert len(charts) == 24
+    for home, shared in charts:
+        frame = topo.Frame.from_anchor(home, shared)
+        p1 = interior_rep(home, shared, 0.3, 0.2)
+        for index in landscape.LANDSCAPE_IDS:
+            h_role, s_role = _P2_CHART_ROLES[index]
+            p2 = interior_rep(frame.face(h_role), frame.face(s_role), 0.6, 0.1)
+            instance = trail_crossings(index, p1, p2).landscape
+            faces = tuple(frame.face(r) for r in PATH_ROLES[index])
+            assert instance == landscape.LandscapeInstance(index, frame, faces)
+            assert (faces[0], faces[-1]) == (p1.home, p2.home)
+            assert all(g in topo.neighbors(f) for f, g in zip(faces, faces[1:]))
 
 
 @given(framed_pairs())
 def test_formula_agrees_with_layout_chord(case):
-    index, p1, p2, frame = case
-    formula = trail_length(index, p1, p2, frame)
-    trail = trail_crossings(index, p1, p2, frame)
+    index, p1, p2, _frame = case
+    formula = trail_length(index, p1, p2)
+    trail = trail_crossings(index, p1, p2)
     assert formula == pytest.approx(trail.chord_length, abs=1e-12)
 
 
@@ -223,8 +236,8 @@ def test_every_layout_unfolds_each_face_across_its_hinge():
 @given(framed_pairs())
 def test_valid_landscape_chords_are_always_contained(case):
     # the nine landscape regions are convex, so in-chart chords never leave
-    index, p1, p2, frame = case
-    trail = trail_crossings(index, p1, p2, frame)
+    index, p1, p2, _frame = case
+    trail = trail_crossings(index, p1, p2)
     assert trail.contained
     assert len(trail.crossings) == len(PATH_ROLES[index]) - 1
     for c in trail.crossings:
@@ -232,9 +245,8 @@ def test_valid_landscape_chords_are_always_contained(case):
 
 
 def test_trail_crossings_witness_row_one():
-    frame = topo.Frame.from_anchor(1, 2)
     p1, p2 = VALIDITY_WITNESSES[1]
-    trail = trail_crossings(1, p1, p2, frame)
+    trail = trail_crossings(1, p1, p2)
     assert trail.contained
     assert len(trail.crossings) == 1
     crossing = trail.crossings[0]
@@ -245,10 +257,9 @@ def test_trail_crossings_witness_row_one():
 
 
 def test_trail_crossings_degenerate_edge_point():
-    frame = topo.Frame.from_anchor(1, 2)
     p1 = Representation(1, 2, 0.3, 0.0)
     p2 = Representation(2, 1, 0.7, 0.0)  # the same edge point, flipped chart
-    trail = trail_crossings(1, p1, p2, frame)
+    trail = trail_crossings(1, p1, p2)
     assert trail.contained
     assert trail.length == pytest.approx(0.0, abs=1e-15)
     assert trail.crossings[0].parameter == pytest.approx(0.3, abs=1e-12)
@@ -256,10 +267,9 @@ def test_trail_crossings_degenerate_edge_point():
 
 def test_trail_crossings_collinear_chord_along_edge():
     # both points on the shared edge, apart: the trail runs along the edge
-    frame = topo.Frame.from_anchor(1, 2)
     p1 = Representation(1, 2, 0.2, 0.0)
     p2 = Representation(2, 1, 0.2, 0.0)  # edge coordinate 0.8 on p1's chart
-    trail = trail_crossings(1, p1, p2, frame)
+    trail = trail_crossings(1, p1, p2)
     assert trail.contained
     assert trail.length == pytest.approx(0.6, abs=1e-12)
 
@@ -373,10 +383,8 @@ def test_distance_uses_best_contained_landscape(case):
     _index, p1, p2, frame = case
     a, b = canonicalize(p1), canonicalize(p2)
     result = surface_distance(a, b)
-    lengths = [
-        trail_length(i, *(_prepare_pair(a, b)[1:]), _prepare_pair(a, b)[0])
-        for i in APPLICABLE_IDS[topo.relation(p1.home, p2.home)]
-    ]
+    _, q1, q2 = _prepare_pair(a, b)
+    lengths = [trail_length(i, q1, q2) for i in APPLICABLE_IDS[topo.relation(p1.home, p2.home)]]
     assert result.distance == pytest.approx(min(lengths), abs=1e-12)
 
 
@@ -498,10 +506,10 @@ def all_landscape_distance(a, b) -> Reference:
     Chords that leave their landscape count as infinite; with none
     contained, the unfiltered minimum is reported with `fallback` set.
     """
-    frame, p1, p2 = _prepare_pair(a, b)
+    _frame, p1, p2 = _prepare_pair(a, b)
     ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
-    lengths = {i: trail_length(i, p1, p2, frame) for i in ids}
-    trails = {i: trail_crossings(i, p1, p2, frame) for i in ids}
+    lengths = {i: trail_length(i, p1, p2) for i in ids}
+    trails = {i: trail_crossings(i, p1, p2) for i in ids}
     contained_ids = [i for i in ids if trails[i].contained]
     fallback = not contained_ids
     pool = list(ids) if fallback else contained_ids

@@ -148,9 +148,11 @@ def test_flatten_chain_builds_the_plane_geometry_when_read():
     assert links[1] is oracle.flatten_chain(path[:3])
     assert chain.corners == tuple(tuple(tri.values()) for tri in chain.triangles)
     assert len(chain.hinges) == 3
-    # each link's geometry is built once, and its parent's is reused
-    for link in links:
-        assert {"triangles", "hinges"} <= set(vars(link))
+    # each link's triangles are built once, and its parent's are reused;
+    # the hinges are read off the chain's own triangles, not its ancestors'
+    assert {"triangles", "hinges"} <= set(vars(chain))
+    for link in links[1:]:
+        assert "triangles" in vars(link) and "hinges" not in vars(link)
     for child, parent in zip(links, links[1:]):
         assert child.triangles[:-1] == parent.triangles
         assert all(a is b for a, b in zip(child.triangles, parent.triangles))

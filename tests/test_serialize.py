@@ -159,10 +159,12 @@ def _reference_dumps(obj):
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
-        return str(obj)
+        return int.__repr__(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
         items = ", ".join(f"{json.dumps(k)}: {_reference_dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
@@ -207,6 +209,7 @@ def test_dumps_matches_reference_coding_for_ids(record_id):
         _Str(record_id),
     ):
         assert dumps(obj) == _reference_dumps(obj)
+        json.loads(dumps(obj))
 
 
 @pytest.mark.parametrize(
@@ -226,12 +229,14 @@ def test_dumps_matches_reference_coding_for_ids(record_id):
         [[], [[1, 2.5]], [True, None, [_Float(1.0), _Int(-3)]]],
         (1, (2.0, "t")),
         {"edge": [[1, 2, 3, 4], [1, 2, 5, 6]], "point": [0.5, -0.0], "t": 1.0},
-        {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+        {_Str("str-subclass key"): _Level.LOW, "level": [_Level.LOW, _Int(-4)]},
         [{"nested": {"deeper": [{"k": "v"}]}}],
     ],
 )
 def test_dumps_matches_reference_coding_for_values(obj):
-    assert dumps(obj) == _reference_dumps(obj)
+    text = dumps(obj)
+    assert text == _reference_dumps(obj)
+    json.loads(text)
 
 
 def test_dumps_still_rejects_what_it_rejected():
@@ -241,6 +246,10 @@ def test_dumps_still_rejects_what_it_rejected():
     for obj in ({1, 2}, b"bytes", object()):
         with pytest.raises(TypeError):
             dumps(obj)
+    # JSON keys are strings: any other key is refused, not written bare
+    for key in (1, 2.5, True, None, _Level.LOW, ("t",)):
+        with pytest.raises(TypeError, match="keys must be str"):
+            dumps({"ok": 1, key: "value"})
 
 
 def _reference_parse_face(value, field):
