@@ -17,20 +17,22 @@ chain_layout places each face by the counter-clockwise rule: the layout
 keeps every face's ccw corner order, so each face lies right of the ccw
 hinge edge of the face before it, and no side is searched for.
 
-surface_distance takes the minimum of the formulas and lays out only the
-minimizing landscapes; every applicable landscape is laid out only when
-a minimizer's chord is not contained.  Each landscape's layout through a
-frame is one record, derived from chain_layout once per process: the
-formula, the corners of its two formula charts, the hinge segments and
-their edge labels, and the instance.  trail_crossings reads that record.
-So does the plan of each ordered pair of charts, built on first use: how
-far each point's chart turns (topology.turns, coords.turn) and the
-records of its applicable landscapes.  The minimum then runs on plain
-floats with the same operations, in the same order, as the validated
-trail_length and trail_crossings.  surface_distance keeps the first
-minimizer's chord with its result and builds the trail from it only when
-the result's `trail` is first read, so a caller that wants the numbers
-alone (the `distance` command, the oracle's compare) never pays for it.
+surface_distance finds its minimum in one shortest-first pass, as the
+oracle's unfold_geodesic does with its chains: it lays the applicable
+landscapes out in ascending formula length, keeps the contained ones,
+and stops at the first length above the first contained one + TIE_EPS.
+Each landscape's layout through a frame is one record, derived from
+chain_layout once per process: the formula, the corners of its two
+formula charts, the hinge segments and their edge labels, and the
+instance.  trail_crossings reads that record.  So does the plan of each
+ordered pair of charts, built on first use: how far each point's chart
+turns (topology.turns, coords.turn) and the records of its applicable
+landscapes.  The minimum then runs on plain floats with the same
+operations, in the same order, as the validated trail_length and
+trail_crossings.  surface_distance keeps the first minimizer's chord
+with its result and builds the trail from it only when the result's
+`trail` is first read, so a caller that wants the numbers alone (the
+`distance` command, the oracle's compare) never pays for it.
 """
 
 from __future__ import annotations
@@ -489,13 +491,14 @@ class _ChartPairPlan:
     """What the minimum needs to know about one ordered chart pair.
 
     The first point turns `turns1` times into its formula chart, the
-    second `turns2` times into its own; the applicable landscapes follow
-    in ascending id order.
+    second `turns2` times into its own.  `landscapes` holds the layout
+    records of the applicable landscapes in ascending id order; each
+    record's instance carries its id.  surface_distance visits them
+    shortest first.
     """
 
     turns1: int
     turns2: int
-    ids: tuple[int, ...]
     landscapes: tuple[_PlannedLandscape, ...]
 
 
@@ -511,7 +514,6 @@ def _plan(home1: int, shared1: int, home2: int, shared2: int) -> _ChartPairPlan:
     return _ChartPairPlan(
         topo.turns(home1, shared1, frame.face(2)),
         topo.turns(home2, shared2, frame.face(s_role)),
-        ids,
         tuple(_layout(index, frame) for index in ids),
     )
 
@@ -520,15 +522,16 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     """Geodesic distance on the surface, with its minimizing landscapes.
 
     Adjacent home faces use L1; faces sharing only a vertex use the
-    smaller of L2 and L3; opposite faces the smallest of L4..L9.  Only
-    the minimizing landscapes (within TIE_EPS) are laid out; when all of
-    their chords are contained, that minimum is the result.  Otherwise
-    every applicable landscape is laid out: trails whose chord leaves the
-    landscape count as infinite, and if that filters out every applicable
-    landscape (possible only for boundary-degenerate inputs) the
-    unfiltered minimum is returned with `fallback` set.  Same-face pairs
-    use the in-face straight distance, coincident points return zero;
-    both report an empty `argmin`.
+    smaller of L2 and L3; opposite faces the smallest of L4..L9.  A trail
+    counts only if its chord stays inside its landscape, so the
+    landscapes are laid out shortest formula first (equal lengths in id
+    order), and the pass stops at the first length above the first
+    contained one + TIE_EPS.  The contained landscapes it met are the
+    argmin.  If no chord is contained (possible only for
+    boundary-degenerate inputs), the TIE_EPS band of the unfiltered
+    minimum is returned with `fallback` set.  Same-face pairs use the
+    in-face straight distance, coincident points return zero; both report
+    an empty `argmin`.
     """
     ra, rb = a.canonical, b.canonical
     if ra.home == rb.home:
@@ -542,31 +545,26 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     x2, y2 = turn(rb.x, rb.y, plan.turns2)
     landscapes = plan.landscapes
     lengths = [ls.formula(x1, y1, x2, y2) for ls in landscapes]
-    best = min(lengths)
-    cutoff = best + TIE_EPS
-    winners = [k for k, length in enumerate(lengths) if length <= cutoff]
+    order = sorted(range(len(landscapes)), key=lengths.__getitem__)
     chords = {}
-    contained = True
-    for k in winners:
-        ls = landscapes[k]
-        chords[k] = chord = _chord(ls, x1, y1, x2, y2)
-        contained = contained and chord[1] is not None
-    fallback = False
-    if not contained:
-        for k, ls in enumerate(landscapes):
-            if k not in chords:
-                chords[k] = _chord(ls, x1, y1, x2, y2)
-        pool = [k for k in range(len(landscapes)) if chords[k][1] is not None]
-        fallback = not pool
-        if fallback:
-            pool = list(range(len(landscapes)))
-        best = min([lengths[k] for k in pool])
-        cutoff = best + TIE_EPS
-        winners = [k for k in pool if lengths[k] <= cutoff]
-    ids = plan.ids
-    first = winners[0]
+    pool = []  # contained landscapes, shortest first
+    for k in order:
+        if pool and lengths[k] > lengths[pool[0]] + TIE_EPS:
+            break
+        chords[k] = chord = _chord(landscapes[k], x1, y1, x2, y2)
+        if chord[1] is not None:
+            pool.append(k)
+    fallback = not pool
+    if fallback:
+        pool = [k for k in order if lengths[k] <= lengths[order[0]] + TIE_EPS]
+    distance = lengths[pool[0]]
+    pool.sort()
+    first = pool[0]
     return DistanceResult(
-        best, tuple([ids[k] for k in winners]), fallback, (landscapes[first], *chords[first])
+        distance,
+        tuple([landscapes[k].instance.index for k in pool]),
+        fallback,
+        (landscapes[first], *chords[first]),
     )
 
 

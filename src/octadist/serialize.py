@@ -13,7 +13,7 @@ import json
 import math
 from typing import Any
 
-from .coords import InvalidRepresentation, Representation
+from .coords import Representation
 from .landscape import DistanceResult, TrailResult
 
 
@@ -131,15 +131,10 @@ def load_record(line: str) -> dict:
 
 
 def error_obj(exc: Exception, record_id: str | None = None) -> dict:
-    kind = type(exc).__name__
-    if isinstance(exc, InvalidRepresentation):
-        kind = "InvalidRepresentation"
-    elif isinstance(exc, BadRecord):
-        kind = "BadRecord"
     out: dict = {}
     if record_id is not None:
         out["id"] = record_id
-    out["error"] = kind
+    out["error"] = type(exc).__name__
     out["detail"] = str(exc)
     return out
 

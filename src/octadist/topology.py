@@ -161,33 +161,24 @@ def canonical_frame(a: int, b: int) -> Frame:
     role 5 (neither adjacent nor opposite) or role 8 (opposite); for
     opposite pairs, where three valid frames exist, the lexicographically
     smallest role tuple is chosen.  Those three share role 1 and differ
-    first at role 2, so it is the one anchored on a's smallest neighbor.
+    first at role 2, so it is the one anchored on a's smallest neighbor:
+    the frames anchored on a's neighbors are tried in ascending order,
+    and the first that puts b in role 2, 5 or 8 is returned.
     """
-    if a == b:
-        raise ValueError("frame anchor faces must differ")
-    cycle = NEIGHBORS_CCW[a]
-    rel = relation(a, b)
-    if rel is Relation.ADJACENT:
-        frame = Frame.from_anchor(a, b)
-    elif rel is Relation.NEITHER:
-        n4 = opposite(b)  # adjacent to a exactly when relation(a, b) is NEITHER
-        frame = Frame.from_anchor(a, cycle[(cycle.index(n4) + 1) % 3])
-        assert frame.face(5) == b
-    else:  # OPPOSITE
-        frame = Frame.from_anchor(a, min(cycle))
-        assert frame.face(8) == b
-    return frame
+    for n2 in sorted(NEIGHBORS_CCW[a]):
+        frame = Frame.from_anchor(a, n2)
+        if b in (frame.face(2), frame.face(5), frame.face(8)):
+            return frame
+    raise ValueError(f"frame anchor faces must be two different faces, got F{a} and F{b}")
 
 
-def enumerate_dual_paths(start: int, goal: int, max_len: int = 8) -> list[tuple[int, ...]]:
+def enumerate_dual_paths(start: int, goal: int) -> list[tuple[int, ...]]:
     """All simple paths from start to goal in the face-adjacency graph.
 
-    Paths have between 2 and max_len faces and are returned sorted by
+    Paths have between 2 and 8 faces and are returned sorted by
     (length, face sequence).  Paths of 2/3/4 faces are the dual paths of
     the landscapes between adjacent / neither / opposite face pairs.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
     paths: list[tuple[int, ...]] = []
 
     def extend(path: tuple[int, ...]) -> None:
@@ -197,7 +188,7 @@ def enumerate_dual_paths(start: int, goal: int, max_len: int = 8) -> list[tuple[
             cand = path + (nxt,)
             if nxt == goal:
                 paths.append(cand)
-            elif len(cand) < max_len:
+            else:
                 extend(cand)
 
     if start != goal:

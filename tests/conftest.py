@@ -82,8 +82,8 @@ def best_chord_loop(a, b, min_faces=2, max_faces=8):
     ra, rb = a.canonical, b.canonical
     pa3, pb3 = oracle.embed_3d(ra), oracle.embed_3d(rb)
     best, best_pair = math.inf, None
-    for path in topo.enumerate_dual_paths(ra.home, rb.home, max_faces):
-        if len(path) < min_faces:
+    for path in topo.enumerate_dual_paths(ra.home, rb.home):
+        if not min_faces <= len(path) <= max_faces:
             continue
         chain = oracle.flatten_chain(path)
         pa = chain.project(pa3)

@@ -127,7 +127,7 @@ def test_criterion_4_landscape_count_census():
         class_counts[rel] += 1
         length, count = expected[rel]
         for src, dst in ((a, b), (b, a)):
-            paths = topo.enumerate_dual_paths(src, dst, 4)
+            paths = topo.enumerate_dual_paths(src, dst)
             minimal = [p for p in paths if len(p) == length]
             shorter = [p for p in paths if len(p) < length]
             if len(minimal) != count or shorter:

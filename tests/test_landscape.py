@@ -14,6 +14,7 @@ from octadist.coords import (
     canonicalize,
     flip_home_face,
     rotate_once,
+    sample_uniform,
     vertex_representations,
 )
 from octadist.landscape import (
@@ -606,3 +607,45 @@ def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncont
         assert result.fallback and result.argmin == (4,)
     else:
         assert not result.fallback and 4 not in result.argmin
+
+
+def test_uncontained_member_of_a_tie_leaves_the_argmin(monkeypatch):
+    # the antipodal vertices tie L2 and L3; an uncontained L2 leaves L3 alone
+    a = canonicalize(vertex_representations(frozenset({1, 2, 3, 4}))[0])
+    b = canonicalize(vertex_representations(frozenset({5, 6, 7, 8}))[0])
+    assert surface_distance(a, b).argmin == (2, 3)
+    original = landscape.chord_edge_intersections
+    l2_segments = landscape._layout(2, _prepare_pair(a, b)[0]).segments
+
+    def leaky(p, q, edges):
+        return None if edges == l2_segments else original(p, q, edges)
+
+    monkeypatch.setattr(landscape, "chord_edge_intersections", leaky)
+    result = surface_distance(a, b)
+    assert _bits(result) == _bits(all_landscape_distance(a, b))
+    assert result.argmin == (3,) and not result.fallback
+
+
+def test_only_the_tie_band_is_laid_out(monkeypatch):
+    # the shortest-first pass lays out exactly the landscapes within
+    # TIE_EPS of the distance, each once
+    laid_out = []
+    original = landscape._chord
+
+    def counting(ls, *coords):
+        laid_out.append(ls.instance.index)
+        return original(ls, *coords)
+
+    monkeypatch.setattr(landscape, "_chord", counting)
+    points = sample_uniform(18, 5000)
+    pairs = [
+        (a, b) for a, b in zip(points[::2], points[1::2]) if a.canonical.home != b.canonical.home
+    ]
+    assert len(pairs) >= 2000
+    for a, b in pairs[:2000]:
+        laid_out.clear()
+        result = surface_distance(a, b)
+        _frame, p1, p2 = _prepare_pair(a, b)
+        ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
+        band = [i for i in ids if trail_length(i, p1, p2) <= result.distance + TIE_EPS]
+        assert sorted(laid_out) == band

@@ -214,7 +214,7 @@ def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
         for start in topo.FACE_INDICES
         for goal in topo.FACE_INDICES
         if goal != start
-        for path in topo.enumerate_dual_paths(start, goal, 8)
+        for path in topo.enumerate_dual_paths(start, goal)
     }
     assert max(map(len, paths)) == 8
     oracle.flatten_chain.cache_clear()
