@@ -12,9 +12,9 @@ its pairs, and `compare` on one pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,31 +121,64 @@ def embed_3d(rep: Representation) -> np.ndarray:
     ])
 
 
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the last axis, row by row, as a 1-D `u @ v` forms each."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ vector, row by row, as a 2-D `M @ v` forms each."""
+    return np.matmul(matrix, vectors[..., None])[..., 0]
+
+
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v for 3-vectors: np.cross's products and differences, without its overhead."""
-    u0, u1, u2 = u.tolist()
-    v0, v1, v2 = v.tolist()
-    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+    """u x v, row by row: np.cross's products and differences, column by column."""
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=1)
 
 
-def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+def _hinge(
+    matrix: np.ndarray,
+    offset: np.ndarray,
+    n0: np.ndarray,
+    s: np.ndarray,
+    t: np.ndarray,
+    normal: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's tail map after unfolding its next face about the edge S-T.
+
+    Row r's last face is carried into the plane by `matrix[r]`,
+    `offset[r]`; `n0[r]` is the unit normal of its first face, `s[r]` and
+    `t[r]` are the corners its last face shares with the next one, and
+    `normal[r]` the next face's unit normal.  The rotation about the
+    carried edge takes the carried normal onto `n0[r]` (Rodrigues'
+    formula); the angle is taken per row with `math.atan2`.
+    """
+    pa = _apply(matrix, s) + offset
+    pb = _apply(matrix, t) + offset
+    axis = pb - pa
+    axis = axis / np.sqrt(_dots(axis, axis))[:, None]
+    m = _apply(matrix, normal)
+    angles = list(map(math.atan2, _dots(axis, _cross(m, n0)).tolist(), _dots(m, n0).tolist()))
+    sin, versin = np.array(list(map(math.sin, angles))), 1.0 - np.array(list(map(math.cos, angles)))
+    x, y, z = axis.T
+    zero = np.zeros_like(x)
+    k = np.stack((zero, -z, y, z, zero, -x, -y, x, zero), axis=1).reshape(-1, 3, 3)
+    rot = np.eye(3) + sin[:, None, None] * k + versin[:, None, None] * (k @ k)
+    return rot @ matrix, _apply(rot, offset - pa) + pa
 
 
-@dataclass(frozen=True)
-class UnfoldChain:
+class UnfoldChain(NamedTuple):
     """A dual path flattened into the plane of its first face.
 
+    `origin`, `ex` and `ey` frame that plane in 3D, and
     `tail_matrix`/`tail_offset` is the rigid map that carries 3D points
-    of the last face into the flattening plane, and `parent` the chain
-    of the path without its last face (None for the one-face root).  The
-    2D geometry is built from the parent the first time it is read:
-    `triangles` holds each face's corner positions keyed by vertex label,
-    `corners` the same positions as tuples, and `hinges` the interior
-    shared edges as ((S, T), 2D S, 2D T) in path order, read from the
-    triangle of the face before each edge.
+    of the last face into it.  `triangles` holds each face's corner
+    positions in the plane keyed by vertex label, `corners` the same
+    positions as tuples, and `hinges` the interior shared edges as
+    ((S, T), 2D S, 2D T) in path order, read from the triangle of the
+    face before each edge.  All three extend the chain of the path
+    without its last face.  The arrays are read-only.
     """
 
     faces: tuple[int, ...]
@@ -154,80 +187,144 @@ class UnfoldChain:
     ey: np.ndarray
     tail_matrix: np.ndarray
     tail_offset: np.ndarray
-    parent: UnfoldChain | None = field(default=None, repr=False)
+    triangles: tuple[dict, ...]
+    corners: tuple[tuple, ...]
+    hinges: tuple[tuple, ...]
 
     def project(self, point3: np.ndarray) -> tuple[float, float]:
         rel = point3 - self.origin
         return float(rel @ self.ex), float(rel @ self.ey)
 
-    def place(self, vertex: topo.VertexLabel) -> np.ndarray:
-        """Where the tail map carries a vertex of the last face."""
-        return self.tail_matrix @ VERTEX_COORDS[vertex] + self.tail_offset
 
-    @cached_property
-    def triangles(self) -> tuple[dict, ...]:
-        if self.parent is None:
-            return ({v: self.project(VERTEX_COORDS[v]) for v in topo.face_vertices(self.faces[0])},)
-        triangle = {v: self.project(self.place(v)) for v in topo.face_vertices(self.faces[-1])}
-        return self.parent.triangles + (triangle,)
+@dataclass(frozen=True)
+class PairChains:
+    """Every flattened dual path between two faces, stacked for projection.
 
-    @cached_property
-    def corners(self) -> tuple[tuple, ...]:
-        return tuple(tuple(triangle.values()) for triangle in self.triangles)
+    `chains` are the `flatten_chain` results of `enumerate_dual_paths`
+    in its (length, face sequence) order.
+    Row i of `origin` (k x 3), `axes` (k x 3 x 2, columns ex and ey),
+    `tail_matrix` (k x 3 x 3) and `tail_offset` (k x 3) is chain i's;
+    the arrays are read-only.
+    """
 
-    @cached_property
-    def hinges(self) -> tuple[tuple, ...]:
-        hinges = []
-        for before, face, nxt in zip(self.triangles, self.faces, self.faces[1:]):
-            s, t = topo.shared_edge(face, nxt)
-            hinges.append(((s, t), before[s], before[t]))
-        return tuple(hinges)
+    chains: tuple[UnfoldChain, ...]
+    origin: np.ndarray
+    axes: np.ndarray
+    tail_matrix: np.ndarray
+    tail_offset: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
-    """Flatten a simple dual path by composing hinge rotations in 3D.
+def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, int], PairChains]]:
+    """Every simple dual path flattened, and the chain stack of each ordered face pair.
 
-    A path of three or more faces extends the (cached) flattening of
-    its prefix by one hinge, so each hinge is computed once per process.
+    A path's plane is its first face's chart towards its second face:
+    the origin is the chart's S corner, ex points along S-T and ey is
+    n0 x ex.  The paths are unfolded depth by depth: the tail maps of
+    all paths of one length come from those of their prefixes in one
+    `_hinge` step, the two-face paths' from the identity.  Each face's
+    plane corners are its corners carried by the tail map of the path
+    that ends on it, projected on ex and ey.  Every row is formed by the
+    operations a chain-by-chain composition would use, so it has the
+    same bits.  The rows of one face pair are contiguous, so its stack
+    is a slice of the tables.
     """
-    if len(faces) > 2:
-        return _add_hinge(flatten_chain(faces[:-1]), faces[-1])
-    first = faces[0]
-    s0, t0, _ = topo.chart_corners(first, faces[1])
-    origin = VERTEX_COORDS[s0]
-    ex = VERTEX_COORDS[t0] - origin
-    ex = ex / np.linalg.norm(ex)
-    ey = _cross(FACE_NORMALS[first], ex)
-    root = UnfoldChain(
-        faces=(first,),
-        origin=origin,
-        ex=ex,
-        ey=ey,
-        tail_matrix=np.eye(3),
-        tail_offset=np.zeros(3),
-    )
-    return _add_hinge(root, faces[1])
+    stacks = {
+        (start, goal): topo.enumerate_dual_paths(start, goal)
+        for start in topo.FACE_INDICES
+        for goal in topo.FACE_INDICES
+        if goal != start
+    }
+    paths = [p for ps in stacks.values() for p in ps]
+    row = {path: i for i, path in enumerate(paths)}
+    levels: dict[int, list[int]] = {}
+    for i, path in enumerate(paths):
+        levels.setdefault(len(path), []).append(i)
+    edges = {(f, g): topo.shared_edge(f, g) for f in topo.FACE_INDICES for g in topo.neighbors(f)}
+    vertex_rows = np.array([VERTEX_COORDS[v] for v in topo.VERTICES])
+    vertex_index = {v: i for i, v in enumerate(topo.VERTICES)}
+    normal_rows = np.array([FACE_NORMALS[f] for f in topo.FACE_INDICES])
+
+    def vertices(labels):
+        # one row per entry of labels, one 3D point per label
+        return vertex_rows[[[vertex_index[v] for v in row_labels] for row_labels in labels]]
+
+    def normals(faces):
+        return normal_rows[[topo.FACE_INDICES.index(f) for f in faces]]
+
+    def plane(points, rows):
+        # each row's three points on its plane, as ((x, y), ...) tuples
+        rel = points - origin[rows, None]
+        xs, ys = _dots(rel, ex[rows, None]).tolist(), _dots(rel, ey[rows, None]).tolist()
+        return [tuple(zip(*xy)) for xy in zip(xs, ys)]
+
+    origin, t0 = vertices([edges[p[:2]] for p in paths]).transpose(1, 0, 2)
+    ex = t0 - origin
+    ex = ex / np.sqrt(_dots(ex, ex))[:, None]
+    n0 = normals([p[0] for p in paths])
+    ey = _cross(n0, ex)
+
+    matrix, offset = np.empty((len(paths), 3, 3)), np.empty((len(paths), 3))
+    for depth in sorted(levels):
+        rows = levels[depth]
+        if depth == 2:
+            before = np.tile(np.eye(3), (len(rows), 1, 1)), np.zeros((len(rows), 3))
+        else:
+            parents = [row[paths[i][:-1]] for i in rows]
+            before = matrix[parents], offset[parents]
+        s, t = vertices([edges[paths[i][-2:]] for i in rows]).transpose(1, 0, 2)
+        normal = normals([paths[i][-1] for i in rows])
+        matrix[rows], offset[rows] = _hinge(*before, n0[rows], s, t, normal)
+
+    carried = _apply(matrix[:, None], vertices([topo.face_vertices(p[-1]) for p in paths]))
+    last = plane(carried + offset[:, None], slice(None))
+    roots = levels[2]
+    first_faces = vertices([topo.face_vertices(paths[i][0]) for i in roots])
+    first = dict(zip(roots, plane(first_faces, roots)))
+    axes = np.stack((ex, ey), axis=2)
+    for array in (origin, ex, ey, axes, matrix, offset):
+        array.setflags(write=False)
+
+    chains: dict[tuple[int, ...], UnfoldChain] = {}
+    for depth in sorted(levels):
+        for i in levels[depth]:
+            path = paths[i]
+            if depth == 2:
+                frame = origin[i], ex[i], ey[i]
+                triangles = (dict(zip(topo.face_vertices(path[0]), first[i])),)
+                corners, hinges = (first[i],), ()
+            else:
+                parent = chains[path[:-1]]
+                frame = parent.origin, parent.ex, parent.ey
+                triangles, corners, hinges = parent.triangles, parent.corners, parent.hinges
+            edge = edges[path[-2:]]
+            before = triangles[-1]
+            chains[path] = UnfoldChain(
+                path, *frame, matrix[i], offset[i],
+                triangles + (dict(zip(topo.face_vertices(path[-1]), last[i])),),
+                corners + (last[i],),
+                hinges + ((edge, before[edge[0]], before[edge[1]]),),
+            )
+
+    pair_chains, lo = {}, 0
+    for homes, ps in stacks.items():
+        rows = slice(lo, lo + len(ps))
+        stack = tuple(chains[p] for p in ps)
+        pair_chains[homes] = PairChains(stack, origin[rows], axes[rows], matrix[rows], offset[rows])
+        lo = rows.stop
+    return chains, pair_chains
 
 
-def _add_hinge(chain: UnfoldChain, cur: int) -> UnfoldChain:
-    """Unfold face `cur` about its edge with the chain's last face."""
-    n0 = FACE_NORMALS[chain.faces[0]]
-    pa, pb = (chain.place(v) for v in topo.shared_edge(chain.faces[-1], cur))
-    axis = pb - pa
-    axis = axis / np.linalg.norm(axis)
-    m = chain.tail_matrix @ FACE_NORMALS[cur]
-    angle = math.atan2(float(axis @ _cross(m, n0)), float(m @ n0))
-    rot = _rodrigues(axis, angle)
-    return UnfoldChain(
-        faces=chain.faces + (cur,),
-        origin=chain.origin,
-        ex=chain.ex,
-        ey=chain.ey,
-        tail_matrix=rot @ chain.tail_matrix,
-        tail_offset=rot @ (chain.tail_offset - pa) + pa,
-        parent=chain,
-    )
+def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
+    """The flattening of a simple dual path of two or more faces.
+
+    All of them are built together the first time one is asked for.
+    """
+    return _unfoldings()[0][faces]
+
+
+def _pair_chains(start: int, goal: int) -> PairChains:
+    return _unfoldings()[1][start, goal]
 
 
 def _point_in_triangle(p, tri, tol: float) -> bool:
@@ -304,36 +401,82 @@ def _sampled_containment(chain: UnfoldChain, a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PairChains:
-    """Every flattened dual path between two faces, stacked for projection.
+#: Rows an unfolding step projects at most.  A row's temporaries hold about
+#: 15 floats per chain of its stack (at most 18 chains), so a step stays
+#: bounded however many pairs share a face pair.
+_UNFOLD_ROWS = 32
 
-    `chains` are the `flatten_chain` results of `enumerate_dual_paths`
-    in its (length, face sequence) order.
-    Row i of `origin` (k x 3), `axes` (k x 3 x 2, columns ex and ey),
-    `tail_matrix` (k x 3 x 3) and `tail_offset` (k x 3) is chain i's;
-    the arrays are read-only.
+
+def _embedded(
+    pairs: Sequence[tuple[SurfacePoint, SurfacePoint]],
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[tuple[int, int], list[int]]]:
+    """Each pair's endpoints in 3D, and the pair indices by their two home faces."""
+    ends, groups = [], {}
+    for i, (a, b) in enumerate(pairs):
+        ra, rb = a.canonical, b.canonical
+        ends.append((embed_3d(ra), embed_3d(rb)))
+        groups.setdefault((ra.home, rb.home), []).append(i)
+    return ends, groups
+
+
+def _blocks(ends, groups, size: int):
+    """Blocks of at most `size` pairs with the same two home faces.
+
+    Yields the home faces, the pair indices, and both ends' 3D points
+    stacked as rows.
     """
+    for homes, rows in groups.items():
+        for lo in range(0, len(rows), size):
+            block = rows[lo : lo + size]
+            pa3, pb3 = (np.array([ends[i][side] for i in block]) for side in (0, 1))
+            yield homes, block, pa3, pb3
 
-    chains: tuple[UnfoldChain, ...]
-    origin: np.ndarray
-    axes: np.ndarray
-    tail_matrix: np.ndarray
-    tail_offset: np.ndarray
+
+def _chord(pa3: np.ndarray, pb3: np.ndarray) -> float:
+    return float(np.linalg.norm(pa3 - pb3))
 
 
-@lru_cache(maxsize=None)
-def _pair_chains(start: int, goal: int) -> PairChains:
-    chains = tuple(flatten_chain(p) for p in topo.enumerate_dual_paths(start, goal))
-    arrays = (
-        np.array([c.origin for c in chains]),
-        np.array([np.stack([c.ex, c.ey], axis=1) for c in chains]),
-        np.array([c.tail_matrix for c in chains]),
-        np.array([c.tail_offset for c in chains]),
+def _shortest_contained(chains: tuple[UnfoldChain, ...], starts: list, ends: list) -> float:
+    """The shortest chord starts[i] -> ends[i] that chain i contains, or inf."""
+    order = sorted(
+        (math.hypot(bx - ax, by - ay), i)
+        for i, ((ax, ay), (bx, by)) in enumerate(zip(starts, ends))
     )
-    for array in arrays:
-        array.setflags(write=False)
-    return PairChains(chains, *arrays)
+    for length, i in order:
+        chain, pa, pb = chains[i], tuple(starts[i]), tuple(ends[i])
+        if _chord_in_chain(chain, pa, pb) is None:
+            continue
+        if not _sampled_containment(chain, pa, pb):
+            raise AssertionError(f"sampled containment check failed on {chain.faces}")
+        return length
+    return math.inf
+
+
+def _unfold_values(ends, groups) -> list[float]:
+    """`unfold_geodesics` of the pairs `_embedded` returned `ends` and `groups` for."""
+    values = [math.inf] * len(ends)
+    for (home_a, home_b), block, pa3, pb3 in _blocks(ends, groups, _UNFOLD_ROWS):
+        if home_a == home_b:
+            for i in block:
+                values[i] = _chord(*ends[i])
+            continue
+        stack = _pair_chains(home_a, home_b)
+        pb3_tail = _apply(stack.tail_matrix, pb3[:, None]) + stack.tail_offset
+        starts = ((pa3[:, None] - stack.origin)[:, :, None] @ stack.axes)[:, :, 0].tolist()
+        ends_2d = ((pb3_tail - stack.origin)[:, :, None] @ stack.axes)[:, :, 0].tolist()
+        for i, row_starts, row_ends in zip(block, starts, ends_2d):
+            values[i] = _shortest_contained(stack.chains, row_starts, row_ends)
+    return values
+
+
+def unfold_geodesics(pairs: Sequence[tuple[SurfacePoint, SurfacePoint]]) -> list[float]:
+    """`unfold_geodesic` of each pair, in order.
+
+    Pairs with the same two home faces are projected into their chain
+    stack together, up to `_UNFOLD_ROWS` at a time; a row's value does
+    not depend on the rows it goes with.
+    """
+    return _unfold_values(*_embedded(pairs))
 
 
 def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
@@ -346,26 +489,7 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
     is the shortest contained one.  Returns inf when no chain contains
     its chord.
     """
-    ra, rb = a.canonical, b.canonical
-    pa3, pb3 = embed_3d(ra), embed_3d(rb)
-    if ra.home == rb.home:
-        return float(np.linalg.norm(pa3 - pb3))
-    pairs = _pair_chains(ra.home, rb.home)
-    pb3_tail = pairs.tail_matrix @ pb3 + pairs.tail_offset
-    starts = ((pa3 - pairs.origin)[:, None, :] @ pairs.axes)[:, 0, :].tolist()
-    ends = ((pb3_tail - pairs.origin)[:, None, :] @ pairs.axes)[:, 0, :].tolist()
-    order = sorted(
-        (math.hypot(bx - ax, by - ay), i)
-        for i, ((ax, ay), (bx, by)) in enumerate(zip(starts, ends))
-    )
-    for length, i in order:
-        chain, pa, pb = pairs.chains[i], tuple(starts[i]), tuple(ends[i])
-        if _chord_in_chain(chain, pa, pb) is None:
-            continue
-        if not _sampled_containment(chain, pa, pb):
-            raise AssertionError(f"sampled containment check failed on {chain.faces}")
-        return length
-    return math.inf
+    return unfold_geodesics([(a, b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +585,20 @@ def _mesh_rows(
     return (dist + dst_w).min(axis=1)
 
 
+def _mesh_values(ends, groups, subdivisions: int) -> list[float]:
+    """`mesh_upper_bounds` of the pairs `_embedded` returned `ends` and `groups` for."""
+    if subdivisions < 1:
+        raise ValueError("subdivisions must be at least 1")
+    mesh = _mesh_graph(subdivisions)
+    values = [math.inf] * len(ends)
+    for homes, block, pa3, pb3 in _blocks(ends, groups, _MESH_ROWS):
+        for i, value in zip(block, _mesh_rows(mesh, subdivisions, homes, pa3, pb3).tolist()):
+            if homes[0] == homes[1]:
+                value = min(_chord(*ends[i]), value)
+            values[i] = value
+    return values
+
+
 def mesh_upper_bounds(
     pairs: Sequence[tuple[SurfacePoint, SurfacePoint]], subdivisions: int
 ) -> list[float]:
@@ -470,25 +608,7 @@ def mesh_upper_bounds(
     up to `_MESH_ROWS` at a time; a row's value does not depend on the
     rows it goes with.
     """
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be at least 1")
-    mesh = _mesh_graph(subdivisions)
-    ends, groups = [], {}
-    for i, (a, b) in enumerate(pairs):
-        ra, rb = a.canonical, b.canonical
-        ends.append((embed_3d(ra), embed_3d(rb)))
-        groups.setdefault((ra.home, rb.home), []).append(i)
-    bounds = [math.inf] * len(ends)
-    for homes, rows in groups.items():
-        for lo in range(0, len(rows), _MESH_ROWS):
-            block = rows[lo : lo + _MESH_ROWS]
-            pa3 = np.array([ends[i][0] for i in block])
-            pb3 = np.array([ends[i][1] for i in block])
-            for i, value in zip(block, _mesh_rows(mesh, subdivisions, homes, pa3, pb3).tolist()):
-                if homes[0] == homes[1]:
-                    value = min(float(np.linalg.norm(ends[i][0] - ends[i][1])), value)
-                bounds[i] = value
-    return bounds
+    return _mesh_values(*_embedded(pairs), subdivisions)
 
 
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
@@ -564,16 +684,19 @@ def compare_pairs(
 ) -> list[CompareReport]:
     """Check each pair, in order: formula vs unfolding, chord and mesh brackets.
 
-    subdivisions = 0 skips the mesh bound (it is by far the slowest
-    reference and one-sided anyway); otherwise `mesh_upper_bounds` takes
-    all the pairs at once.
+    Each endpoint is embedded once; the unfolding search, the mesh bound
+    and the 3D chord read the same 3D points, and each takes the pairs
+    by face pair as `unfold_geodesics` and `mesh_upper_bounds` do, with
+    the same values.  subdivisions = 0 skips the mesh bound (it is by far
+    the slowest reference and one-sided anyway).
     """
-    meshes = mesh_upper_bounds(pairs, subdivisions) if subdivisions else [None] * len(pairs)
+    ends, groups = _embedded(pairs)
+    meshes = _mesh_values(ends, groups, subdivisions) if subdivisions else [None] * len(pairs)
+    oracles = _unfold_values(ends, groups)
     reports = []
-    for (a, b), mesh in zip(pairs, meshes):
+    for (a, b), (pa3, pb3), oracle_value, mesh in zip(pairs, ends, oracles, meshes):
         result = surface_distance(a, b)
-        oracle_value = unfold_geodesic(a, b)
-        chord = float(np.linalg.norm(embed_3d(a.canonical) - embed_3d(b.canonical)))
+        chord = _chord(pa3, pb3)
         reports.append(CompareReport(
             distance=result.distance,
             oracle=oracle_value,

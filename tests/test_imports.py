@@ -61,3 +61,8 @@ def test_validate_loads_numpy_but_not_the_mesh_graph():
 def test_validate_with_mesh_loads_numpy_only():
     argv = ["validate", "--count", "1", "--subdivisions", "4"]
     assert loaded_after(run_main(argv)) == {"numpy"}
+
+
+def test_importing_the_oracle_builds_no_chain():
+    code = "from octadist import oracle\nassert oracle._unfoldings.cache_info().currsize == 0"
+    assert loaded_after(code) == {"numpy"}

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -133,29 +134,47 @@ def test_flatten_chain_hinges_are_shared():
             assert math.dist(after[edge[1]], pt) < 1e-12
 
 
-def test_flatten_chain_builds_the_plane_geometry_when_read():
-    path = next(p for p in topo.enumerate_dual_paths(1, 8) if len(p) == 4)
-    oracle.flatten_chain.cache_clear()
-    chain = oracle.flatten_chain(path)
-    lazy = ("triangles", "corners", "hinges")
-    links = []
-    link = chain
-    while link is not None:
-        links.append(link)
-        assert not set(lazy) & set(vars(link))
-        link = link.parent
-    assert [c.faces for c in links] == [path[:k] for k in (4, 3, 2, 1)]
-    assert links[1] is oracle.flatten_chain(path[:3])
-    assert chain.corners == tuple(tuple(tri.values()) for tri in chain.triangles)
-    assert len(chain.hinges) == 3
-    # each link's triangles are built once, and its parent's are reused;
-    # the hinges are read off the chain's own triangles, not its ancestors'
-    assert {"triangles", "hinges"} <= set(vars(chain))
-    for link in links[1:]:
-        assert "triangles" in vars(link) and "hinges" not in vars(link)
-    for child, parent in zip(links, links[1:]):
-        assert child.triangles[:-1] == parent.triangles
-        assert all(a is b for a, b in zip(child.triangles, parent.triangles))
+def test_flatten_chain_looks_up_chains_built_once():
+    oracle._unfoldings.cache_clear()
+    paths = [
+        path
+        for start in topo.FACE_INDICES
+        for goal in topo.FACE_INDICES
+        if goal != start
+        for path in topo.enumerate_dual_paths(start, goal)
+    ]
+    assert len(set(paths)) == len(paths) == 888
+    for path in paths:
+        chain = oracle.flatten_chain(path)
+        assert chain.faces == path
+        assert oracle.flatten_chain(path) is chain
+        if len(path) == 2:
+            continue
+        # a chain extends the chain of its prefix: same frame, same 2D geometry
+        prefix = oracle.flatten_chain(path[:-1])
+        frames = zip((chain.origin, chain.ex, chain.ey), (prefix.origin, prefix.ex, prefix.ey))
+        assert all(a is b for a, b in frames)
+        assert all(a is b for a, b in zip(chain.triangles[:-1], prefix.triangles, strict=True))
+        assert chain.corners[:-1] == prefix.corners
+        assert chain.hinges[:-1] == prefix.hinges
+    assert oracle._unfoldings.cache_info().misses == 1
+    # each face pair's stack rows are its chains', in enumerate_dual_paths order
+    for start in topo.FACE_INDICES:
+        for goal in topo.FACE_INDICES:
+            if goal == start:
+                continue
+            stack = oracle._pair_chains(start, goal)
+            assert [c.faces for c in stack.chains] == topo.enumerate_dual_paths(start, goal)
+            for i, chain in enumerate(stack.chains):
+                assert chain is oracle.flatten_chain(chain.faces)
+                assert _bits(stack.origin[i]) == _bits(chain.origin)
+                assert _bits(stack.axes[i]) == _bits(np.stack([chain.ex, chain.ey], axis=1))
+                assert _bits(stack.tail_matrix[i]) == _bits(chain.tail_matrix)
+                assert _bits(stack.tail_offset[i]) == _bits(chain.tail_offset)
+            arrays = (stack.origin, stack.axes, stack.tail_matrix, stack.tail_offset)
+            for chain in stack.chains:
+                arrays += (chain.origin, chain.ex, chain.ey, chain.tail_matrix, chain.tail_offset)
+            assert not any(array.flags.writeable for array in arrays)
 
 
 def _bits(values) -> bytes:
@@ -217,8 +236,8 @@ def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
         for path in topo.enumerate_dual_paths(start, goal)
     }
     assert max(map(len, paths)) == 8
-    oracle.flatten_chain.cache_clear()
-    # longest first, so that prefixes are built on demand by the recursion
+    oracle._unfoldings.cache_clear()
+    # longest first: the first lookup builds every chain at once
     for path in sorted(paths, key=len, reverse=True):
         chain = oracle.flatten_chain(path)
         triangles, hinges, matrix, offset = _flatten_uncached(path)
@@ -614,7 +633,7 @@ def test_mesh_upper_bound_equals_graph_built_per_call():
             assert got.hex() == _mesh_with_graph_per_call(a, b, n).hex(), (a, b, n)
 
 
-def _every_face_pair_mesh_rows(seed):
+def _every_face_pair_rows(seed):
     """Every ordered face pair, plus coincident, same-face, vertex and edge pairs."""
     rng = random.Random(seed)
 
@@ -635,7 +654,7 @@ def _every_face_pair_mesh_rows(seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
 def test_mesh_upper_bounds_do_not_depend_on_the_batch(n, monkeypatch):
-    pairs = _every_face_pair_mesh_rows(n)
+    pairs = _every_face_pair_rows(n)
     if n >= 32:
         pairs = pairs[::7] + pairs[64:70] + pairs[-4:]
     single = [oracle.mesh_upper_bound(a, b, n).hex() for a, b in pairs]
@@ -657,6 +676,29 @@ def test_mesh_upper_bounds_do_not_depend_on_the_batch(n, monkeypatch):
         split += oracle.mesh_upper_bounds(pairs[lo:hi], n)
     assert [v.hex() for v in split] == single
     assert oracle.mesh_upper_bounds([], n) == []
+
+
+def test_unfold_geodesics_do_not_depend_on_the_batch(monkeypatch):
+    pairs = [pair for seed in range(3) for pair in _every_face_pair_rows(seed)]
+    homes = collections.Counter((a.canonical.home, b.canonical.home) for a, b in pairs)
+    assert len(homes) == 64 and max(homes.values()) > 5
+    single = [oracle.unfold_geodesic(a, b).hex() for a, b in pairs]
+    assert [v.hex() for v in oracle.unfold_geodesics(pairs)] == single
+    rng = random.Random(19)
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    shuffled = oracle.unfold_geodesics([pairs[i] for i in order])
+    assert [single[i] for i in order] == [v.hex() for v in shuffled]
+    # split into blocks of a few rows, and into separate calls
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(oracle, "_UNFOLD_ROWS", rows)
+        assert [v.hex() for v in oracle.unfold_geodesics(pairs)] == single
+    cuts = sorted(rng.sample(range(1, len(pairs)), 4))
+    split = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(pairs)]):
+        split += oracle.unfold_geodesics(pairs[lo:hi])
+    assert [v.hex() for v in split] == single
+    assert oracle.unfold_geodesics([]) == []
 
 
 def test_mesh_witness_row_one_tight_at_64():
@@ -711,28 +753,31 @@ def test_compare_report_serializes():
     assert json.loads(dumps(obj)) == obj
 
 
-def test_compare_calls_the_public_oracle_functions(monkeypatch):
-    calls = []
-
-    def unfold(a, b):
-        calls.append("unfold")
-        return 0.125
-
-    def meshes(pairs, subdivisions):
-        calls.append(("mesh", len(pairs), subdivisions))
-        return [2.5] * len(pairs)
-
-    monkeypatch.setattr(oracle, "unfold_geodesic", unfold)
-    monkeypatch.setattr(oracle, "mesh_upper_bounds", meshes)
-    a = canonicalize(Representation(1, 2, 0.2, 0.1))
-    b = canonicalize(Representation(7, 4, 0.3, 0.2))
-    report = oracle.compare(a, b, subdivisions=4)
-    assert (report.oracle, report.mesh) == (0.125, 2.5)
-    assert calls == [("mesh", 1, 4), "unfold"]
-    calls.clear()
-    reports = oracle.compare_pairs([(a, b), (b, a), (a, a)], subdivisions=8)
-    assert [r.mesh for r in reports] == [2.5] * 3
-    assert calls == [("mesh", 3, 8), "unfold", "unfold", "unfold"]
+def test_compare_pairs_equals_the_public_one_pair_functions():
+    points = sample_uniform(6174, 80)
+    pairs = list(zip(points[0::2], points[1::2]))
+    pairs += [(p, canonicalize(interior_rep(p.canonical.home, p.canonical.shared, 0.3, 0.2))) for p in points[:6]]
+    pairs += list(itertools.permutations(boundary_points()[::3], 2))
+    pairs += [(points[0], points[0])]
+    for n, tolerance in ((0, 1e-9), (4, 1e-9), (16, 0.0)):
+        reports = oracle.compare_pairs(pairs, tolerance=tolerance, subdivisions=n)
+        assert len(reports) == len(pairs)
+        for (a, b), report in zip(pairs, reports):
+            result = surface_distance(a, b)
+            oracle_value = oracle.unfold_geodesic(a, b)
+            chord = float(np.linalg.norm(oracle.embed_3d(a.canonical) - oracle.embed_3d(b.canonical)))
+            mesh = oracle.mesh_upper_bound(a, b, n) if n else None
+            assert report.distance.hex() == result.distance.hex()
+            assert report.oracle.hex() == oracle_value.hex()
+            assert report.chord.hex() == chord.hex()
+            if n:
+                assert report.mesh.hex() == mesh.hex()
+            else:
+                assert report.mesh is None
+            assert (report.argmin, report.fallback) == (result.argmin, result.fallback)
+            assert report.distance_ok is (abs(result.distance - oracle_value) <= tolerance)
+            assert report.chord_ok is (chord <= result.distance + 1e-12)
+            assert report.mesh_ok is (None if mesh is None else result.distance <= mesh + 1e-12)
 
 
 def test_compare_pairs_equals_compare_per_pair():
