@@ -7,11 +7,18 @@ without disturbing its neighbours.  `validate` sweeps seeded random
 pairs (plus the nine validity witness pairs) through the comparison
 harness, and `render` draws one query's shortest trail on the net as
 SVG.
+
+`main` freezes the garbage collector's view of the objects alive when a
+command starts (`gc.freeze`), most of them left by the imports, so its
+collections never scan them again; `validate` does the same after it
+imports the oracle.  An in-process caller of `main` that wants them
+scanned again can call `gc.unfreeze()`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -77,7 +84,17 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .oracle import compare_pairs
+    # numpy and the oracle leave thousands of long-lived objects; importing
+    # them with the collector paused, then freezing them, spares every
+    # later collection a scan of them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        from .oracle import compare_pairs
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
 
     points = sample_uniform(args.seed, 2 * args.count)
     pairs = [(canonicalize(r1), canonicalize(r2)) for r1, r2 in VALIDITY_WITNESSES.values()]
@@ -136,7 +153,8 @@ def _checked(convert, accept, requirement: str):
 
 positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
 #: The finest mesh `validate` builds.  Its lattice cache holds (12n - 6)^2
-#: skeleton hop counts, built in O(n^3) steps: about 2 s at n = 128.
+#: skeleton hop counts, built in O(n^3) steps: 1.5-1.6 s at n = 128 on a
+#: 2-core Xeon VM.
 _MAX_SUBDIVISIONS = 128
 _subdivisions = _checked(
     int, lambda v: 0 <= v <= _MAX_SUBDIVISIONS, f"must be between 0 and {_MAX_SUBDIVISIONS}"
@@ -177,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    gc.freeze()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

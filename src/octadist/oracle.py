@@ -106,6 +106,11 @@ _VERTEX_TUPLES: dict[topo.VertexLabel, tuple[float, ...]] = {
     v: tuple(c.tolist()) for v, c in VERTEX_COORDS.items()
 }
 
+#: The same coordinates as the rows of one read-only array, and each vertex's row.
+_VERTEX_ROW: dict[topo.VertexLabel, int] = {v: i for i, v in enumerate(topo.VERTICES)}
+_VERTEX_ROWS = np.array([VERTEX_COORDS[v] for v in topo.VERTICES])
+_VERTEX_ROWS.setflags(write=False)
+
 
 def embed_3d(rep: Representation) -> np.ndarray:
     """3D position of a represented point (barycentric over its chart).
@@ -203,8 +208,10 @@ class PairChains:
     `chains` are the `flatten_chain` results of `enumerate_dual_paths`
     in its (length, face sequence) order.
     Row i of `origin` (k x 3), `axes` (k x 3 x 2, columns ex and ey),
-    `tail_matrix` (k x 3 x 3) and `tail_offset` (k x 3) is chain i's;
-    the arrays are read-only.
+    `tail_matrix` (k x 3 x 3), `tail_offset` (k x 3) and `corners`
+    (k x 8 x 3 x 2) is chain i's.  `corners[i]` holds chain i's
+    `corners`, padded to eight triangles with copies of its last one.
+    The arrays are read-only.
     """
 
     chains: tuple[UnfoldChain, ...]
@@ -212,6 +219,7 @@ class PairChains:
     axes: np.ndarray
     tail_matrix: np.ndarray
     tail_offset: np.ndarray
+    corners: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -241,22 +249,19 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
     for i, path in enumerate(paths):
         levels.setdefault(len(path), []).append(i)
     edges = {(f, g): topo.shared_edge(f, g) for f in topo.FACE_INDICES for g in topo.neighbors(f)}
-    vertex_rows = np.array([VERTEX_COORDS[v] for v in topo.VERTICES])
-    vertex_index = {v: i for i, v in enumerate(topo.VERTICES)}
     normal_rows = np.array([FACE_NORMALS[f] for f in topo.FACE_INDICES])
 
     def vertices(labels):
         # one row per entry of labels, one 3D point per label
-        return vertex_rows[[[vertex_index[v] for v in row_labels] for row_labels in labels]]
+        return _VERTEX_ROWS[[[_VERTEX_ROW[v] for v in row_labels] for row_labels in labels]]
 
     def normals(faces):
         return normal_rows[[topo.FACE_INDICES.index(f) for f in faces]]
 
     def plane(points, rows):
-        # each row's three points on its plane, as ((x, y), ...) tuples
+        # each row's three points on its plane, as 3 x 2 (x, y) rows
         rel = points - origin[rows, None]
-        xs, ys = _dots(rel, ex[rows, None]).tolist(), _dots(rel, ey[rows, None]).tolist()
-        return [tuple(zip(*xy)) for xy in zip(xs, ys)]
+        return np.stack((_dots(rel, ex[rows, None]), _dots(rel, ey[rows, None])), axis=2)
 
     origin, t0 = vertices([edges[p[:2]] for p in paths]).transpose(1, 0, 2)
     ex = t0 - origin
@@ -264,25 +269,35 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
     n0 = normals([p[0] for p in paths])
     ey = _cross(n0, ex)
 
+    # plane corners by row: row i is path i's last face, row first[i] the
+    # first face of two-face path i.  Row i of `faces` lists the rows of
+    # path i's triangles (its first face, then the last face of each
+    # prefix and its own), padded with its last.
+    roots = levels[2]
+    first = {i: len(paths) + j for j, i in enumerate(roots)}
+    faces = np.empty((len(paths), max(levels)), dtype=np.intp)
     matrix, offset = np.empty((len(paths), 3, 3)), np.empty((len(paths), 3))
     for depth in sorted(levels):
         rows = levels[depth]
         if depth == 2:
             before = np.tile(np.eye(3), (len(rows), 1, 1)), np.zeros((len(rows), 3))
+            faces[rows, 0] = [first[i] for i in rows]
         else:
             parents = [row[paths[i][:-1]] for i in rows]
             before = matrix[parents], offset[parents]
+            faces[rows, : depth - 1] = faces[parents, : depth - 1]
+        faces[rows, depth - 1 :] = np.array(rows)[:, None]
         s, t = vertices([edges[paths[i][-2:]] for i in rows]).transpose(1, 0, 2)
         normal = normals([paths[i][-1] for i in rows])
         matrix[rows], offset[rows] = _hinge(*before, n0[rows], s, t, normal)
 
     carried = _apply(matrix[:, None], vertices([topo.face_vertices(p[-1]) for p in paths]))
-    last = plane(carried + offset[:, None], slice(None))
-    roots = levels[2]
     first_faces = vertices([topo.face_vertices(paths[i][0]) for i in roots])
-    first = dict(zip(roots, plane(first_faces, roots)))
+    plane_xy = np.concatenate((plane(carried + offset[:, None], slice(None)), plane(first_faces, roots)))
+    placed = [tuple(map(tuple, tri)) for tri in plane_xy.tolist()]
+    corner_table = plane_xy[faces]
     axes = np.stack((ex, ey), axis=2)
-    for array in (origin, ex, ey, axes, matrix, offset):
+    for array in (origin, ex, ey, axes, matrix, offset, corner_table):
         array.setflags(write=False)
 
     chains: dict[tuple[int, ...], UnfoldChain] = {}
@@ -291,8 +306,8 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
             path = paths[i]
             if depth == 2:
                 frame = origin[i], ex[i], ey[i]
-                triangles = (dict(zip(topo.face_vertices(path[0]), first[i])),)
-                corners, hinges = (first[i],), ()
+                triangles = (dict(zip(topo.face_vertices(path[0]), placed[first[i]])),)
+                corners, hinges = (placed[first[i]],), ()
             else:
                 parent = chains[path[:-1]]
                 frame = parent.origin, parent.ex, parent.ey
@@ -301,8 +316,8 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
             before = triangles[-1]
             chains[path] = UnfoldChain(
                 path, *frame, matrix[i], offset[i],
-                triangles + (dict(zip(topo.face_vertices(path[-1]), last[i])),),
-                corners + (last[i],),
+                triangles + (dict(zip(topo.face_vertices(path[-1]), placed[i])),),
+                corners + (placed[i],),
                 hinges + ((edge, before[edge[0]], before[edge[1]]),),
             )
 
@@ -310,7 +325,9 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
     for homes, ps in stacks.items():
         rows = slice(lo, lo + len(ps))
         stack = tuple(chains[p] for p in ps)
-        pair_chains[homes] = PairChains(stack, origin[rows], axes[rows], matrix[rows], offset[rows])
+        pair_chains[homes] = PairChains(
+            stack, origin[rows], axes[rows], matrix[rows], offset[rows], corner_table[rows]
+        )
         lo = rows.stop
     return chains, pair_chains
 
@@ -325,14 +342,6 @@ def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
 
 def _pair_chains(start: int, goal: int) -> PairChains:
     return _unfoldings()[1][start, goal]
-
-
-def _point_in_triangle(p, tri, tol: float) -> bool:
-    (ax, ay), (bx, by), (cx, cy) = tri
-    d1 = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-    d2 = (cx - bx) * (p[1] - by) - (cy - by) * (p[0] - bx)
-    d3 = (ax - cx) * (p[1] - cy) - (ay - cy) * (p[0] - cx)
-    return min(d1, d2, d3) >= -tol
 
 
 def _chord_in_chain(chain: UnfoldChain, a, b):
@@ -381,91 +390,119 @@ def _chord_in_chain(chain: UnfoldChain, a, b):
     return params
 
 
-def _sampled_containment(chain: UnfoldChain, a, b) -> bool:
-    # cross-check: interior chord samples must land in some triangle.  Each
-    # sample tries the triangles in path order from the last one hit, and
-    # all of them before it counts as a miss.
+def _samples_contained(corners: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row r, whether 16 points along the chord a[r] -> b[r] each lie in a triangle of corners[r].
+
+    The cross-check of a winning chain: interior chord samples must land
+    in some triangle of it.  `corners` is rows x triangles x 3 x 2, `a`
+    and `b` are rows x 2.  Every sample is tested against every triangle,
+    so a repeated triangle changes nothing.  Each sample a + t (b - a)
+    and each edge product (B - A) x (p - A) of a triangle ABC, for the
+    edges AB, BC and CA, is formed elementwise with the float operations
+    of a scalar test; the sample lies in the triangle when the least of
+    the three is at least -1e-7.
+    """
     samples = 16
-    corners = chain.corners
-    count = len(corners)
-    last = 0
-    for i in range(1, samples + 1):
-        t = i / (samples + 1.0)
-        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        for k in range(last, last + count):
-            if _point_in_triangle(p, corners[k % count], 1e-7):
-                last = k % count
-                break
-        else:
-            return False
-    return True
+    t = np.arange(1, samples + 1) / (samples + 1.0)
+    # sample i of row r at [xy, r, 0, i]; corner k of triangle j at [k, xy, r, j, 0]
+    px, py = (a.T[:, :, None] + t * (b - a).T[:, :, None])[:, :, None]
+    corner = np.ascontiguousarray(corners.transpose(2, 3, 0, 1))[..., None]
+    edge = corner[[1, 2, 0]] - corner
+    d = edge[:, 0] * (py - corner[:, 1]) - edge[:, 1] * (px - corner[:, 0])
+    return (d.min(axis=0) >= -1e-7).any(axis=1).all(axis=1)
+
+
+def _sampled_containment(chain: UnfoldChain, a, b) -> bool:
+    """The sampled containment check of one chord in one chain."""
+    return bool(_samples_contained(np.array([chain.corners]), np.array([a]), np.array([b]))[0])
 
 
 #: Rows an unfolding step projects at most.  A row's temporaries hold about
-#: 15 floats per chain of its stack (at most 18 chains), so a step stays
-#: bounded however many pairs share a face pair.
+#: 15 floats per chain of its stack (at most 18 chains), and 384 (3 edges x
+#: 8 triangles x 16 samples) per array of its containment check, so a step
+#: stays bounded however many pairs share a face pair.
 _UNFOLD_ROWS = 32
 
 
 def _embedded(
     pairs: Sequence[tuple[SurfacePoint, SurfacePoint]],
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[tuple[int, int], list[int]]]:
-    """Each pair's endpoints in 3D, and the pair indices by their two home faces."""
-    ends, groups = [], {}
+) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], list[int]]]:
+    """Both ends of the pairs in 3D as rows, and the pair indices by their two home faces.
+
+    Each row is `embed_3d`'s point: its barycentric weights times its
+    chart's corners, summed in the order S, T, U.
+    """
+    reps, groups = [], {}
     for i, (a, b) in enumerate(pairs):
         ra, rb = a.canonical, b.canonical
-        ends.append((embed_3d(ra), embed_3d(rb)))
+        reps += (ra, rb)
         groups.setdefault((ra.home, rb.home), []).append(i)
-    return ends, groups
+    bary = np.array([barycentric(r.x, r.y) for r in reps]).reshape(-1, 3)
+    labels = [[_VERTEX_ROW[v] for v in topo.chart_corners(r.home, r.shared)] for r in reps]
+    corners = _VERTEX_ROWS[labels].reshape(-1, 3, 3)
+    ls, lt, lu = bary.T[:, :, None]
+    points = ls * corners[:, 0] + lt * corners[:, 1] + lu * corners[:, 2]
+    return points[0::2], points[1::2], groups
 
 
-def _blocks(ends, groups, size: int):
+def _blocks(pa3: np.ndarray, pb3: np.ndarray, groups, size: int):
     """Blocks of at most `size` pairs with the same two home faces.
 
-    Yields the home faces, the pair indices, and both ends' 3D points
-    stacked as rows.
+    Yields the home faces, the pair indices, and the block's rows of
+    `pa3` and `pb3`.
     """
     for homes, rows in groups.items():
         for lo in range(0, len(rows), size):
             block = rows[lo : lo + size]
-            pa3, pb3 = (np.array([ends[i][side] for i in block]) for side in (0, 1))
-            yield homes, block, pa3, pb3
+            yield homes, block, pa3[block], pb3[block]
 
 
-def _chord(pa3: np.ndarray, pb3: np.ndarray) -> float:
-    return float(np.linalg.norm(pa3 - pb3))
+def _norms(d: np.ndarray) -> list[float]:
+    """The length of each row of d, as `np.linalg.norm` takes it of one row."""
+    return np.sqrt(_dots(d, d)).tolist()
 
 
-def _shortest_contained(chains: tuple[UnfoldChain, ...], starts: list, ends: list) -> float:
-    """The shortest chord starts[i] -> ends[i] that chain i contains, or inf."""
-    order = sorted(
-        (math.hypot(bx - ax, by - ay), i)
-        for i, ((ax, ay), (bx, by)) in enumerate(zip(starts, ends))
-    )
-    for length, i in order:
-        chain, pa, pb = chains[i], tuple(starts[i]), tuple(ends[i])
-        if _chord_in_chain(chain, pa, pb) is None:
-            continue
-        if not _sampled_containment(chain, pa, pb):
-            raise AssertionError(f"sampled containment check failed on {chain.faces}")
-        return length
-    return math.inf
+def _shortest_contained(
+    chains: tuple[UnfoldChain, ...], starts: list, ends: list, dxs: list, dys: list
+) -> tuple[float, int] | None:
+    """The shortest chord starts[i] -> ends[i] that chain i contains, with i; None if none does.
+
+    (dxs[i], dys[i]) is ends[i] - starts[i].  Equal lengths are tried in
+    chain order.
+    """
+    lengths = list(map(math.hypot, dxs, dys))
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if _chord_in_chain(chains[i], starts[i], ends[i]) is not None:
+            return lengths[i], i
+    return None
 
 
-def _unfold_values(ends, groups) -> list[float]:
-    """`unfold_geodesics` of the pairs `_embedded` returned `ends` and `groups` for."""
-    values = [math.inf] * len(ends)
-    for (home_a, home_b), block, pa3, pb3 in _blocks(ends, groups, _UNFOLD_ROWS):
+def _unfold_values(pa3: np.ndarray, pb3: np.ndarray, groups) -> list[float]:
+    """`unfold_geodesics` of the pairs `_embedded` returned `pa3`, `pb3` and `groups` for."""
+    values = [math.inf] * len(pa3)
+    for (home_a, home_b), block, a3, b3 in _blocks(pa3, pb3, groups, _UNFOLD_ROWS):
         if home_a == home_b:
-            for i in block:
-                values[i] = _chord(*ends[i])
+            for i, chord in zip(block, _norms(a3 - b3)):
+                values[i] = chord
             continue
         stack = _pair_chains(home_a, home_b)
-        pb3_tail = _apply(stack.tail_matrix, pb3[:, None]) + stack.tail_offset
-        starts = ((pa3[:, None] - stack.origin)[:, :, None] @ stack.axes)[:, :, 0].tolist()
-        ends_2d = ((pb3_tail - stack.origin)[:, :, None] @ stack.axes)[:, :, 0].tolist()
-        for i, row_starts, row_ends in zip(block, starts, ends_2d):
-            values[i] = _shortest_contained(stack.chains, row_starts, row_ends)
+        b3_tail = _apply(stack.tail_matrix, b3[:, None]) + stack.tail_offset
+        starts = ((a3[:, None] - stack.origin)[:, :, None] @ stack.axes)[:, :, 0]
+        ends = ((b3_tail - stack.origin)[:, :, None] @ stack.axes)[:, :, 0]
+        dxs, dys = (ends - starts).transpose(2, 0, 1).tolist()
+        rows, winners = [], []
+        for r, row in enumerate(zip(starts.tolist(), ends.tolist(), dxs, dys)):
+            found = _shortest_contained(stack.chains, *row)
+            if found is not None:
+                values[block[r]], winner = found
+                rows.append(r)
+                winners.append(winner)
+        if not rows:
+            continue
+        ok = _samples_contained(stack.corners[winners], starts[rows, winners], ends[rows, winners])
+        if not ok.all():
+            failed = stack.chains[winners[int(ok.argmin())]]
+            raise AssertionError(f"sampled containment check failed on {failed.faces}")
     return values
 
 
@@ -473,8 +510,9 @@ def unfold_geodesics(pairs: Sequence[tuple[SurfacePoint, SurfacePoint]]) -> list
     """`unfold_geodesic` of each pair, in order.
 
     Pairs with the same two home faces are projected into their chain
-    stack together, up to `_UNFOLD_ROWS` at a time; a row's value does
-    not depend on the rows it goes with.
+    stack together, up to `_UNFOLD_ROWS` at a time, and the winners of
+    such a block get their sampled containment check together; a row's
+    value does not depend on the rows it goes with.
     """
     return _unfold_values(*_embedded(pairs))
 
@@ -585,16 +623,17 @@ def _mesh_rows(
     return (dist + dst_w).min(axis=1)
 
 
-def _mesh_values(ends, groups, subdivisions: int) -> list[float]:
-    """`mesh_upper_bounds` of the pairs `_embedded` returned `ends` and `groups` for."""
+def _mesh_values(pa3: np.ndarray, pb3: np.ndarray, groups, subdivisions: int) -> list[float]:
+    """`mesh_upper_bounds` of the pairs `_embedded` returned `pa3`, `pb3` and `groups` for."""
     if subdivisions < 1:
         raise ValueError("subdivisions must be at least 1")
     mesh = _mesh_graph(subdivisions)
-    values = [math.inf] * len(ends)
-    for homes, block, pa3, pb3 in _blocks(ends, groups, _MESH_ROWS):
-        for i, value in zip(block, _mesh_rows(mesh, subdivisions, homes, pa3, pb3).tolist()):
-            if homes[0] == homes[1]:
-                value = min(_chord(*ends[i]), value)
+    values = [math.inf] * len(pa3)
+    for homes, block, a3, b3 in _blocks(pa3, pb3, groups, _MESH_ROWS):
+        rows = _mesh_rows(mesh, subdivisions, homes, a3, b3).tolist()
+        if homes[0] == homes[1]:
+            rows = list(map(min, _norms(a3 - b3), rows))
+        for i, value in zip(block, rows):
             values[i] = value
     return values
 
@@ -690,13 +729,12 @@ def compare_pairs(
     the same values.  subdivisions = 0 skips the mesh bound (it is by far
     the slowest reference and one-sided anyway).
     """
-    ends, groups = _embedded(pairs)
-    meshes = _mesh_values(ends, groups, subdivisions) if subdivisions else [None] * len(pairs)
-    oracles = _unfold_values(ends, groups)
+    pa3, pb3, groups = _embedded(pairs)
+    meshes = _mesh_values(pa3, pb3, groups, subdivisions) if subdivisions else [None] * len(pairs)
+    oracles = _unfold_values(pa3, pb3, groups)
     reports = []
-    for (a, b), (pa3, pb3), oracle_value, mesh in zip(pairs, ends, oracles, meshes):
+    for (a, b), chord, oracle_value, mesh in zip(pairs, _norms(pa3 - pb3), oracles, meshes):
         result = surface_distance(a, b)
-        chord = _chord(pa3, pb3)
         reports.append(CompareReport(
             distance=result.distance,
             oracle=oracle_value,

@@ -1,4 +1,5 @@
-"""numpy loads only where the oracle needs it, and scipy never does.
+"""numpy loads only where the oracle needs it, and scipy never does;
+only the CLI touches the garbage collector.
 
 Each case runs in a fresh interpreter, since this process has long
 since imported both.
@@ -22,16 +23,26 @@ WITNESS_L1 = (
 )
 
 
-def loaded_after(code, stdin=""):
-    """Run `code` in a fresh interpreter; return which of HEAVY it left loaded."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+def state_after(code, report, stdin=""):
+    """Run `code` in a fresh interpreter; return the JSON value of the expression `report` after it."""
+    probe = f"{code}\nimport gc, json, sys\nprint(json.dumps({report}))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         input=stdin, capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code, stdin=""):
+    """Which of HEAVY `code` left loaded."""
+    return set(state_after(code, f"[m for m in {HEAVY!r} if m in sys.modules]", stdin))
+
+
+def collector_after(code):
+    """Whether the collector is enabled after `code`, and how many objects it froze."""
+    return tuple(state_after(code, "[gc.isenabled(), gc.get_freeze_count()]"))
 
 
 def run_main(argv):
@@ -66,3 +77,17 @@ def test_validate_with_mesh_loads_numpy_only():
 def test_importing_the_oracle_builds_no_chain():
     code = "from octadist import oracle\nassert oracle._unfoldings.cache_info().currsize == 0"
     assert loaded_after(code) == {"numpy"}
+
+
+@pytest.mark.parametrize("module", ["octadist", "octadist.oracle"])
+def test_import_leaves_the_collector_alone(module):
+    assert collector_after(f"import {module}") == (True, 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_validate_freezes_and_keeps_the_collector_state(enabled):
+    start = "import gc\n" + ("" if enabled else "gc.disable()\n")
+    code = start + run_main(["validate", "--count", "1", "--subdivisions", "4"])
+    is_enabled, frozen = collector_after(code)
+    assert is_enabled is enabled
+    assert frozen > 0

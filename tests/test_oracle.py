@@ -275,12 +275,18 @@ def test_chord_order_search_equals_exhaustive_loop_bit_for_bit():
         assert oracle.unfold_geodesic(a, b).hex() == want.hex(), (a, b)
 
 
+def _padded(chain):
+    """Chain's corners as lists, padded to eight triangles with copies of its last one."""
+    corners = chain.corners + chain.corners[-1:] * (8 - len(chain.corners))
+    return [[list(p) for p in tri] for tri in corners]
+
+
 def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
     checked = []
 
-    def failing(chain, a, b):
-        checked.append((chain.faces, a, b))
-        return False
+    def failing(corners, a, b):
+        checked.append((corners.tolist(), a.tolist(), b.tolist()))
+        return np.zeros(len(a), dtype=bool)
 
     def assert_winner_checked(a, b):
         length, winner = best_chord_loop(a, b)
@@ -292,10 +298,10 @@ def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
         chain, pa, pb = winner
         with pytest.raises(AssertionError):
             oracle.unfold_geodesic(a, b)
-        assert checked == [(chain.faces, pa, pb)]
+        assert checked == [([_padded(chain)], [list(pa)], [list(pb)])]
         return chain.faces
 
-    monkeypatch.setattr(oracle, "_sampled_containment", failing)
+    monkeypatch.setattr(oracle, "_samples_contained", failing)
     contained = oracle._chord_in_chain
     points = sample_uniform(1618, 60)
     pairs = list(zip(points[0::2], points[1::2]))
@@ -353,21 +359,37 @@ def test_sampled_containment_rejects_a_chord_leaving_the_chain():
     assert not oracle._sampled_containment(chain, first, (first[0] + 3.0, first[1]))
 
 
+def _point_in_triangle(p, tri, tol: float) -> bool:
+    (ax, ay), (bx, by), (cx, cy) = tri
+    d1 = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+    d2 = (cx - bx) * (p[1] - by) - (cy - by) * (p[0] - bx)
+    d3 = (ax - cx) * (p[1] - cy) - (ay - cy) * (p[0] - cx)
+    return min(d1, d2, d3) >= -tol
+
+
 def _sampled_containment_scan(chain, a, b):
-    """The sampled containment check as an exhaustive scan of every triangle."""
+    """The sampled containment check as a scalar scan of every triangle."""
     tris = [tuple(tri.values()) for tri in chain.triangles]
     for i in range(1, 17):
         t = i / 17.0
         p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        if not any(oracle._point_in_triangle(p, tri, 1e-7) for tri in tris):
+        if not any(_point_in_triangle(p, tri, 1e-7) for tri in tris):
             return False
     return True
 
 
-def test_sampled_containment_walk_equals_exhaustive_scan():
+def _table_row(chain):
+    """Chain's row of its face pair's corner table."""
+    stack = oracle._pair_chains(chain.faces[0], chain.faces[-1])
+    row = stack.corners[[c.faces for c in stack.chains].index(chain.faces)]
+    assert row.tolist() == _padded(chain) and not row.flags.writeable
+    return row
+
+
+def test_sampled_containment_blocks_equal_exhaustive_scan():
     rng = random.Random(31337)
     chains = list(_every_pair_chain())
-    verdicts = []
+    rows = []
 
     def in_triangle(tri):
         u, v = rng.random(), rng.random()
@@ -376,7 +398,9 @@ def test_sampled_containment_walk_equals_exhaustive_scan():
         (ax, ay), (bx, by), (cx, cy) = tri.values()
         return ax + u * (bx - ax) + v * (cx - ax), ay + u * (by - ay) + v * (cy - ay)
 
-    for chain in rng.sample(chains, 300):
+    sample = rng.sample(chains, 300)
+    assert any(len(chain.faces) == 2 for chain in sample)
+    for chain in sample:
         tris = chain.triangles
         xs, ys = zip(*(p for tri in tris for p in tri.values()))
         chords = [
@@ -390,32 +414,19 @@ def test_sampled_containment_walk_equals_exhaustive_scan():
                 for _ in range(2)
             ),
         ]
-        for a, b in chords:
+        rows += [(chain, a, b) for a, b in chords]
+    # whole blocks of rows from many face pairs at once, as the search checks its winners
+    verdicts = []
+    for lo in range(0, len(rows), oracle._UNFOLD_ROWS):
+        block = rows[lo : lo + oracle._UNFOLD_ROWS]
+        corners = np.array([_table_row(chain) for chain, _a, _b in block])
+        starts, ends = (np.array([row[side] for row in block]) for side in (1, 2))
+        for (chain, a, b), got in zip(block, oracle._samples_contained(corners, starts, ends).tolist()):
             want = _sampled_containment_scan(chain, a, b)
+            assert got == want, (chain.faces, a, b)
             assert oracle._sampled_containment(chain, a, b) == want, (chain.faces, a, b)
             verdicts.append(want)
     assert 200 < sum(verdicts) < len(verdicts) - 200
-
-
-def test_sampled_containment_walks_a_contained_chord_in_one_pass(monkeypatch):
-    # a chord contained in path order meets the triangles in that order, so
-    # the walk tries each triangle at most once beyond one hit per sample
-    tried = []
-    inside = oracle._point_in_triangle
-
-    def counted(p, tri, tol):
-        tried.append(tri)
-        return inside(p, tri, tol)
-
-    monkeypatch.setattr(oracle, "_point_in_triangle", counted)
-    longest = 0
-    for a, b in _distinct_face_pairs()[::3]:
-        _length, (chain, pa, pb) = best_chord_loop(a, b)
-        tried.clear()
-        assert oracle._sampled_containment(chain, pa, pb)
-        assert len(tried) <= 16 + len(chain.faces) - 1, chain.faces
-        longest = max(longest, len(chain.faces))
-    assert longest >= 4
 
 
 def test_unfold_same_face_is_planar_distance():
@@ -699,6 +710,19 @@ def test_unfold_geodesics_do_not_depend_on_the_batch(monkeypatch):
         split += oracle.unfold_geodesics(pairs[lo:hi])
     assert [v.hex() for v in split] == single
     assert oracle.unfold_geodesics([]) == []
+    # with containment inverted, the winners leave their chains and fail
+    # the sampled check; the error names the same chain however blocks fall
+    contained = oracle._chord_in_chain
+    monkeypatch.setattr(
+        oracle, "_chord_in_chain", lambda chain, a, b: [] if contained(chain, a, b) is None else None
+    )
+    errors = set()
+    for rows in (1, 2, 5, 32):
+        monkeypatch.setattr(oracle, "_UNFOLD_ROWS", rows)
+        with pytest.raises(AssertionError, match="sampled containment check failed on") as failure:
+            oracle.unfold_geodesics(pairs)
+        errors.add(str(failure.value))
+    assert len(errors) == 1, errors
 
 
 def test_mesh_witness_row_one_tight_at_64():
