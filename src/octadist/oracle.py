@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,58 +173,35 @@ def _hinge(
     return rot @ matrix, _apply(rot, offset - pa) + pa
 
 
-class UnfoldChain(NamedTuple):
-    """A dual path flattened into the plane of its first face.
-
-    `origin`, `ex` and `ey` frame that plane in 3D, and
-    `tail_matrix`/`tail_offset` is the rigid map that carries 3D points
-    of the last face into it.  `triangles` holds each face's corner
-    positions in the plane keyed by vertex label, `corners` the same
-    positions as tuples, and `hinges` the interior shared edges as
-    ((S, T), 2D S, 2D T) in path order, read from the triangle of the
-    face before each edge.  All three extend the chain of the path
-    without its last face.  The arrays are read-only.
-    """
-
-    faces: tuple[int, ...]
-    origin: np.ndarray
-    ex: np.ndarray
-    ey: np.ndarray
-    tail_matrix: np.ndarray
-    tail_offset: np.ndarray
-    triangles: tuple[dict, ...]
-    corners: tuple[tuple, ...]
-    hinges: tuple[tuple, ...]
-
-    def project(self, point3: np.ndarray) -> tuple[float, float]:
-        rel = point3 - self.origin
-        return float(rel @ self.ex), float(rel @ self.ey)
-
-
 @dataclass(frozen=True)
 class PairChains:
-    """Every flattened dual path between two faces, stacked for projection.
+    """Every simple dual path between two faces, flattened and stacked.
 
-    `chains` are the `flatten_chain` results of `enumerate_dual_paths`
-    in its (length, face sequence) order.
-    Row i of `origin` (k x 3), `axes` (k x 3 x 2, columns ex and ey),
-    `tail_matrix` (k x 3 x 3), `tail_offset` (k x 3) and `corners`
-    (k x 8 x 3 x 2) is chain i's.  `corners[i]` holds chain i's
-    `corners`, padded to eight triangles with copies of its last one.
+    `paths` are the face paths of `enumerate_dual_paths`, in its (length,
+    face sequence) order, and row i of each table is path i's.  The path
+    is flattened into the plane of its first face: `origin` (k x 3) and
+    `axes` (k x 3 x 2, columns ex and ey) frame that plane in 3D, and
+    `tail_matrix` (k x 3 x 3) and `tail_offset` (k x 3) are the rigid map
+    that carries 3D points of its last face into it.  `corners`
+    (k x 8 x 3 x 2) holds each face's plane corners in `face_vertices`
+    order, and `hinges` (k x 7 x 2 x 2) each interior shared edge's
+    (S, T) plane points in path order, read from the triangle of the face
+    before the edge.  Both are padded with copies of their last entry.
     The arrays are read-only.
     """
 
-    chains: tuple[UnfoldChain, ...]
+    paths: tuple[tuple[int, ...], ...]
     origin: np.ndarray
     axes: np.ndarray
     tail_matrix: np.ndarray
     tail_offset: np.ndarray
     corners: np.ndarray
+    hinges: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, int], PairChains]]:
-    """Every simple dual path flattened, and the chain stack of each ordered face pair.
+def _unfoldings() -> dict[tuple[int, int], PairChains]:
+    """The chain stack of each ordered pair of distinct faces.
 
     A path's plane is its first face's chart towards its second face:
     the origin is the chart's S corner, ex points along S-T and ey is
@@ -272,13 +249,17 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
     # plane corners by row: row i is path i's last face, row first[i] the
     # first face of two-face path i.  Row i of `faces` lists the rows of
     # path i's triangles (its first face, then the last face of each
-    # prefix and its own), padded with its last.
+    # prefix and its own), padded with its last.  Row i of `hinge_at`
+    # lists where each hinge's S and T sit among the corners of those
+    # rows (3 per row, in `face_vertices` order), padded the same way.
     roots = levels[2]
     first = {i: len(paths) + j for j, i in enumerate(roots)}
     faces = np.empty((len(paths), max(levels)), dtype=np.intp)
+    hinge_at = np.empty((len(paths), max(levels) - 1, 2), dtype=np.intp)
     matrix, offset = np.empty((len(paths), 3, 3)), np.empty((len(paths), 3))
     for depth in sorted(levels):
         rows = levels[depth]
+        last = [paths[i][-2:] for i in rows]
         if depth == 2:
             before = np.tile(np.eye(3), (len(rows), 1, 1)), np.zeros((len(rows), 3))
             faces[rows, 0] = [first[i] for i in rows]
@@ -286,76 +267,50 @@ def _unfoldings() -> tuple[dict[tuple[int, ...], UnfoldChain], dict[tuple[int, i
             parents = [row[paths[i][:-1]] for i in rows]
             before = matrix[parents], offset[parents]
             faces[rows, : depth - 1] = faces[parents, : depth - 1]
+            hinge_at[rows, : depth - 2] = hinge_at[parents, : depth - 2]
         faces[rows, depth - 1 :] = np.array(rows)[:, None]
-        s, t = vertices([edges[paths[i][-2:]] for i in rows]).transpose(1, 0, 2)
-        normal = normals([paths[i][-1] for i in rows])
+        places = [[topo.face_vertices(f).index(v) for v in edges[f, g]] for f, g in last]
+        hinge_at[rows, depth - 2 :] = 3 * faces[rows, depth - 2][:, None, None] + np.array(places)[:, None]
+        s, t = vertices([edges[p] for p in last]).transpose(1, 0, 2)
+        normal = normals([g for _f, g in last])
         matrix[rows], offset[rows] = _hinge(*before, n0[rows], s, t, normal)
 
     carried = _apply(matrix[:, None], vertices([topo.face_vertices(p[-1]) for p in paths]))
     first_faces = vertices([topo.face_vertices(paths[i][0]) for i in roots])
     plane_xy = np.concatenate((plane(carried + offset[:, None], slice(None)), plane(first_faces, roots)))
-    placed = [tuple(map(tuple, tri)) for tri in plane_xy.tolist()]
-    corner_table = plane_xy[faces]
+    corner_table, hinge_table = plane_xy[faces], plane_xy.reshape(-1, 2)[hinge_at]
     axes = np.stack((ex, ey), axis=2)
-    for array in (origin, ex, ey, axes, matrix, offset, corner_table):
+    for array in (origin, axes, matrix, offset, corner_table, hinge_table):
         array.setflags(write=False)
-
-    chains: dict[tuple[int, ...], UnfoldChain] = {}
-    for depth in sorted(levels):
-        for i in levels[depth]:
-            path = paths[i]
-            if depth == 2:
-                frame = origin[i], ex[i], ey[i]
-                triangles = (dict(zip(topo.face_vertices(path[0]), placed[first[i]])),)
-                corners, hinges = (placed[first[i]],), ()
-            else:
-                parent = chains[path[:-1]]
-                frame = parent.origin, parent.ex, parent.ey
-                triangles, corners, hinges = parent.triangles, parent.corners, parent.hinges
-            edge = edges[path[-2:]]
-            before = triangles[-1]
-            chains[path] = UnfoldChain(
-                path, *frame, matrix[i], offset[i],
-                triangles + (dict(zip(topo.face_vertices(path[-1]), placed[i])),),
-                corners + (placed[i],),
-                hinges + ((edge, before[edge[0]], before[edge[1]]),),
-            )
 
     pair_chains, lo = {}, 0
     for homes, ps in stacks.items():
         rows = slice(lo, lo + len(ps))
-        stack = tuple(chains[p] for p in ps)
         pair_chains[homes] = PairChains(
-            stack, origin[rows], axes[rows], matrix[rows], offset[rows], corner_table[rows]
+            tuple(ps), origin[rows], axes[rows], matrix[rows], offset[rows], corner_table[rows],
+            hinge_table[rows],
         )
         lo = rows.stop
-    return chains, pair_chains
-
-
-def flatten_chain(faces: tuple[int, ...]) -> UnfoldChain:
-    """The flattening of a simple dual path of two or more faces.
-
-    All of them are built together the first time one is asked for.
-    """
-    return _unfoldings()[0][faces]
+    return pair_chains
 
 
 def _pair_chains(start: int, goal: int) -> PairChains:
-    return _unfoldings()[1][start, goal]
+    return _unfoldings()[start, goal]
 
 
-def _chord_in_chain(chain: UnfoldChain, a, b):
+def _chord_in_chain(hinges, a, b):
     """Crossing parameters of the chord with the hinge edges, or None.
 
-    Contained means: every hinge is met within its segment, in path
-    order.  Implemented independently of the landscape module's
+    `hinges` are one chain's (S, T) hinge points in path order, as
+    floats.  Contained means: every hinge is met within its segment, in
+    path order.  Implemented independently of the landscape module's
     intersection routine.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
     chord_len = math.hypot(dx, dy)
     params = []
     prev_t = -EPS_IN
-    for _edge, ps, pt in chain.hinges:
+    for ps, pt in hinges:
         ex, ey = pt[0] - ps[0], pt[1] - ps[1]
         if chord_len < 1e-12:
             ee = ex * ex + ey * ey
@@ -412,11 +367,6 @@ def _samples_contained(corners: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return (d.min(axis=0) >= -1e-7).any(axis=1).all(axis=1)
 
 
-def _sampled_containment(chain: UnfoldChain, a, b) -> bool:
-    """The sampled containment check of one chord in one chain."""
-    return bool(_samples_contained(np.array([chain.corners]), np.array([a]), np.array([b]))[0])
-
-
 #: Rows an unfolding step projects at most.  A row's temporaries hold about
 #: 15 floats per chain of its stack (at most 18 chains), and 384 (3 edges x
 #: 8 triangles x 16 samples) per array of its containment check, so a step
@@ -463,16 +413,17 @@ def _norms(d: np.ndarray) -> list[float]:
 
 
 def _shortest_contained(
-    chains: tuple[UnfoldChain, ...], starts: list, ends: list, dxs: list, dys: list
+    stack: PairChains, starts: list, ends: list, dxs: list, dys: list
 ) -> tuple[float, int] | None:
     """The shortest chord starts[i] -> ends[i] that chain i contains, with i; None if none does.
 
     (dxs[i], dys[i]) is ends[i] - starts[i].  Equal lengths are tried in
-    chain order.
+    chain order, each on its real hinges.
     """
     lengths = list(map(math.hypot, dxs, dys))
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if _chord_in_chain(chains[i], starts[i], ends[i]) is not None:
+        hinges = stack.hinges[i, : len(stack.paths[i]) - 1].tolist()
+        if _chord_in_chain(hinges, starts[i], ends[i]) is not None:
             return lengths[i], i
     return None
 
@@ -492,7 +443,7 @@ def _unfold_values(pa3: np.ndarray, pb3: np.ndarray, groups) -> list[float]:
         dxs, dys = (ends - starts).transpose(2, 0, 1).tolist()
         rows, winners = [], []
         for r, row in enumerate(zip(starts.tolist(), ends.tolist(), dxs, dys)):
-            found = _shortest_contained(stack.chains, *row)
+            found = _shortest_contained(stack, *row)
             if found is not None:
                 values[block[r]], winner = found
                 rows.append(r)
@@ -501,8 +452,8 @@ def _unfold_values(pa3: np.ndarray, pb3: np.ndarray, groups) -> list[float]:
             continue
         ok = _samples_contained(stack.corners[winners], starts[rows, winners], ends[rows, winners])
         if not ok.all():
-            failed = stack.chains[winners[int(ok.argmin())]]
-            raise AssertionError(f"sampled containment check failed on {failed.faces}")
+            failed = stack.paths[winners[int(ok.argmin())]]
+            raise AssertionError(f"sampled containment check failed on {failed}")
     return values
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -75,9 +76,10 @@ def boundary_points():
 def best_chord_loop(a, b, min_faces=2, max_faces=8):
     """Shortest contained chord over the dual paths of min_faces..max_faces faces.
 
-    One pass over every path, with per-chain projections and a strict <,
-    so the first of equal chords wins.  Returns (length, (chain, pa, pb))
-    for the winner, or (inf, None) when no chain contains its chord.
+    One pass over every path, projecting through its stack row one point
+    at a time, with a strict <, so the first of equal chords wins.
+    Returns (length, (path, pa, pb)) for the winner, or (inf, None) when
+    no chain contains its chord.
     """
     ra, rb = a.canonical, b.canonical
     pa3, pb3 = oracle.embed_3d(ra), oracle.embed_3d(rb)
@@ -85,15 +87,39 @@ def best_chord_loop(a, b, min_faces=2, max_faces=8):
     for path in topo.enumerate_dual_paths(ra.home, rb.home):
         if not min_faces <= len(path) <= max_faces:
             continue
-        chain = oracle.flatten_chain(path)
-        pa = chain.project(pa3)
-        pb = chain.project(chain.tail_matrix @ pb3 + chain.tail_offset)
-        if oracle._chord_in_chain(chain, pa, pb) is None:
+        stack, i = chain_row(path)
+        origin, (ex, ey) = stack.origin[i], stack.axes[i].T
+
+        def project(point3):
+            rel = point3 - origin
+            return float(rel @ ex), float(rel @ ey)
+
+        pa = project(pa3)
+        pb = project(stack.tail_matrix[i] @ pb3 + stack.tail_offset[i])
+        if oracle._chord_in_chain(real_hinges(path), pa, pb) is None:
             continue
         length = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
         if length < best:
-            best, best_pair = length, (chain, pa, pb)
+            best, best_pair = length, (path, pa, pb)
     return best, best_pair
+
+
+def chain_row(path):
+    """The stack of a dual path's face pair, and the path's row in it."""
+    stack = oracle._pair_chains(path[0], path[-1])
+    return stack, stack.paths.index(path)
+
+
+def real_hinges(path):
+    """The path's hinges, without padding, as the search passes them to `_chord_in_chain`."""
+    stack, i = chain_row(path)
+    return stack.hinges[i, : len(path) - 1].tolist()
+
+
+def sampled_containment(path, a, b) -> bool:
+    """The oracle's sampled containment check of one chord in one path's chain."""
+    stack, i = chain_row(path)
+    return bool(oracle._samples_contained(stack.corners[i : i + 1], np.array([a]), np.array([b]))[0])
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from octadist.coords import (
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 from octadist.serialize import dumps
 
-from conftest import best_chord_loop, point_to_obj
+from conftest import best_chord_loop, point_to_obj, sampled_containment
 
 # Geodesic between the two vertices not incident to a common face,
 # recorded from the first verified run of the unfolding oracle
@@ -149,8 +149,8 @@ def test_criterion_5_long_landscape_dominance():
             continue
         d = surface_distance(a, b).distance
         long_best, winner = best_chord_loop(a, b, 5, 8)
-        if winner is not None and not oracle._sampled_containment(*winner):
-            failures.append(f"{a} {b}: sampled containment fails on {winner[0].faces}")
+        if winner is not None and not sampled_containment(*winner):
+            failures.append(f"{a} {b}: sampled containment fails on {winner[0]}")
         if long_best < d - 1e-9:
             failures.append(f"{a} {b}: 5..8-face chord {long_best} < {d}")
     _report("5 long-landscape dominance", failures, "2000 pairs, chains of 5-8 faces")

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,14 @@ from octadist.coords import (
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 from octadist.serialize import dumps
 
-from conftest import best_chord_loop, boundary_points, interior_rep
+from conftest import (
+    best_chord_loop,
+    boundary_points,
+    chain_row,
+    interior_rep,
+    real_hinges,
+    sampled_containment,
+)
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -106,17 +114,30 @@ def test_vertex_charts_all_embed_to_one_point():
         assert np.allclose(positions[0], oracle.VERTEX_COORDS[v], atol=1e-15)
 
 
-def _every_pair_chain():
+def _stacks():
     for start in topo.FACE_INDICES:
         for goal in topo.FACE_INDICES:
             if goal != start:
-                yield from oracle._pair_chains(start, goal).chains
+                yield oracle._pair_chains(start, goal)
+
+
+def _chains():
+    """Every flattened path as (path, triangles, hinges), read from its stack row.
+
+    `triangles` are its plane triangles without padding, each keyed by
+    vertex label in `face_vertices` order, and `hinges` its real (S, T)
+    hinge points.
+    """
+    for stack in _stacks():
+        for path, corners, hinges in zip(stack.paths, stack.corners.tolist(), stack.hinges.tolist()):
+            triangles = [dict(zip(topo.face_vertices(f), map(tuple, tri))) for f, tri in zip(path, corners)]
+            yield path, triangles, hinges[: len(path) - 1]
 
 
 def test_flatten_chain_triangles_are_unit():
-    for chain in _every_pair_chain():
-        assert len(chain.triangles) == len(chain.faces)
-        for tri in chain.triangles:
+    for path, triangles, _hinges in _chains():
+        assert len(triangles) == len(path)
+        for tri in triangles:
             pts = list(tri.values())
             for p, q in itertools.combinations(pts, 2):
                 assert math.dist(p, q) == pytest.approx(1.0, abs=1e-12)
@@ -125,13 +146,35 @@ def test_flatten_chain_triangles_are_unit():
 def test_flatten_chain_hinges_are_shared():
     # each hinge is the shared corners of the face before it, bit for bit,
     # and occupies the same segment in the face after it
-    for chain in _every_pair_chain():
-        assert len(chain.hinges) == len(chain.faces) - 1
-        for i, (edge, ps, pt) in enumerate(chain.hinges):
-            before, after = chain.triangles[i], chain.triangles[i + 1]
-            assert _bits(before[edge[0]] + before[edge[1]]) == _bits(ps + pt)
-            assert math.dist(after[edge[0]], ps) < 1e-12
-            assert math.dist(after[edge[1]], pt) < 1e-12
+    for path, triangles, hinges in _chains():
+        assert len(hinges) == len(path) - 1
+        for i, (ps, pt) in enumerate(hinges):
+            s, t = topo.shared_edge(path[i], path[i + 1])
+            before, after = triangles[i], triangles[i + 1]
+            assert _bits([before[s], before[t]]) == _bits([ps, pt])
+            assert math.dist(after[s], ps) < 1e-12
+            assert math.dist(after[t], pt) < 1e-12
+
+
+def test_chain_tables_are_padded_with_their_last_entry_and_read_only():
+    count = 0
+    for stack in _stacks():
+        k = len(stack.paths)
+        arrays = (stack.origin, stack.axes, stack.tail_matrix, stack.tail_offset, stack.corners, stack.hinges)
+        assert [array.shape for array in arrays] == [
+            (k, 3), (k, 3, 2), (k, 3, 3), (k, 3), (k, 8, 3, 2), (k, 7, 2, 2)
+        ]
+        assert not any(array.flags.writeable for array in arrays)
+        rows = set()
+        for path, corners, hinges in zip(stack.paths, stack.corners, stack.hinges):
+            n = len(path)
+            assert _bits(corners[n:]) == _bits([corners[n - 1]] * (8 - n))
+            assert _bits(hinges[n - 1 :]) == _bits([hinges[n - 2]] * (8 - n))
+            rows.add(hinges[: n - 1].tobytes())
+        # no two chains of a stack have the same real hinges
+        assert len(rows) == k
+        count += k
+    assert count == 888
 
 
 def test_flatten_chain_looks_up_chains_built_once():
@@ -144,37 +187,21 @@ def test_flatten_chain_looks_up_chains_built_once():
         for path in topo.enumerate_dual_paths(start, goal)
     ]
     assert len(set(paths)) == len(paths) == 888
+    # each face pair's stack rows are its paths', in enumerate_dual_paths order
+    for start in topo.FACE_INDICES:
+        for goal in topo.FACE_INDICES:
+            if goal != start:
+                assert oracle._pair_chains(start, goal).paths == tuple(topo.enumerate_dual_paths(start, goal))
     for path in paths:
-        chain = oracle.flatten_chain(path)
-        assert chain.faces == path
-        assert oracle.flatten_chain(path) is chain
         if len(path) == 2:
             continue
         # a chain extends the chain of its prefix: same frame, same 2D geometry
-        prefix = oracle.flatten_chain(path[:-1])
-        frames = zip((chain.origin, chain.ex, chain.ey), (prefix.origin, prefix.ex, prefix.ey))
-        assert all(a is b for a, b in frames)
-        assert all(a is b for a, b in zip(chain.triangles[:-1], prefix.triangles, strict=True))
-        assert chain.corners[:-1] == prefix.corners
-        assert chain.hinges[:-1] == prefix.hinges
+        (stack, i), (prefix, j), n = chain_row(path), chain_row(path[:-1]), len(path)
+        assert _bits(stack.origin[i]) == _bits(prefix.origin[j])
+        assert _bits(stack.axes[i]) == _bits(prefix.axes[j])
+        assert _bits(stack.corners[i, : n - 1]) == _bits(prefix.corners[j, : n - 1])
+        assert _bits(stack.hinges[i, : n - 2]) == _bits(prefix.hinges[j, : n - 2])
     assert oracle._unfoldings.cache_info().misses == 1
-    # each face pair's stack rows are its chains', in enumerate_dual_paths order
-    for start in topo.FACE_INDICES:
-        for goal in topo.FACE_INDICES:
-            if goal == start:
-                continue
-            stack = oracle._pair_chains(start, goal)
-            assert [c.faces for c in stack.chains] == topo.enumerate_dual_paths(start, goal)
-            for i, chain in enumerate(stack.chains):
-                assert chain is oracle.flatten_chain(chain.faces)
-                assert _bits(stack.origin[i]) == _bits(chain.origin)
-                assert _bits(stack.axes[i]) == _bits(np.stack([chain.ex, chain.ey], axis=1))
-                assert _bits(stack.tail_matrix[i]) == _bits(chain.tail_matrix)
-                assert _bits(stack.tail_offset[i]) == _bits(chain.tail_offset)
-            arrays = (stack.origin, stack.axes, stack.tail_matrix, stack.tail_offset)
-            for chain in stack.chains:
-                arrays += (chain.origin, chain.ex, chain.ey, chain.tail_matrix, chain.tail_offset)
-            assert not any(array.flags.writeable for array in arrays)
 
 
 def _bits(values) -> bytes:
@@ -215,7 +242,7 @@ def _flatten_uncached(faces):
         edge = topo.shared_edge(prev, cur)
         pa = matrix @ coords[edge[0]] + offset
         pb = matrix @ coords[edge[1]] + offset
-        hinges.append((edge, project(pa), project(pb)))
+        hinges.append((project(pa), project(pb)))
         axis = pb - pa
         axis = axis / np.linalg.norm(axis)
         m = matrix @ normal(cur)
@@ -224,7 +251,7 @@ def _flatten_uncached(faces):
         matrix = rot @ matrix
         offset = rot @ (offset - pa) + pa
         triangles.append({v: project(matrix @ coords[v] + offset) for v in topo.face_vertices(cur)})
-    return triangles, hinges, matrix, offset
+    return (origin, ex, ey), triangles, hinges, matrix, offset
 
 
 def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
@@ -239,17 +266,17 @@ def test_flatten_chain_equals_uncached_flattening_bit_for_bit():
     oracle._unfoldings.cache_clear()
     # longest first: the first lookup builds every chain at once
     for path in sorted(paths, key=len, reverse=True):
-        chain = oracle.flatten_chain(path)
-        triangles, hinges, matrix, offset = _flatten_uncached(path)
-        assert chain.faces == path
-        assert len(chain.triangles) == len(triangles)
-        for got, want in zip(chain.triangles, triangles):
-            assert list(got) == list(want)
-            assert _bits(list(got.values())) == _bits(list(want.values()))
-        assert [h[0] for h in chain.hinges] == [h[0] for h in hinges]
-        assert _bits([h[1:] for h in chain.hinges]) == _bits([h[1:] for h in hinges])
-        assert _bits(chain.tail_matrix) == _bits(matrix)
-        assert _bits(chain.tail_offset) == _bits(offset)
+        stack, i = chain_row(path)
+        (origin, ex, ey), triangles, hinges, matrix, offset = _flatten_uncached(path)
+        n = len(path)
+        # each triangle's corners in face_vertices order
+        assert [list(tri) for tri in triangles] == [list(topo.face_vertices(f)) for f in path]
+        assert _bits(stack.corners[i, :n]) == _bits([list(tri.values()) for tri in triangles])
+        assert _bits(stack.hinges[i, : n - 1]) == _bits(hinges)
+        assert _bits(stack.tail_matrix[i]) == _bits(matrix)
+        assert _bits(stack.tail_offset[i]) == _bits(offset)
+        assert _bits(stack.origin[i]) == _bits(origin)
+        assert _bits(stack.axes[i]) == _bits(np.stack([ex, ey], axis=1))
 
 
 def _distinct_face_pairs():
@@ -275,10 +302,31 @@ def test_chord_order_search_equals_exhaustive_loop_bit_for_bit():
         assert oracle.unfold_geodesic(a, b).hex() == want.hex(), (a, b)
 
 
-def _padded(chain):
-    """Chain's corners as lists, padded to eight triangles with copies of its last one."""
-    corners = chain.corners + chain.corners[-1:] * (8 - len(chain.corners))
-    return [[list(p) for p in tri] for tri in corners]
+def test_search_tries_each_chain_on_its_real_hinges(monkeypatch):
+    calls = []
+    contained = oracle._chord_in_chain
+
+    def recording(hinges, a, b):
+        params = contained(hinges, a, b)
+        calls.append((hinges, params))
+        return params
+
+    monkeypatch.setattr(oracle, "_chord_in_chain", recording)
+    pairs = _distinct_face_pairs()[::5]
+    assert len(pairs) > 150
+    for a, b in pairs:
+        _length, winner = best_chord_loop(a, b)
+        calls.clear()
+        oracle.unfold_geodesic(a, b)
+        stack = oracle._pair_chains(a.canonical.home, b.canonical.home)
+        rows = [stack.hinges[i, : len(p) - 1].tolist() for i, p in enumerate(stack.paths)]
+        assert all(hinges in rows for hinges, _params in calls)
+        # every chain before the winner fails; the winner's chord meets each of its hinges
+        assert all(params is None for _hinges, params in calls[:-1])
+        path, _pa, _pb = winner
+        hinges, params = calls[-1]
+        assert hinges == rows[stack.paths.index(path)]
+        assert len(params) == len(path) - 1
 
 
 def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
@@ -295,11 +343,12 @@ def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
             assert oracle.unfold_geodesic(a, b) == length == math.inf
             assert checked == []
             return None
-        chain, pa, pb = winner
-        with pytest.raises(AssertionError):
+        path, pa, pb = winner
+        with pytest.raises(AssertionError, match=re.escape(f"sampled containment check failed on {path}")):
             oracle.unfold_geodesic(a, b)
-        assert checked == [([_padded(chain)], [list(pa)], [list(pb)])]
-        return chain.faces
+        stack, i = chain_row(path)
+        assert checked == [([stack.corners[i].tolist()], [list(pa)], [list(pb)])]
+        return real_hinges(path)
 
     monkeypatch.setattr(oracle, "_samples_contained", failing)
     contained = oracle._chord_in_chain
@@ -315,48 +364,48 @@ def test_failing_sampled_containment_is_raised_on_the_winner(monkeypatch):
         monkeypatch.setattr(
             oracle,
             "_chord_in_chain",
-            lambda chain, p, q: None if chain.faces == winner else contained(chain, p, q),
+            lambda hinges, p, q: None if hinges == winner else contained(hinges, p, q),
         )
         assert_winner_checked(a, b)
 
 
 def _centroid(triangle):
-    xs, ys = zip(*triangle.values())
+    xs, ys = zip(*triangle)
     return sum(xs) / 3.0, sum(ys) / 3.0
 
 
 def test_chord_in_chain_degenerate_and_collinear_chords():
-    chain = oracle.flatten_chain((1, 2))
-    ((_edge, ps, pt),) = chain.hinges
+    hinges = real_hinges((1, 2))
+    ((ps, pt),) = hinges
     ex, ey = pt[0] - ps[0], pt[1] - ps[1]
 
     def along(s, off=0.0):  # s along the hinge, off across it
         return ps[0] + s * ex - off * ey, ps[1] + s * ey + off * ex
 
     # a zero-length chord is contained only where it lies on the hinge
-    ((s, t),) = oracle._chord_in_chain(chain, along(0.25), along(0.25))
+    ((s, t),) = oracle._chord_in_chain(hinges, along(0.25), along(0.25))
     assert s == pytest.approx(0.25, abs=1e-12) and t == 0.0
-    assert oracle._chord_in_chain(chain, along(0.25, 0.1), along(0.25, 0.1)) is None
+    assert oracle._chord_in_chain(hinges, along(0.25, 0.1), along(0.25, 0.1)) is None
     # a chord along the hinge's line is contained where it overlaps the segment
-    ((s, t),) = oracle._chord_in_chain(chain, along(-0.5), along(0.5))
+    ((s, t),) = oracle._chord_in_chain(hinges, along(-0.5), along(0.5))
     assert s == pytest.approx(0.25, abs=1e-12) and t == 0.5
-    assert oracle._chord_in_chain(chain, along(0.0, 0.1), along(1.0, 0.1)) is None
-    assert oracle._chord_in_chain(chain, along(1.5), along(2.5)) is None
+    assert oracle._chord_in_chain(hinges, along(0.0, 0.1), along(1.0, 0.1)) is None
+    assert oracle._chord_in_chain(hinges, along(1.5), along(2.5)) is None
 
 
 def test_chord_in_chain_rejects_hinges_met_out_of_order():
-    chain = oracle.flatten_chain((1, 2, 3))
-    first, last = _centroid(chain.triangles[0]), _centroid(chain.triangles[-1])
-    params = oracle._chord_in_chain(chain, first, last)
+    stack, i = chain_row((1, 2, 3))
+    first, last = _centroid(stack.corners[i, 0].tolist()), _centroid(stack.corners[i, 2].tolist())
+    params = oracle._chord_in_chain(real_hinges((1, 2, 3)), first, last)
     assert params is not None and params[0][1] < params[1][1]
-    assert oracle._chord_in_chain(chain, last, first) is None
+    assert oracle._chord_in_chain(real_hinges((1, 2, 3)), last, first) is None
 
 
 def test_sampled_containment_rejects_a_chord_leaving_the_chain():
-    chain = oracle.flatten_chain((1, 2))
-    first, last = _centroid(chain.triangles[0]), _centroid(chain.triangles[1])
-    assert oracle._sampled_containment(chain, first, last)
-    assert not oracle._sampled_containment(chain, first, (first[0] + 3.0, first[1]))
+    stack, i = chain_row((1, 2))
+    first, last = _centroid(stack.corners[i, 0].tolist()), _centroid(stack.corners[i, 1].tolist())
+    assert sampled_containment((1, 2), first, last)
+    assert not sampled_containment((1, 2), first, (first[0] + 3.0, first[1]))
 
 
 def _point_in_triangle(p, tri, tol: float) -> bool:
@@ -367,9 +416,9 @@ def _point_in_triangle(p, tri, tol: float) -> bool:
     return min(d1, d2, d3) >= -tol
 
 
-def _sampled_containment_scan(chain, a, b):
+def _sampled_containment_scan(triangles, a, b):
     """The sampled containment check as a scalar scan of every triangle."""
-    tris = [tuple(tri.values()) for tri in chain.triangles]
+    tris = [tuple(tri.values()) for tri in triangles]
     for i in range(1, 17):
         t = i / 17.0
         p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
@@ -378,17 +427,9 @@ def _sampled_containment_scan(chain, a, b):
     return True
 
 
-def _table_row(chain):
-    """Chain's row of its face pair's corner table."""
-    stack = oracle._pair_chains(chain.faces[0], chain.faces[-1])
-    row = stack.corners[[c.faces for c in stack.chains].index(chain.faces)]
-    assert row.tolist() == _padded(chain) and not row.flags.writeable
-    return row
-
-
 def test_sampled_containment_blocks_equal_exhaustive_scan():
     rng = random.Random(31337)
-    chains = list(_every_pair_chain())
+    chains = list(_chains())
     rows = []
 
     def in_triangle(tri):
@@ -399,9 +440,8 @@ def test_sampled_containment_blocks_equal_exhaustive_scan():
         return ax + u * (bx - ax) + v * (cx - ax), ay + u * (by - ay) + v * (cy - ay)
 
     sample = rng.sample(chains, 300)
-    assert any(len(chain.faces) == 2 for chain in sample)
-    for chain in sample:
-        tris = chain.triangles
+    assert any(len(path) == 2 for path, _tris, _hinges in sample)
+    for path, tris, _hinges in sample:
         xs, ys = zip(*(p for tri in tris for p in tri.values()))
         chords = [
             # from the first face to the last, to a middle one and back
@@ -414,17 +454,18 @@ def test_sampled_containment_blocks_equal_exhaustive_scan():
                 for _ in range(2)
             ),
         ]
-        rows += [(chain, a, b) for a, b in chords]
-    # whole blocks of rows from many face pairs at once, as the search checks its winners
+        rows += [(path, tris, a, b) for a, b in chords]
+    # whole blocks of padded table rows from many face pairs at once, as the
+    # search checks its winners, against a scan of the real triangles
     verdicts = []
     for lo in range(0, len(rows), oracle._UNFOLD_ROWS):
         block = rows[lo : lo + oracle._UNFOLD_ROWS]
-        corners = np.array([_table_row(chain) for chain, _a, _b in block])
-        starts, ends = (np.array([row[side] for row in block]) for side in (1, 2))
-        for (chain, a, b), got in zip(block, oracle._samples_contained(corners, starts, ends).tolist()):
-            want = _sampled_containment_scan(chain, a, b)
-            assert got == want, (chain.faces, a, b)
-            assert oracle._sampled_containment(chain, a, b) == want, (chain.faces, a, b)
+        corners = np.array([stack.corners[i] for stack, i in (chain_row(row[0]) for row in block)])
+        starts, ends = (np.array([row[side] for row in block]) for side in (2, 3))
+        for (path, tris, a, b), got in zip(block, oracle._samples_contained(corners, starts, ends).tolist()):
+            want = _sampled_containment_scan(tris, a, b)
+            assert got == want, (path, a, b)
+            assert sampled_containment(path, a, b) == want, (path, a, b)
             verdicts.append(want)
     assert 200 < sum(verdicts) < len(verdicts) - 200
 
@@ -448,7 +489,7 @@ def test_unfold_four_faces_suffice():
         if a.canonical.home == b.canonical.home:
             continue
         d4, winner = best_chord_loop(a, b, 2, 4)
-        assert winner is not None and oracle._sampled_containment(*winner)
+        assert winner is not None and sampled_containment(*winner)
         d8 = oracle.unfold_geodesic(a, b)
         assert d4 == pytest.approx(d8, abs=1e-12)
 
@@ -714,7 +755,7 @@ def test_unfold_geodesics_do_not_depend_on_the_batch(monkeypatch):
     # the sampled check; the error names the same chain however blocks fall
     contained = oracle._chord_in_chain
     monkeypatch.setattr(
-        oracle, "_chord_in_chain", lambda chain, a, b: [] if contained(chain, a, b) is None else None
+        oracle, "_chord_in_chain", lambda hinges, a, b: [] if contained(hinges, a, b) is None else None
     )
     errors = set()
     for rows in (1, 2, 5, 32):
@@ -821,5 +862,5 @@ def test_dominance_of_short_landscapes_sample():
         d = surface_distance(a, b).distance
         long_best, winner = best_chord_loop(a, b, 5, 8)
         if winner is not None:
-            assert oracle._sampled_containment(*winner)
+            assert sampled_containment(*winner)
         assert long_best >= d - 1e-9

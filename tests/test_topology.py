@@ -1,8 +1,10 @@
+import collections
 import itertools
 
 import pytest
 
 from octadist import topology as topo
+from octadist.landscape import PATH_ROLES
 from octadist.topology import Frame, Relation
 
 
@@ -245,3 +247,47 @@ def test_topology_dump_is_consistent():
     assert dump["faces"] == list(range(1, 9))
     assert len(dump["vertices"]) == 6
     assert all(dump["opposite"][f] == 9 - f for f in topo.FACE_INDICES)
+
+
+def _vertex_places(path):
+    """For each vertex of the path's faces, the places in the path of the faces that hold it."""
+    places = {}
+    for j, face in enumerate(path):
+        for v in topo.face_vertices(face):
+            places.setdefault(v, []).append(j)
+    return list(places.values())
+
+
+def _convexity_breach(path):
+    """Why the path's unfolding is not convex, or None if it is.
+
+    A vertex in four or more faces of the strip is a reflex corner of it
+    (4 x 60 degrees > 180), and so is one in faces that are not
+    consecutive.
+    """
+    places = _vertex_places(path)
+    if any(len(p) > 3 for p in places):
+        return "four or more faces"
+    if any(p[-1] - p[0] + 1 != len(p) for p in places):
+        return "non-consecutive faces"
+    return None
+
+
+def test_every_landscape_unfolds_to_a_convex_strip():
+    landscapes = {
+        tuple(frame.face(role) for role in roles) for frame in all_frames() for roles in PATH_ROLES.values()
+    }
+    assert len(landscapes) == 120
+    # every vertex of a landscape lies in at most 3 consecutive faces of it
+    for path in landscapes:
+        assert _convexity_breach(path) is None, path
+    # and every other simple dual path breaks that rule
+    others = collections.Counter()
+    for a in topo.FACE_INDICES:
+        for b in topo.FACE_INDICES:
+            for path in topo.enumerate_dual_paths(a, b):
+                if path not in landscapes:
+                    breach = _convexity_breach(path)
+                    others[breach] += 1
+                    assert breach != "non-consecutive faces" or len(path) in (5, 6), path
+    assert others == {"four or more faces": 672, "non-consecutive faces": 96}
