@@ -24,7 +24,7 @@ import sys
 
 from .coords import canonicalize, sample_uniform
 from .landscape import VALIDITY_WITNESSES, surface_distance
-from .render import render_svg
+from .render import MAX_SCALE, render_svg
 from .serialize import (
     distance_result_to_obj,
     dumps,
@@ -160,7 +160,7 @@ _subdivisions = _checked(
     int, lambda v: 0 <= v <= _MAX_SUBDIVISIONS, f"must be between 0 and {_MAX_SUBDIVISIONS}"
 )
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "must be a finite number >= 0")
-_scale = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "must be a finite number > 0")
+_scale = _checked(float, lambda v: 0.0 < v <= MAX_SCALE, f"must be a number > 0 and at most {MAX_SCALE:g}")
 
 
 def build_parser() -> argparse.ArgumentParser:

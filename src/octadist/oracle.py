@@ -11,6 +11,7 @@ its pairs, and `compare` on one pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,107 +24,6 @@ from .coords import EPS_IN, Representation, SurfacePoint, barycentric
 from .landscape import surface_distance
 
 _HALF_DIAG = 1.0 / math.sqrt(2.0)
-
-
-class InvalidEmbedding(AssertionError):
-    """The derived vertex coordinates failed a self-check."""
-
-
-def _chirality_ok(coords: dict[topo.VertexLabel, np.ndarray]) -> bool:
-    # every face's stored corner order must be counter-clockwise from outside
-    for face in topo.FACE_INDICES:
-        a, b, c = (coords[v] for v in topo.face_vertices(face))
-        normal = np.cross(b - a, c - a)
-        centroid = (a + b + c) / 3.0
-        if float(np.dot(normal, centroid)) <= 0.0:
-            return False
-    return True
-
-
-def _derive_vertex_coords() -> dict[topo.VertexLabel, np.ndarray]:
-    """Place the six vertices on the coordinate axes and fix chirality.
-
-    Vertices sharing no face are antipodal; the three antipodal pairs go
-    on the three axes at distance 1/sqrt(2), and the sign of the last
-    pair is chosen so that every face's corner order reads
-    counter-clockwise from outside.  The result is validated, not
-    assumed.
-    """
-    ordered = sorted(topo.VERTICES, key=sorted)
-    remaining = list(ordered)
-    pairs = []
-    while remaining:
-        v = remaining.pop(0)
-        (partner,) = [w for w in remaining if not (v & w)]
-        remaining.remove(partner)
-        pairs.append((v, partner))
-    axes = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-    for last_sign in (1.0, -1.0):
-        signs = (1.0, 1.0, last_sign)
-        coords = {}
-        for (v, w), axis, sign in zip(pairs, axes, signs):
-            coords[v] = sign * _HALF_DIAG * axis
-            coords[w] = -sign * _HALF_DIAG * axis
-        if _chirality_ok(coords):
-            _validate_embedding(coords)
-            return coords
-    raise InvalidEmbedding("no chirality-consistent axis assignment exists")
-
-
-def _validate_embedding(coords: dict[topo.VertexLabel, np.ndarray]) -> None:
-    for i, v in enumerate(topo.VERTICES):
-        for w in topo.VERTICES[i + 1 :]:
-            d = float(np.linalg.norm(coords[v] - coords[w]))
-            expect = 1.0 if (v & w) else math.sqrt(2.0)
-            if abs(d - expect) > 1e-12:
-                raise InvalidEmbedding(f"|{sorted(v)} - {sorted(w)}| = {d}, expected {expect}")
-    for a in topo.FACE_INDICES:
-        derived = {b for b in topo.FACE_INDICES if b != a and len(
-            set(topo.face_vertices(a)) & set(topo.face_vertices(b))) == 2}
-        if derived != set(topo.neighbors(a)):
-            raise InvalidEmbedding(f"adjacency mismatch at F{a}")
-
-
-#: 3D coordinates of the six vertices (unit edge length).
-VERTEX_COORDS: dict[topo.VertexLabel, np.ndarray] = _derive_vertex_coords()
-
-
-def _face_normal(face: int) -> np.ndarray:
-    """Unit outward normal (the solid is centered at the origin)."""
-    a, b, c = (VERTEX_COORDS[v] for v in topo.face_vertices(face))
-    n = (a + b + c) / 3.0
-    n = n / np.linalg.norm(n)
-    n.setflags(write=False)
-    return n
-
-
-#: Unit outward normal of each face.
-FACE_NORMALS: dict[int, np.ndarray] = {face: _face_normal(face) for face in topo.FACE_INDICES}
-
-
-#: The same coordinates as tuples of floats.
-_VERTEX_TUPLES: dict[topo.VertexLabel, tuple[float, ...]] = {
-    v: tuple(c.tolist()) for v, c in VERTEX_COORDS.items()
-}
-
-#: The same coordinates as the rows of one read-only array, and each vertex's row.
-_VERTEX_ROW: dict[topo.VertexLabel, int] = {v: i for i, v in enumerate(topo.VERTICES)}
-_VERTEX_ROWS = np.array([VERTEX_COORDS[v] for v in topo.VERTICES])
-_VERTEX_ROWS.setflags(write=False)
-
-
-def embed_3d(rep: Representation) -> np.ndarray:
-    """3D position of a represented point (barycentric over its chart).
-
-    Summed on floats, coordinate by coordinate, in the order the vector
-    sum ls*S + lt*T + lu*U would take.
-    """
-    s, t, u = topo.chart_corners(rep.home, rep.shared)
-    ls, lt, lu = barycentric(rep.x, rep.y)
-    return np.array([
-        ls * ps + lt * pt + lu * pu
-        for ps, pt, pu in zip(_VERTEX_TUPLES[s], _VERTEX_TUPLES[t], _VERTEX_TUPLES[u])
-    ])
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,6 +40,89 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u x v, row by row: np.cross's products and differences, column by column."""
     (u0, u1, u2), (v0, v1, v2) = u.T, v.T
     return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=1)
+
+
+class InvalidEmbedding(AssertionError):
+    """The derived vertex coordinates failed a self-check."""
+
+
+#: Each vertex's row of `_VERTEX_ROWS` (`topology.VERTICES` order), and
+#: each face's corner rows in `face_vertices` order.
+_VERTEX_ROW: dict[topo.VertexLabel, int] = {v: i for i, v in enumerate(topo.VERTICES)}
+_FACE_ROWS = np.array([[_VERTEX_ROW[v] for v in topo.face_vertices(f)] for f in topo.FACE_INDICES])
+
+
+def _chirality_ok(rows: np.ndarray) -> bool:
+    # every face's stored corner order must be counter-clockwise from
+    # outside: its normal points the way of its corner sum, on all faces
+    a, b, c = rows[_FACE_ROWS].transpose(1, 0, 2)
+    return min(sum((_cross(b - a, c - a) * (a + b + c)).T).tolist()) > 0.0
+
+
+def _derive_vertex_rows() -> np.ndarray:
+    """Place the six vertices on the coordinate axes and fix chirality.
+
+    Vertices sharing no face are antipodal; the three antipodal pairs go
+    on the three axes at distance 1/sqrt(2), and the sign of the last
+    pair is chosen so that every face's corner order reads
+    counter-clockwise from outside.  The result is validated, not
+    assumed.
+    """
+    ordered = sorted(topo.VERTICES, key=sorted)
+    pairs = [(v, w) for v, w in itertools.combinations(ordered, 2) if not (v & w)]
+    axes = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    for last_sign in (1.0, -1.0):
+        rows = np.empty((len(topo.VERTICES), 3))
+        for (v, w), axis, sign in zip(pairs, axes, (1.0, 1.0, last_sign)):
+            rows[_VERTEX_ROW[v]] = sign * _HALF_DIAG * axis
+            rows[_VERTEX_ROW[w]] = -sign * _HALF_DIAG * axis
+        if _chirality_ok(rows):
+            _validate_embedding(rows)
+            rows.setflags(write=False)
+            return rows
+    raise InvalidEmbedding("no chirality-consistent axis assignment exists")
+
+
+def _validate_embedding(rows: np.ndarray) -> None:
+    # the rows are in `topology.VERTICES` order
+    i, j = np.array(list(itertools.combinations(range(len(rows)), 2))).T
+    lengths = map(math.hypot, *(rows[i] - rows[j]).T.tolist())
+    for (v, w), d in zip(itertools.combinations(topo.VERTICES, 2), lengths):
+        expect = 1.0 if (v & w) else math.sqrt(2.0)
+        if abs(d - expect) > 1e-12:
+            raise InvalidEmbedding(f"|{sorted(v)} - {sorted(w)}| = {d}, expected {expect}")
+    for a in topo.FACE_INDICES:
+        derived = {b for b in topo.FACE_INDICES if b != a and len(
+            set(topo.face_vertices(a)) & set(topo.face_vertices(b))) == 2}
+        if derived != set(topo.neighbors(a)):
+            raise InvalidEmbedding(f"adjacency mismatch at F{a}")
+
+
+#: 3D coordinates of the six vertices (unit edge length), one read-only
+#: row each, indexed through `_VERTEX_ROW`.
+_VERTEX_ROWS: np.ndarray = _derive_vertex_rows()
+
+
+def _points(labels) -> np.ndarray:
+    """The 3D points of vertex labels: one row per entry of `labels`, one point per label."""
+    return _VERTEX_ROWS[[[_VERTEX_ROW[v] for v in row] for row in labels]]
+
+
+def _embed(reps: Sequence[Representation]) -> np.ndarray:
+    """3D positions of represented points, one row each.
+
+    A point's row is its barycentric weights times its chart's corners,
+    summed in the order S, T, U.
+    """
+    bary = np.array([barycentric(r.x, r.y) for r in reps]).reshape(-1, 3)
+    corners = _points([topo.chart_corners(r.home, r.shared) for r in reps]).reshape(-1, 3, 3)
+    ls, lt, lu = bary.T[:, :, None]
+    return ls * corners[:, 0] + lt * corners[:, 1] + lu * corners[:, 2]
+
+
+def embed_3d(rep: Representation) -> np.ndarray:
+    """3D position of a represented point (barycentric over its chart): `_embed` of one point."""
+    return _embed([rep])[0]
 
 
 def _hinge(
@@ -226,11 +209,10 @@ def _unfoldings() -> dict[tuple[int, int], PairChains]:
     for i, path in enumerate(paths):
         levels.setdefault(len(path), []).append(i)
     edges = {(f, g): topo.shared_edge(f, g) for f in topo.FACE_INDICES for g in topo.neighbors(f)}
-    normal_rows = np.array([FACE_NORMALS[f] for f in topo.FACE_INDICES])
-
-    def vertices(labels):
-        # one row per entry of labels, one 3D point per label
-        return _VERTEX_ROWS[[[_VERTEX_ROW[v] for v in row_labels] for row_labels in labels]]
+    # each face's unit outward normal (the solid is centered at the origin)
+    a, b, c = _VERTEX_ROWS[_FACE_ROWS].transpose(1, 0, 2)
+    centroids = (a + b + c) / 3.0
+    normal_rows = centroids / np.sqrt(_dots(centroids, centroids))[:, None]
 
     def normals(faces):
         return normal_rows[[topo.FACE_INDICES.index(f) for f in faces]]
@@ -240,7 +222,7 @@ def _unfoldings() -> dict[tuple[int, int], PairChains]:
         rel = points - origin[rows, None]
         return np.stack((_dots(rel, ex[rows, None]), _dots(rel, ey[rows, None])), axis=2)
 
-    origin, t0 = vertices([edges[p[:2]] for p in paths]).transpose(1, 0, 2)
+    origin, t0 = _points([edges[p[:2]] for p in paths]).transpose(1, 0, 2)
     ex = t0 - origin
     ex = ex / np.sqrt(_dots(ex, ex))[:, None]
     n0 = normals([p[0] for p in paths])
@@ -271,12 +253,12 @@ def _unfoldings() -> dict[tuple[int, int], PairChains]:
         faces[rows, depth - 1 :] = np.array(rows)[:, None]
         places = [[topo.face_vertices(f).index(v) for v in edges[f, g]] for f, g in last]
         hinge_at[rows, depth - 2 :] = 3 * faces[rows, depth - 2][:, None, None] + np.array(places)[:, None]
-        s, t = vertices([edges[p] for p in last]).transpose(1, 0, 2)
+        s, t = _points([edges[p] for p in last]).transpose(1, 0, 2)
         normal = normals([g for _f, g in last])
         matrix[rows], offset[rows] = _hinge(*before, n0[rows], s, t, normal)
 
-    carried = _apply(matrix[:, None], vertices([topo.face_vertices(p[-1]) for p in paths]))
-    first_faces = vertices([topo.face_vertices(paths[i][0]) for i in roots])
+    carried = _apply(matrix[:, None], _points([topo.face_vertices(p[-1]) for p in paths]))
+    first_faces = _points([topo.face_vertices(paths[i][0]) for i in roots])
     plane_xy = np.concatenate((plane(carried + offset[:, None], slice(None)), plane(first_faces, roots)))
     corner_table, hinge_table = plane_xy[faces], plane_xy.reshape(-1, 2)[hinge_at]
     axes = np.stack((ex, ey), axis=2)
@@ -377,21 +359,13 @@ _UNFOLD_ROWS = 32
 def _embedded(
     pairs: Sequence[tuple[SurfacePoint, SurfacePoint]],
 ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], list[int]]]:
-    """Both ends of the pairs in 3D as rows, and the pair indices by their two home faces.
-
-    Each row is `embed_3d`'s point: its barycentric weights times its
-    chart's corners, summed in the order S, T, U.
-    """
+    """Both ends of the pairs in 3D as `_embed` rows, and the pair indices by their two home faces."""
     reps, groups = [], {}
     for i, (a, b) in enumerate(pairs):
         ra, rb = a.canonical, b.canonical
         reps += (ra, rb)
         groups.setdefault((ra.home, rb.home), []).append(i)
-    bary = np.array([barycentric(r.x, r.y) for r in reps]).reshape(-1, 3)
-    labels = [[_VERTEX_ROW[v] for v in topo.chart_corners(r.home, r.shared)] for r in reps]
-    corners = _VERTEX_ROWS[labels].reshape(-1, 3, 3)
-    ls, lt, lu = bary.T[:, :, None]
-    points = ls * corners[:, 0] + lt * corners[:, 1] + lu * corners[:, 2]
+    points = _embed(reps)
     return points[0::2], points[1::2], groups
 
 
@@ -525,7 +499,7 @@ def _mesh_graph(subdivisions: int) -> MeshGraph:
     names, face_points, skeleton = {}, {}, {}
     for face in topo.FACE_INDICES:
         corners = topo.face_vertices(face)
-        pa, pb, pc = (VERTEX_COORDS[v] for v in corners)
+        pa, pb, pc = _points([corners])[0]
         face_points[face] = (ijk[:, :1] * pa + ijk[:, 1:2] * pb + ijk[:, 2:] * pc) / n
         skeleton[face] = np.array([
             names.setdefault(frozenset((v, c) for v, c in zip(corners, counts) if c), len(names))

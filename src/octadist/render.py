@@ -33,6 +33,10 @@ _NET_X_MAX = 3.5
 _NET_Y_MIN = -2 * HALF_SQRT3
 _NET_Y_MAX = HALF_SQRT3
 
+#: The largest `render_svg` scale.  The drawing is 3.9 edges wide (the
+#: net and two margins of 0.2), so every coordinate stays finite.
+MAX_SCALE = 1e307
+
 
 def net_position(rep: Representation) -> tuple[float, float]:
     """Map a represented point onto its home face in the net."""
@@ -93,7 +97,12 @@ def render_svg(
     result: DistanceResult,
     scale: float = 100.0,
 ) -> str:
-    """Deterministic SVG of the net with the shortest trail overlaid."""
+    """Deterministic SVG of the net with the shortest trail overlaid.
+
+    Raises ValueError unless 0 < scale <= MAX_SCALE.
+    """
+    if not 0.0 < scale <= MAX_SCALE:
+        raise ValueError(f"scale must be above 0 and at most {MAX_SCALE:g}, not {scale!r}")
     margin = 0.2 * scale
 
     def svg_xy(p: tuple[float, float]) -> tuple[float, float]:

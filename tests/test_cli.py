@@ -333,6 +333,7 @@ def test_validate_rejects_count_below_one_as_usage_error():
         (["render", "--scale", "nan"], "--scale"),
         (["render", "--scale", "-5"], "--scale"),
         (["render", "--scale", "0"], "--scale"),
+        (["render", "--scale", "1e308"], "--scale"),
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, flag):

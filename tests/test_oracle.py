@@ -1,3 +1,4 @@
+import ast
 import collections
 import functools
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from octadist import oracle, topology as topo
 from octadist.coords import (
+    EPS_IN,
     Representation,
+    barycentric,
     canonicalize,
     flip_home_face,
     rotate_once,
@@ -36,6 +40,9 @@ from conftest import (
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
+#: Each vertex's 3D position, read from the oracle's one table of them.
+COORDS = {v: oracle._VERTEX_ROWS[oracle._VERTEX_ROW[v]] for v in topo.VERTICES}
+
 
 @st.composite
 def interior_reps(draw):
@@ -44,9 +51,42 @@ def interior_reps(draw):
     return interior_rep(home, shared, draw(units), draw(units))
 
 
+def test_oracle_takes_only_surface_distance_from_landscape():
+    # the oracle checks the formulas, so it must not borrow their code
+    taken = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            taken += [(a.name, None) for a in node.names if a.name.startswith("octadist.landscape")]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["octadist" if node.level else None, node.module]))
+            for alias in node.names:
+                if module == "octadist.landscape" or f"{module}.{alias.name}" == "octadist.landscape":
+                    taken.append((module, alias.name))
+    assert taken == [("octadist.landscape", "surface_distance")]
+
+
+def test_vertex_positions_are_one_read_only_table():
+    assert oracle._VERTEX_ROW == {v: i for i, v in enumerate(topo.VERTICES)}
+    assert oracle._VERTEX_ROWS.shape == (len(topo.VERTICES), 3)
+    assert not oracle._VERTEX_ROWS.flags.writeable
+    for name in ("VERTEX_COORDS", "_VERTEX_TUPLES", "FACE_NORMALS", "_face_normal"):
+        assert not hasattr(oracle, name)
+
+
+def test_vertex_table_checks_reject_a_mirrored_or_stretched_table():
+    rows = oracle._VERTEX_ROWS
+    assert oracle._chirality_ok(rows)
+    assert not oracle._chirality_ok(-rows)  # a point reflection turns every face clockwise
+    oracle._validate_embedding(rows)
+    stretched = rows.copy()
+    stretched[0] *= 1.0 + 1e-9
+    with pytest.raises(oracle.InvalidEmbedding, match="expected 1.0"):
+        oracle._validate_embedding(stretched)
+
+
 def test_embedding_edge_lengths():
     for v, w in itertools.combinations(topo.VERTICES, 2):
-        d = float(np.linalg.norm(oracle.VERTEX_COORDS[v] - oracle.VERTEX_COORDS[w]))
+        d = float(np.linalg.norm(COORDS[v] - COORDS[w]))
         if v & w:  # vertices sharing a face are joined by an edge
             assert d == pytest.approx(1.0, abs=1e-12)
         else:  # antipodal pair
@@ -55,14 +95,14 @@ def test_embedding_edge_lengths():
 
 def test_embedding_face_triangles_are_unit_equilateral():
     for f in topo.FACE_INDICES:
-        a, b, c = (oracle.VERTEX_COORDS[v] for v in topo.face_vertices(f))
+        a, b, c = (COORDS[v] for v in topo.face_vertices(f))
         for p, q in ((a, b), (b, c), (c, a)):
             assert float(np.linalg.norm(p - q)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embedding_chirality_is_outward_ccw():
     for f in topo.FACE_INDICES:
-        a, b, c = (oracle.VERTEX_COORDS[v] for v in topo.face_vertices(f))
+        a, b, c = (COORDS[v] for v in topo.face_vertices(f))
         normal = np.cross(b - a, c - a)
         centroid = (a + b + c) / 3.0
         assert float(normal @ centroid) > 0.0
@@ -82,10 +122,10 @@ def test_embedding_adjacency_matches_topology():
 def test_embed_3d_vertex_and_centroid():
     vertex = frozenset({1, 2, 3, 4})
     pos = oracle.embed_3d(Representation(1, 2, 0.0, 0.0))
-    assert np.allclose(pos, oracle.VERTEX_COORDS[vertex], atol=1e-15)
+    assert np.allclose(pos, COORDS[vertex], atol=1e-15)
 
     centroid = oracle.embed_3d(Representation(1, 2, 0.5, math.sqrt(3.0) / 6.0))
-    mean = sum(oracle.VERTEX_COORDS[v] for v in topo.face_vertices(1)) / 3.0
+    mean = sum(COORDS[v] for v in topo.face_vertices(1)) / 3.0
     assert np.allclose(centroid, mean, atol=1e-14)
 
 
@@ -111,7 +151,46 @@ def test_vertex_charts_all_embed_to_one_point():
         positions = [oracle.embed_3d(r) for r in vertex_representations(v)]
         for p in positions[1:]:
             assert np.allclose(p, positions[0], atol=1e-15)
-        assert np.allclose(positions[0], oracle.VERTEX_COORDS[v], atol=1e-15)
+        assert np.allclose(positions[0], COORDS[v], atol=1e-15)
+
+
+def _embed_by_coordinate(rep):
+    """The embedding summed on floats, coordinate by coordinate: ls*S + lt*T + lu*U."""
+    s, t, u = (COORDS[v].tolist() for v in topo.chart_corners(rep.home, rep.shared))
+    ls, lt, lu = barycentric(rep.x, rep.y)
+    return [ls * ps + lt * pt + lu * pu for ps, pt, pu in zip(s, t, u)]
+
+
+def _every_chart(rep):
+    """rep in each chart of its home face, and for a boundary point in every chart of its other faces too."""
+    starts = [rep]
+    if abs(rep.y) <= EPS_IN:
+        starts.append(flip_home_face(rep))
+    if rep.x == 0.0 and rep.y == 0.0:
+        starts += vertex_representations(topo.chart_corners(rep.home, rep.shared)[0])
+    charts = []
+    for start in starts:
+        for _ in range(3):
+            charts.append(start)
+            start = rotate_once(start)
+    return charts
+
+
+def _hexes(rows):
+    return [[c.hex() for c in row] for row in rows]
+
+
+def test_embedding_has_the_bits_of_the_per_coordinate_sum():
+    points = sample_uniform(5, 600) + boundary_points()
+    reps = [chart for p in points for chart in _every_chart(p.canonical)]
+    assert len(reps) >= 3 * len(points)
+    expected = _hexes(map(_embed_by_coordinate, reps))
+    assert _hexes(oracle.embed_3d(rep).tolist() for rep in reps) == expected
+    assert _hexes(oracle._embed(reps).tolist()) == expected
+    pairs = [(canonicalize(a), canonicalize(b)) for a, b in zip(reps[0::2], reps[1::2])]
+    pa3, pb3, _groups = oracle._embedded(pairs)
+    assert _hexes(pa3.tolist()) == _hexes(_embed_by_coordinate(a.canonical) for a, _b in pairs)
+    assert _hexes(pb3.tolist()) == _hexes(_embed_by_coordinate(b.canonical) for _a, b in pairs)
 
 
 def _stacks():
@@ -210,7 +289,7 @@ def _bits(values) -> bytes:
 
 def _flatten_uncached(faces):
     """Every hinge of the path composed anew, with np.cross and no cache."""
-    coords = oracle.VERTEX_COORDS
+    coords = COORDS
 
     def normal(face):
         a, b, c = (coords[v] for v in topo.face_vertices(face))
@@ -526,7 +605,7 @@ def test_mesh_decreases_under_doubling():
 
 @functools.lru_cache(maxsize=None)
 def _reference_lattice(n):
-    """The lattice built anew from VERTEX_COORDS and the face corners.
+    """The lattice built anew from the vertex positions and the face corners.
 
     Returns the node coordinates (a node met from two faces keeps the
     first face's), each face's node ids, and the lattice as a symmetric
@@ -534,7 +613,7 @@ def _reference_lattice(n):
     """
     key_of, coords, face_ids, edges = {}, [], {}, set()
     for face in topo.FACE_INDICES:
-        pa, pb, pc = (oracle.VERTEX_COORDS[v] for v in topo.face_vertices(face))
+        pa, pb, pc = (COORDS[v] for v in topo.face_vertices(face))
         grid = {}
         for i in range(n + 1):
             for j in range(n + 1 - i):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from octadist.coords import (
     vertex_representations,
 )
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
-from octadist.render import NET_CORNERS, net_position, render_svg, trail_segments
+from octadist.render import MAX_SCALE, NET_CORNERS, net_position, render_svg, trail_segments
 
 
 def test_net_triangles_are_unit_equilateral():
@@ -105,6 +106,24 @@ def test_render_svg_scale_changes_dimensions():
     large = render_svg(r1, r2, result, scale=200.0)
     assert small != large
     assert 'width="195.000000"' in small
+
+
+def test_render_svg_takes_scales_up_to_its_limit_only():
+    # past MAX_SCALE the drawing's 3.9-edge width would overflow to inf
+    r1, r2 = VALIDITY_WITNESSES[1]
+    result = surface_distance(canonicalize(r1), canonicalize(r2))
+    svg = render_svg(r1, r2, result, scale=MAX_SCALE)
+    numbers = []
+    for token in re.split(r'[ ,"]', svg):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    assert max(numbers) > 3.8 * MAX_SCALE
+    assert all(math.isfinite(v) for v in numbers)
+    for scale in (1e308, math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="scale"):
+            render_svg(r1, r2, result, scale=scale)
 
 
 def _every_chart(rep):
