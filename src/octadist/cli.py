@@ -8,6 +8,9 @@ pairs (plus the nine validity witness pairs) through the comparison
 harness, and `render` draws one query's shortest trail on the net as
 SVG.
 
+`validate` runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
+already set or numpy is already loaded.
+
 `main` freezes the garbage collector's view of the objects alive when a
 command starts (`gc.freeze`), most of them left by the imports, so its
 collections never scan them again; `validate` does the same after it
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 
 from .coords import canonicalize, sample_uniform
@@ -84,6 +88,10 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if "numpy" not in sys.modules:
+        # the oracle's 3 x 3 products never use OpenBLAS's worker threads,
+        # which would otherwise spin for tens of ms of CPU in every run
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # numpy and the oracle leave thousands of long-lived objects; importing
     # them with the collector paused, then freezing them, spares every
     # later collection a scan of them

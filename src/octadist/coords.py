@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import topology as topo
 
@@ -32,42 +32,43 @@ class NotOnSharedEdge(ValueError):
     """Home-face flips are only defined for points with y = 0."""
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Quadruple (home face, shared face, x, y) locating a surface point."""
-
+class _RepresentationFields(NamedTuple):
     home: int
     shared: int
     x: float
     y: float
 
-    def __post_init__(self):
-        if self.home not in topo.FACE_INDICES:
-            raise InvalidRepresentation(f"unknown face {self.home!r}")
-        if self.shared not in topo.neighbors(self.home):
-            raise InvalidRepresentation(f"F{self.shared} is not adjacent to F{self.home}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+
+class Representation(_RepresentationFields):
+    """Quadruple (home face, shared face, x, y) locating a surface point."""
+
+    __slots__ = ()
+
+    def __new__(cls, home: int, shared: int, x: float, y: float):
+        if home not in topo.FACE_INDICES:
+            raise InvalidRepresentation(f"unknown face {home!r}")
+        if shared not in topo.neighbors(home):
+            raise InvalidRepresentation(f"F{shared} is not adjacent to F{home}")
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise InvalidRepresentation("coordinates must be finite")
-        if (
-            self.y < -EPS_IN
-            or self.y > SQRT3 * self.x + EPS_IN
-            or self.y > SQRT3 * (1.0 - self.x) + EPS_IN
-        ):
-            raise InvalidRepresentation(
-                f"({self.x}, {self.y}) lies outside the face triangle"
-            )
+        if y < -EPS_IN or y > SQRT3 * x + EPS_IN or y > SQRT3 * (1.0 - x) + EPS_IN:
+            raise InvalidRepresentation(f"({x}, {y}) lies outside the face triangle")
+        return tuple.__new__(cls, (home, shared, x, y))
+
+    @classmethod
+    def _make(cls, iterable) -> Representation:
+        # NamedTuple's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class OrientedPoint:
+class OrientedPoint(NamedTuple):
     """Planar position inside an orientation; may leave the base triangle."""
 
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     """A surface point held in canonical form (see canonicalize)."""
 
     canonical: Representation

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import topology as topo
 from .coords import (
@@ -128,8 +127,7 @@ VALIDITY_WITNESSES: dict[int, tuple[Representation, Representation]] = {
 }
 
 
-@dataclass(frozen=True)
-class LandscapeInstance:
+class LandscapeInstance(NamedTuple):
     """A landscape id realized on concrete faces through a frame."""
 
     index: int
@@ -141,8 +139,7 @@ class LandscapeInstance:
         return f"L{self.index}"
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """Where the trail crosses one interior edge of its landscape.
 
     `edge` is the ordered pair of vertex labels (S, T) of the chart that
@@ -156,8 +153,7 @@ class Crossing:
     parameter: float
 
 
-@dataclass(frozen=True)
-class TrailResult:
+class TrailResult(NamedTuple):
     """Chord of one landscape: length, crossings, containment.
 
     `length` is the trail length: the chord length when the chord stays
@@ -173,8 +169,13 @@ class TrailResult:
     contained: bool
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class _DistanceFields(NamedTuple):
+    distance: float
+    argmin: tuple[int, ...]
+    fallback: bool
+
+
+class DistanceResult(_DistanceFields):
     """Surface distance with all minimizing landscapes.
 
     `argmin` lists the minimizing landscape ids ascending (empty for
@@ -182,16 +183,27 @@ class DistanceResult:
     `fallback` marks the degenerate situation where no applicable chord
     was contained and the unfiltered minimum was reported instead.
     `trail` is the trail of the first minimizer; it is built the first
-    time it is read and then kept.  Equality and hashing compare
-    `distance`, `argmin` and `fallback` only.
+    time it is read and then kept.  The three fields are the tuple, so
+    equality and hashing compare `distance`, `argmin` and `fallback` only.
     """
 
-    distance: float
-    argmin: tuple[int, ...]
-    fallback: bool
-    # (planned landscape, chord length, intersections) of the first
-    # minimizer, or None for coincident and same-face pairs
-    _winner: tuple | None = field(default=None, compare=False, repr=False)
+    def __new__(cls, distance: float, argmin: tuple[int, ...], fallback: bool, _winner=None):
+        self = tuple.__new__(cls, (distance, argmin, fallback))
+        # (planned landscape, chord length, intersections) of the first
+        # minimizer, or None for coincident and same-face pairs
+        self._winner = _winner
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DistanceResult:
+        # NamedTuple's _make would build a result with no `_winner` at all
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> DistanceResult:
+        """A copy with some fields changed; it keeps the first minimizer's chord."""
+        new = super()._replace(**changes)
+        new._winner = self._winner
+        return new
 
     @functools.cached_property
     def trail(self) -> TrailResult:
@@ -411,8 +423,7 @@ def chord_edge_intersections(a, b, edges):
     return out
 
 
-@dataclass(frozen=True)
-class _PlannedLandscape:
+class _PlannedLandscape(NamedTuple):
     """Layout of one landscape through a frame, in its two formula charts."""
 
     formula: Callable[[float, float, float, float], float]
@@ -486,8 +497,7 @@ def trail_crossings(index: int, p1: Representation, p2: Representation) -> Trail
     return _trail(ls, *_chord(ls, p1.x, p1.y, p2.x, p2.y))
 
 
-@dataclass(frozen=True)
-class _ChartPairPlan:
+class _ChartPairPlan(NamedTuple):
     """What the minimum needs to know about one ordered chart pair.
 
     The first point turns `turns1` times into its formula chart, the

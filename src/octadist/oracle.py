@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,8 +155,7 @@ def _hinge(
     return rot @ matrix, _apply(rot, offset - pa) + pa
 
 
-@dataclass(frozen=True)
-class PairChains:
+class PairChains(NamedTuple):
     """Every simple dual path between two faces, flattened and stacked.
 
     `paths` are the face paths of `enumerate_dual_paths`, in its (length,
@@ -464,8 +462,7 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
 _MESH_ROWS = 32
 
 
-@dataclass(frozen=True)
-class MeshGraph:
+class MeshGraph(NamedTuple):
     """The lattice of one subdivision count n, as hop counts.
 
     Every face holds the same local lattice: node (i, j, k), i + j + k = n,
@@ -600,8 +597,7 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
 # per-pair comparison record
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     """One pair's distance, the independent references, and pass flags."""
 
     distance: float

@@ -11,8 +11,8 @@ shared-vertex counting is only a consistency check (see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 FACE_INDICES = tuple(range(1, 9))
 
@@ -120,8 +120,7 @@ def next_shared_ccw(home: int, shared: int) -> int:
     return cycle[(cycle.index(shared) + 1) % 3]
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Assignment of the generic roles 1..8 to concrete faces.
 
     A frame is valid when the faces of roles r and 9-r are opposite and

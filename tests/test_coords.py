@@ -192,6 +192,39 @@ def test_representation_validation():
         Representation(1, 2, math.nan, 0.1)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((9, 2, 0.5, 0.1), "unknown face 9"),
+        ((1, 3, 0.5, 0.2), "F3 is not adjacent to F1"),
+        ((1, 2, math.inf, 0.1), "coordinates must be finite"),
+        ((1, 2, 0.5, 0.9), "(0.5, 0.9) lies outside the face triangle"),
+    ],
+    ids=["face", "adjacency", "finite", "triangle"],
+)
+def test_representation_checks_hold_on_every_construction_path(fields, message):
+    rep = Representation(1, 2, 0.5, 0.2)
+    changes = dict(zip(Representation._fields, fields))
+    for build in (
+        lambda: Representation(*fields),
+        lambda: Representation._make(fields),
+        lambda: rep._replace(**changes),
+    ):
+        with pytest.raises(InvalidRepresentation) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+def test_representation_is_a_plain_tuple_of_its_fields():
+    rep = Representation(1, 2, 0.5, 0.2)
+    assert rep == (1, 2, 0.5, 0.2) and hash(rep) == hash((1, 2, 0.5, 0.2))
+    assert type(rep._replace(x=0.4)) is Representation
+    assert rep._replace(x=0.4) == Representation._make([1, 2, 0.4, 0.2])
+    assert not hasattr(rep, "__dict__")
+    with pytest.raises(AttributeError):
+        rep.x = 0.4
+
+
 @given(interior_reps())
 def test_canonicalize_is_idempotent(rep):
     once = canonicalize(rep)

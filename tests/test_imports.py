@@ -1,5 +1,6 @@
 """numpy loads only where the oracle needs it, and scipy never does;
-only the CLI touches the garbage collector.
+`import octadist` and the streams load neither `dataclasses` nor `inspect`;
+only the CLI touches the garbage collector or the OpenBLAS thread count.
 
 Each case runs in a fresh interpreter, since this process has long
 since imported both.
@@ -16,6 +17,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY = ("numpy", "scipy", "scipy.sparse")
+
+#: What `dataclasses` pulls in; about 9 ms of every start-up.
+INTROSPECTION = ("dataclasses", "inspect")
 
 WITNESS_L1 = (
     '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
@@ -35,9 +39,9 @@ def state_after(code, report, stdin=""):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_after(code, stdin=""):
-    """Which of HEAVY `code` left loaded."""
-    return set(state_after(code, f"[m for m in {HEAVY!r} if m in sys.modules]", stdin))
+def loaded_after(code, stdin="", modules=HEAVY):
+    """Which of `modules` `code` left loaded."""
+    return set(state_after(code, f"[m for m in {modules!r} if m in sys.modules]", stdin))
 
 
 def collector_after(code):
@@ -51,12 +55,12 @@ def run_main(argv):
 
 @pytest.mark.parametrize("module", ["octadist", "octadist.cli"])
 def test_import_loads_neither(module):
-    assert loaded_after(f"import {module}") == set()
+    assert loaded_after(f"import {module}", modules=HEAVY + INTROSPECTION) == set()
 
 
 @pytest.mark.parametrize("command", ["distance", "path"])
 def test_stream_loads_neither(command):
-    assert loaded_after(run_main([command]), WITNESS_L1 + "\n") == set()
+    assert loaded_after(run_main([command]), WITNESS_L1 + "\n", HEAVY + INTROSPECTION) == set()
 
 
 def test_render_loads_neither(tmp_path):
@@ -91,3 +95,17 @@ def test_validate_freezes_and_keeps_the_collector_state(enabled):
     is_enabled, frozen = collector_after(code)
     assert is_enabled is enabled
     assert frozen > 0
+
+
+@pytest.mark.parametrize(
+    "before, threads",
+    [
+        ("os.environ.pop('OPENBLAS_NUM_THREADS', None)", "1"),
+        ("os.environ['OPENBLAS_NUM_THREADS'] = '2'", "2"),
+        ("os.environ.pop('OPENBLAS_NUM_THREADS', None)\nimport numpy", None),
+    ],
+    ids=["unset", "preset", "numpy-loaded"],
+)
+def test_validate_runs_openblas_on_one_thread_unless_told_otherwise(before, threads):
+    code = f"import os\n{before}\n" + run_main(["validate", "--count", "1"])
+    assert state_after(code, "os.environ.get('OPENBLAS_NUM_THREADS')") == threads

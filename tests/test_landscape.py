@@ -340,6 +340,21 @@ def test_trail_is_built_once_and_left_out_of_equality(witness_points):
     assert same.trail.landscape is None
 
 
+def test_distance_result_reads_and_compares_as_its_three_fields(witness_points):
+    a, b = witness_points[1]
+    result = surface_distance(a, b)
+    assert repr(result) == "DistanceResult(distance=0.4, argmin=(1,), fallback=False)"
+    assert result == (0.4, (1,), False) and tuple(result) == (0.4, (1,), False)
+    # two results that differ only in the kept minimizer
+    other = surface_distance(*witness_points[2])._winner
+    moved = DistanceResult(*result, other)
+    assert moved == result and hash(moved) == hash(result)
+    assert moved.trail.landscape.index == 2 and result.trail.landscape.index == 1
+    # NamedTuple's copies keep the minimizer's chord, or have none
+    assert result._replace(fallback=True).trail == result.trail
+    assert DistanceResult._make(result).trail.landscape is None
+
+
 def test_surface_distance_witness_rows(witness_points):
     for index, (a, b) in witness_points.items():
         result = surface_distance(a, b)

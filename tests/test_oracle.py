@@ -638,7 +638,7 @@ def _reference_lattice(n):
 def test_mesh_graph_hop_tables_match_scipy_hop_counts(n):
     mesh = oracle._mesh_graph(n)
     coords, face_ids, lattice = _reference_lattice(n)
-    for value in vars(mesh).values():
+    for value in mesh._asdict().values():
         for array in value.values() if isinstance(value, dict) else [value]:
             assert not array.flags.writeable
     # a node met from two faces may differ only in the sign of a zero
