@@ -45,8 +45,13 @@ class Representation(_RepresentationFields):
     __slots__ = ()
 
     def __new__(cls, home: int, shared: int, x: float, y: float):
-        if home not in topo.FACE_INDICES:
+        # a label is an int: True or 1.0 equals the label 1 and would pass
+        # the membership tests, then key the caches' tables as face 1 but
+        # print as "FTrue" or "F1.0"
+        if type(home) is not int or home not in topo.FACE_INDICES:
             raise InvalidRepresentation(f"unknown face {home!r}")
+        if type(shared) is not int:
+            raise InvalidRepresentation(f"unknown face {shared!r}")
         if shared not in topo.neighbors(home):
             raise InvalidRepresentation(f"F{shared} is not adjacent to F{home}")
         if not (math.isfinite(x) and math.isfinite(y)):

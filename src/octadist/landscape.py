@@ -214,7 +214,8 @@ class DistanceResult(_DistanceFields):
 
 def _check_inputs(index: int, p1: Representation, p2: Representation) -> topo.Frame:
     """Check the index, the relation and p2's chart; return the frame of p1's chart."""
-    if index not in LANDSCAPE_IDS:
+    # True == 1, and would key `_layout`'s cache as landscape 1
+    if type(index) is not int or index not in LANDSCAPE_IDS:
         raise ValueError(f"landscape index must be 1..9, got {index}")
     rel = topo.relation(p1.home, p2.home)
     if rel is not _RELATION_FOR_ID[index]:

@@ -274,10 +274,6 @@ def _unfoldings() -> dict[tuple[int, int], PairChains]:
     return pair_chains
 
 
-def _pair_chains(start: int, goal: int) -> PairChains:
-    return _unfoldings()[start, goal]
-
-
 def _chord_in_chain(hinges, a, b):
     """Crossing parameters of the chord with the hinge edges, or None.
 
@@ -347,41 +343,33 @@ def _samples_contained(corners: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return (d.min(axis=0) >= -1e-7).any(axis=1).all(axis=1)
 
 
-#: Rows an unfolding step projects at most.  A row's temporaries hold about
-#: 15 floats per chain of its stack (at most 18 chains), and 384 (3 edges x
-#: 8 triangles x 16 samples) per array of its containment check, so a step
+#: Pairs a block holds at most.  Per row, the unfolding kernel's
+#: temporaries hold about 15 floats per chain of its stack (at most 18
+#: chains) and 384 (3 edges x 8 triangles x 16 samples) per array of its
+#: containment check, and the mesh kernel's about 9 n^2 floats, so a block
 #: stays bounded however many pairs share a face pair.
-_UNFOLD_ROWS = 32
+_BLOCK_ROWS = 32
 
 
-def _embedded(
-    pairs: Sequence[tuple[SurfacePoint, SurfacePoint]],
-) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], list[int]]]:
-    """Both ends of the pairs in 3D as `_embed` rows, and the pair indices by their two home faces."""
+def _blocks(pairs: Sequence[tuple[SurfacePoint, SurfacePoint]]):
+    """The pairs in blocks of at most `_BLOCK_ROWS` with the same two home faces.
+
+    Each endpoint is embedded once (`_embed`).  Yields the home faces,
+    the block's pair indices, its rows of both ends in 3D, and their 3D
+    chord lengths.
+    """
     reps, groups = [], {}
     for i, (a, b) in enumerate(pairs):
         ra, rb = a.canonical, b.canonical
         reps += (ra, rb)
         groups.setdefault((ra.home, rb.home), []).append(i)
     points = _embed(reps)
-    return points[0::2], points[1::2], groups
-
-
-def _blocks(pa3: np.ndarray, pb3: np.ndarray, groups, size: int):
-    """Blocks of at most `size` pairs with the same two home faces.
-
-    Yields the home faces, the pair indices, and the block's rows of
-    `pa3` and `pb3`.
-    """
     for homes, rows in groups.items():
-        for lo in range(0, len(rows), size):
-            block = rows[lo : lo + size]
-            yield homes, block, pa3[block], pb3[block]
-
-
-def _norms(d: np.ndarray) -> list[float]:
-    """The length of each row of d, as `np.linalg.norm` takes it of one row."""
-    return np.sqrt(_dots(d, d)).tolist()
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[lo : lo + _BLOCK_ROWS]
+            a3, b3 = points[0::2][block], points[1::2][block]
+            d = a3 - b3
+            yield homes, block, a3, b3, np.sqrt(_dots(d, d)).tolist()
 
 
 def _shortest_contained(
@@ -400,44 +388,33 @@ def _shortest_contained(
     return None
 
 
-def _unfold_values(pa3: np.ndarray, pb3: np.ndarray, groups) -> list[float]:
-    """`unfold_geodesics` of the pairs `_embedded` returned `pa3`, `pb3` and `groups` for."""
-    values = [math.inf] * len(pa3)
-    for (home_a, home_b), block, a3, b3 in _blocks(pa3, pb3, groups, _UNFOLD_ROWS):
-        if home_a == home_b:
-            for i, chord in zip(block, _norms(a3 - b3)):
-                values[i] = chord
-            continue
-        stack = _pair_chains(home_a, home_b)
-        b3_tail = _apply(stack.tail_matrix, b3[:, None]) + stack.tail_offset
-        starts = ((a3[:, None] - stack.origin)[:, :, None] @ stack.axes)[:, :, 0]
-        ends = ((b3_tail - stack.origin)[:, :, None] @ stack.axes)[:, :, 0]
-        dxs, dys = (ends - starts).transpose(2, 0, 1).tolist()
-        rows, winners = [], []
-        for r, row in enumerate(zip(starts.tolist(), ends.tolist(), dxs, dys)):
-            found = _shortest_contained(stack, *row)
-            if found is not None:
-                values[block[r]], winner = found
-                rows.append(r)
-                winners.append(winner)
-        if not rows:
-            continue
+def _unfold_block(homes: tuple[int, int], a3: np.ndarray, b3: np.ndarray, chords: list) -> list[float]:
+    """`unfold_geodesic` of each row of a block from `_blocks`.
+
+    The rows are projected into their face pair's chain stack together,
+    and their winners get their sampled containment check together; a
+    row's value does not depend on the rows it goes with.
+    """
+    if homes[0] == homes[1]:
+        return chords
+    stack = _unfoldings()[homes]
+    b3_tail = _apply(stack.tail_matrix, b3[:, None]) + stack.tail_offset
+    starts = ((a3[:, None] - stack.origin)[:, :, None] @ stack.axes)[:, :, 0]
+    ends = ((b3_tail - stack.origin)[:, :, None] @ stack.axes)[:, :, 0]
+    dxs, dys = (ends - starts).transpose(2, 0, 1).tolist()
+    values, rows, winners = [math.inf] * len(a3), [], []
+    for r, row in enumerate(zip(starts.tolist(), ends.tolist(), dxs, dys)):
+        found = _shortest_contained(stack, *row)
+        if found is not None:
+            values[r], winner = found
+            rows.append(r)
+            winners.append(winner)
+    if rows:
         ok = _samples_contained(stack.corners[winners], starts[rows, winners], ends[rows, winners])
         if not ok.all():
             failed = stack.paths[winners[int(ok.argmin())]]
             raise AssertionError(f"sampled containment check failed on {failed}")
     return values
-
-
-def unfold_geodesics(pairs: Sequence[tuple[SurfacePoint, SurfacePoint]]) -> list[float]:
-    """`unfold_geodesic` of each pair, in order.
-
-    Pairs with the same two home faces are projected into their chain
-    stack together, up to `_UNFOLD_ROWS` at a time, and the winners of
-    such a block get their sampled containment check together; a row's
-    value does not depend on the rows it goes with.
-    """
-    return _unfold_values(*_embedded(pairs))
 
 
 def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
@@ -450,16 +427,12 @@ def unfold_geodesic(a: SurfacePoint, b: SurfacePoint) -> float:
     is the shortest contained one.  Returns inf when no chain contains
     its chord.
     """
-    return unfold_geodesics([(a, b)])[0]
+    ((homes, _block, a3, b3, chords),) = _blocks([(a, b)])
+    return _unfold_block(homes, a3, b3, chords)[0]
 
 
 # ---------------------------------------------------------------------------
 # lattice-graph upper bound
-
-
-#: Rows a mesh-bound step stacks at most.  A row's temporaries hold about
-#: 9 n^2 floats, so a step stays bounded however many pairs share a face pair.
-_MESH_ROWS = 32
 
 
 class MeshGraph(NamedTuple):
@@ -483,6 +456,8 @@ class MeshGraph(NamedTuple):
 @lru_cache(maxsize=None)
 def _mesh_graph(subdivisions: int) -> MeshGraph:
     """Shared lattice, unit edges split n-fold: each face's edge nodes and the skeleton's hop counts."""
+    if subdivisions < 1:
+        raise ValueError("subdivisions must be at least 1")
     n = subdivisions
     rim = [
         (i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i) if 0 in (i, j, n - i - j)
@@ -531,45 +506,23 @@ def _replay(start: np.ndarray, index: np.ndarray, width: int, step: float) -> np
     return table.reshape(len(start), -1)[:, index].min(axis=1)
 
 
-def _mesh_rows(
-    mesh: MeshGraph, n: int, homes: tuple[int, int], pa3: np.ndarray, pb3: np.ndarray
-) -> np.ndarray:
-    """Lattice path values of rows that share a face pair, without the direct chord."""
+def _mesh_block(
+    mesh: MeshGraph, n: int, homes: tuple[int, int], a3: np.ndarray, b3: np.ndarray, chords: list
+) -> list[float]:
+    """`mesh_upper_bound` of each row of a block from `_blocks`, on the lattice `mesh` of n.
+
+    The rows go through the lattice together; a row's value does not
+    depend on the rows it goes with.
+    """
     home_a, home_b = homes
-    src_w = np.linalg.norm(mesh.face_points[home_a] - pa3[:, None, :], axis=2)
+    src_w = np.linalg.norm(mesh.face_points[home_a] - a3[:, None, :], axis=2)
     legs = mesh.closure[mesh.skeleton[home_a]][:, mesh.skeleton[home_b]]
     width = int(legs.max()) + 1
     rows = np.arange(3 * n)[:, None] * width
     dist = _replay(src_w, legs + rows, width, 1.0 / n)
-    dst_w = np.linalg.norm(mesh.face_points[home_b] - pb3[:, None, :], axis=2)
-    return (dist + dst_w).min(axis=1)
-
-
-def _mesh_values(pa3: np.ndarray, pb3: np.ndarray, groups, subdivisions: int) -> list[float]:
-    """`mesh_upper_bounds` of the pairs `_embedded` returned `pa3`, `pb3` and `groups` for."""
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be at least 1")
-    mesh = _mesh_graph(subdivisions)
-    values = [math.inf] * len(pa3)
-    for homes, block, a3, b3 in _blocks(pa3, pb3, groups, _MESH_ROWS):
-        rows = _mesh_rows(mesh, subdivisions, homes, a3, b3).tolist()
-        if homes[0] == homes[1]:
-            rows = list(map(min, _norms(a3 - b3), rows))
-        for i, value in zip(block, rows):
-            values[i] = value
-    return values
-
-
-def mesh_upper_bounds(
-    pairs: Sequence[tuple[SurfacePoint, SurfacePoint]], subdivisions: int
-) -> list[float]:
-    """`mesh_upper_bound` of each pair, in order.
-
-    Pairs with the same two home faces go through the lattice together,
-    up to `_MESH_ROWS` at a time; a row's value does not depend on the
-    rows it goes with.
-    """
-    return _mesh_values(*_embedded(pairs), subdivisions)
+    dst_w = np.linalg.norm(mesh.face_points[home_b] - b3[:, None, :], axis=2)
+    values = (dist + dst_w).min(axis=1).tolist()
+    return list(map(min, chords, values)) if home_a == home_b else values
 
 
 def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> float:
@@ -590,7 +543,9 @@ def mesh_upper_bound(a: SurfacePoint, b: SurfacePoint, subdivisions: int) -> flo
     addition is monotone, so only the fewest hops between the two nodes
     count, and the search is replayed from the skeleton's hop counts.
     """
-    return mesh_upper_bounds([(a, b)], subdivisions)[0]
+    mesh = _mesh_graph(subdivisions)
+    ((homes, _block, a3, b3, chords),) = _blocks([(a, b)])
+    return _mesh_block(mesh, subdivisions, homes, a3, b3, chords)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,28 +599,33 @@ def compare_pairs(
 ) -> list[CompareReport]:
     """Check each pair, in order: formula vs unfolding, chord and mesh brackets.
 
-    Each endpoint is embedded once; the unfolding search, the mesh bound
-    and the 3D chord read the same 3D points, and each takes the pairs
-    by face pair as `unfold_geodesics` and `mesh_upper_bounds` do, with
-    the same values.  subdivisions = 0 skips the mesh bound (it is by far
-    the slowest reference and one-sided anyway).
+    The pairs go through both searches in the blocks of `_blocks`, each
+    endpoint embedded once, and every value is the one `unfold_geodesic`
+    and `mesh_upper_bound` give for its pair alone.  subdivisions = 0
+    skips the mesh bound (it is by far the slowest reference and
+    one-sided anyway).
     """
-    pa3, pb3, groups = _embedded(pairs)
-    meshes = _mesh_values(pa3, pb3, groups, subdivisions) if subdivisions else [None] * len(pairs)
-    oracles = _unfold_values(pa3, pb3, groups)
+    mesh = _mesh_graph(subdivisions) if subdivisions else None
+    refs: list = [None] * len(pairs)
+    for homes, block, a3, b3, chords in _blocks(pairs):
+        bounds = [None] * len(block)
+        if subdivisions:
+            bounds = _mesh_block(mesh, subdivisions, homes, a3, b3, chords)
+        for i, ref in zip(block, zip(chords, _unfold_block(homes, a3, b3, chords), bounds)):
+            refs[i] = ref
     reports = []
-    for (a, b), chord, oracle_value, mesh in zip(pairs, _norms(pa3 - pb3), oracles, meshes):
+    for (a, b), (chord, oracle_value, bound) in zip(pairs, refs):
         result = surface_distance(a, b)
         reports.append(CompareReport(
             distance=result.distance,
             oracle=oracle_value,
             chord=chord,
-            mesh=mesh,
+            mesh=bound,
             argmin=result.argmin,
             fallback=result.fallback,
             distance_ok=abs(result.distance - oracle_value) <= tolerance,
             chord_ok=chord <= result.distance + 1e-12,
-            mesh_ok=None if mesh is None else result.distance <= mesh + 1e-12,
+            mesh_ok=None if bound is None else result.distance <= bound + 1e-12,
         ))
     return reports
 

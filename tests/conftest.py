@@ -106,7 +106,7 @@ def best_chord_loop(a, b, min_faces=2, max_faces=8):
 
 def chain_row(path):
     """The stack of a dual path's face pair, and the path's row in it."""
-    stack = oracle._pair_chains(path[0], path[-1])
+    stack = oracle._unfoldings()[path[0], path[-1]]
     return stack, stack.paths.index(path)
 
 

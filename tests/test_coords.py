@@ -199,8 +199,12 @@ def test_representation_validation():
         ((1, 3, 0.5, 0.2), "F3 is not adjacent to F1"),
         ((1, 2, math.inf, 0.1), "coordinates must be finite"),
         ((1, 2, 0.5, 0.9), "(0.5, 0.9) lies outside the face triangle"),
+        ((True, 2, 0.3, 0.2), "unknown face True"),
+        ((1.0, 2, 0.3, 0.2), "unknown face 1.0"),
+        ((2, True, 0.3, 0.2), "unknown face True"),
+        ((2, 1.0, 0.3, 0.2), "unknown face 1.0"),
     ],
-    ids=["face", "adjacency", "finite", "triangle"],
+    ids=["face", "adjacency", "finite", "triangle", "bool-home", "float-home", "bool-shared", "float-shared"],
 )
 def test_representation_checks_hold_on_every_construction_path(fields, message):
     rep = Representation(1, 2, 0.5, 0.2)

@@ -141,12 +141,24 @@ def test_trail_length_chart_mismatch():
         trail_crossings(1, p1, p2)
 
 
-@pytest.mark.parametrize("index", [0, 10])
+@pytest.mark.parametrize("index", [0, 10, True, 1.0])
 def test_trail_length_rejects_an_index_outside_one_to_nine(index):
     p1 = Representation(1, 2, 0.3, 0.1)
     p2 = Representation(2, 1, 0.3, 0.1)
     with pytest.raises(ValueError, match="1..9"):
         trail_length(index, p1, p2)
+
+
+def test_a_bool_index_leaves_the_layouts_alone():
+    # True == 1: were it taken, it would key landscape 1's layout in the
+    # cache, and every later minimum through that frame would name it
+    landscape._layout.cache_clear()
+    landscape._plan.cache_clear()
+    p1, p2 = VALIDITY_WITNESSES[1]
+    with pytest.raises(ValueError, match="1..9"):
+        trail_crossings(True, p1, p2)
+    (index,) = surface_distance(canonicalize(p1), canonicalize(p2)).argmin
+    assert index == 1 and type(index) is int
 
 
 def test_per_landscape_calls_take_the_frame_of_the_first_chart():

@@ -188,16 +188,19 @@ def test_embedding_has_the_bits_of_the_per_coordinate_sum():
     assert _hexes(oracle.embed_3d(rep).tolist() for rep in reps) == expected
     assert _hexes(oracle._embed(reps).tolist()) == expected
     pairs = [(canonicalize(a), canonicalize(b)) for a, b in zip(reps[0::2], reps[1::2])]
-    pa3, pb3, _groups = oracle._embedded(pairs)
-    assert _hexes(pa3.tolist()) == _hexes(_embed_by_coordinate(a.canonical) for a, _b in pairs)
-    assert _hexes(pb3.tolist()) == _hexes(_embed_by_coordinate(b.canonical) for _a, b in pairs)
+    ends = [None] * len(pairs)
+    for _homes, block, a3, b3, _chords in oracle._blocks(pairs):
+        for i, pa3, pb3 in zip(block, a3.tolist(), b3.tolist()):
+            ends[i] = pa3, pb3
+    assert _hexes(pa3 for pa3, _pb3 in ends) == _hexes(_embed_by_coordinate(a.canonical) for a, _b in pairs)
+    assert _hexes(pb3 for _pa3, pb3 in ends) == _hexes(_embed_by_coordinate(b.canonical) for _a, b in pairs)
 
 
 def _stacks():
     for start in topo.FACE_INDICES:
         for goal in topo.FACE_INDICES:
             if goal != start:
-                yield oracle._pair_chains(start, goal)
+                yield oracle._unfoldings()[start, goal]
 
 
 def _chains():
@@ -270,7 +273,8 @@ def test_flatten_chain_looks_up_chains_built_once():
     for start in topo.FACE_INDICES:
         for goal in topo.FACE_INDICES:
             if goal != start:
-                assert oracle._pair_chains(start, goal).paths == tuple(topo.enumerate_dual_paths(start, goal))
+                stack = oracle._unfoldings()[start, goal]
+                assert stack.paths == tuple(topo.enumerate_dual_paths(start, goal))
     for path in paths:
         if len(path) == 2:
             continue
@@ -397,7 +401,7 @@ def test_search_tries_each_chain_on_its_real_hinges(monkeypatch):
         _length, winner = best_chord_loop(a, b)
         calls.clear()
         oracle.unfold_geodesic(a, b)
-        stack = oracle._pair_chains(a.canonical.home, b.canonical.home)
+        stack = oracle._unfoldings()[a.canonical.home, b.canonical.home]
         rows = [stack.hinges[i, : len(p) - 1].tolist() for i, p in enumerate(stack.paths)]
         assert all(hinges in rows for hinges, _params in calls)
         # every chain before the winner fails; the winner's chord meets each of its hinges
@@ -537,8 +541,8 @@ def test_sampled_containment_blocks_equal_exhaustive_scan():
     # whole blocks of padded table rows from many face pairs at once, as the
     # search checks its winners, against a scan of the real triangles
     verdicts = []
-    for lo in range(0, len(rows), oracle._UNFOLD_ROWS):
-        block = rows[lo : lo + oracle._UNFOLD_ROWS]
+    for lo in range(0, len(rows), oracle._BLOCK_ROWS):
+        block = rows[lo : lo + oracle._BLOCK_ROWS]
         corners = np.array([stack.corners[i] for stack, i in (chain_row(row[0]) for row in block)])
         starts, ends = (np.array([row[side] for row in block]) for side in (2, 3))
         for (path, tris, a, b), got in zip(block, oracle._samples_contained(corners, starts, ends).tolist()):
@@ -582,6 +586,10 @@ def test_mesh_rejects_bad_subdivisions():
     a = canonicalize(Representation(2, 1, 0.4, 0.2))
     with pytest.raises(ValueError):
         oracle.mesh_upper_bound(a, a, 0)
+    with pytest.raises(ValueError):
+        oracle.compare_pairs([(a, a)], subdivisions=-1)
+    with pytest.raises(ValueError):
+        oracle.compare(a, a, subdivisions=-1)
 
 
 def test_mesh_bounds_unfold_from_above():
@@ -591,8 +599,8 @@ def test_mesh_bounds_unfold_from_above():
         assert mesh >= oracle.unfold_geodesic(a, b) - 1e-12
     pairs = list(itertools.product(boundary_points(), repeat=2))
     for n in (4, 16):
-        for (a, b), mesh in zip(pairs, oracle.mesh_upper_bounds(pairs, n)):
-            assert mesh >= oracle.unfold_geodesic(a, b) - 1e-12, (a, b, n)
+        for (a, b), report in zip(pairs, oracle.compare_pairs(pairs, subdivisions=n)):
+            assert report.mesh >= oracle.unfold_geodesic(a, b) - 1e-12, (a, b, n)
 
 
 def test_mesh_decreases_under_doubling():
@@ -783,53 +791,36 @@ def _every_face_pair_rows(seed):
     return pairs
 
 
+def _references(reports):
+    return [(r.oracle.hex(), r.mesh.hex()) for r in reports]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
-def test_mesh_upper_bounds_do_not_depend_on_the_batch(n, monkeypatch):
+def test_compare_pairs_do_not_depend_on_the_batch(n, monkeypatch):
     pairs = _every_face_pair_rows(n)
+    homes = collections.Counter((a.canonical.home, b.canonical.home) for a, b in pairs)
+    assert len(homes) == 64 and max(homes.values()) > 5
     if n >= 32:
         pairs = pairs[::7] + pairs[64:70] + pairs[-4:]
-    single = [oracle.mesh_upper_bound(a, b, n).hex() for a, b in pairs]
-    assert [v.hex() for v in oracle.mesh_upper_bounds(pairs, n)] == single
+    single = [(oracle.unfold_geodesic(a, b).hex(), oracle.mesh_upper_bound(a, b, n).hex()) for a, b in pairs]
+    assert _references(oracle.compare_pairs(pairs, subdivisions=n)) == single
     if n == 3:  # the only odd n: held to the graph search as well
-        assert single == [_mesh_with_graph_per_call(a, b, n).hex() for a, b in pairs]
+        assert [m for _u, m in single] == [_mesh_with_graph_per_call(a, b, n).hex() for a, b in pairs]
     rng = random.Random(n)
     order = list(range(len(pairs)))
     rng.shuffle(order)
-    shuffled = oracle.mesh_upper_bounds([pairs[i] for i in order], n)
-    assert [single[i] for i in order] == [v.hex() for v in shuffled]
+    shuffled = oracle.compare_pairs([pairs[i] for i in order], subdivisions=n)
+    assert [single[i] for i in order] == _references(shuffled)
     # split into blocks of a few rows, and into separate calls
     for rows in (1, 2, 5):
-        monkeypatch.setattr(oracle, "_MESH_ROWS", rows)
-        assert [v.hex() for v in oracle.mesh_upper_bounds(pairs, n)] == single
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+        assert _references(oracle.compare_pairs(pairs, subdivisions=n)) == single
     cuts = sorted(rng.sample(range(1, len(pairs)), 4))
     split = []
     for lo, hi in zip([0, *cuts], [*cuts, len(pairs)]):
-        split += oracle.mesh_upper_bounds(pairs[lo:hi], n)
-    assert [v.hex() for v in split] == single
-    assert oracle.mesh_upper_bounds([], n) == []
-
-
-def test_unfold_geodesics_do_not_depend_on_the_batch(monkeypatch):
-    pairs = [pair for seed in range(3) for pair in _every_face_pair_rows(seed)]
-    homes = collections.Counter((a.canonical.home, b.canonical.home) for a, b in pairs)
-    assert len(homes) == 64 and max(homes.values()) > 5
-    single = [oracle.unfold_geodesic(a, b).hex() for a, b in pairs]
-    assert [v.hex() for v in oracle.unfold_geodesics(pairs)] == single
-    rng = random.Random(19)
-    order = list(range(len(pairs)))
-    rng.shuffle(order)
-    shuffled = oracle.unfold_geodesics([pairs[i] for i in order])
-    assert [single[i] for i in order] == [v.hex() for v in shuffled]
-    # split into blocks of a few rows, and into separate calls
-    for rows in (1, 2, 5):
-        monkeypatch.setattr(oracle, "_UNFOLD_ROWS", rows)
-        assert [v.hex() for v in oracle.unfold_geodesics(pairs)] == single
-    cuts = sorted(rng.sample(range(1, len(pairs)), 4))
-    split = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(pairs)]):
-        split += oracle.unfold_geodesics(pairs[lo:hi])
-    assert [v.hex() for v in split] == single
-    assert oracle.unfold_geodesics([]) == []
+        split += oracle.compare_pairs(pairs[lo:hi], subdivisions=n)
+    assert _references(split) == single
+    assert oracle.compare_pairs([], subdivisions=n) == []
     # with containment inverted, the winners leave their chains and fail
     # the sampled check; the error names the same chain however blocks fall
     contained = oracle._chord_in_chain
@@ -838,9 +829,9 @@ def test_unfold_geodesics_do_not_depend_on_the_batch(monkeypatch):
     )
     errors = set()
     for rows in (1, 2, 5, 32):
-        monkeypatch.setattr(oracle, "_UNFOLD_ROWS", rows)
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
         with pytest.raises(AssertionError, match="sampled containment check failed on") as failure:
-            oracle.unfold_geodesics(pairs)
+            oracle.compare_pairs(pairs, subdivisions=n)
         errors.add(str(failure.value))
     assert len(errors) == 1, errors
 
