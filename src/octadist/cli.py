@@ -8,6 +8,10 @@ pairs (plus the nine validity witness pairs) through the comparison
 harness, and `render` draws one query's shortest trail on the net as
 SVG.
 
+All four commands read stdin and write stdout as UTF-8, whatever the
+locale.  A failed read or write of stdin, stdout or the SVG file ends
+the command with exit code 1 and one `I/O error: …` line on stderr.
+
 `validate` runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
 already set or numpy is already loaded.
 
@@ -21,7 +25,9 @@ scanned again can call `gc.unfreeze()`.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
 import math
 import os
 import sys
@@ -39,52 +45,54 @@ from .serialize import (
 )
 
 
+class _ClosedStream(io.TextIOBase):
+    """Stands for a standard stream whose descriptor was closed at start-up."""
+
+    def readline(self, *args):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    write = readline
+
+
 def _utf8_stdio() -> None:
     """Read stdin and write stdout as UTF-8, whatever the locale.
 
     An undecodable input byte reaches the parser as a lone surrogate, so
     its line is a BadRecord like any other malformed line.  A stream set
-    in place of sys.stdin or sys.stdout (an io.StringIO) is left as it is.
+    in place of sys.stdin or sys.stdout (an io.StringIO) is left as it is;
+    a closed one (None) becomes a _ClosedStream, whose use is an I/O error.
     """
-    for stream, errors in ((sys.stdin, "surrogateescape"), (sys.stdout, "strict")):
-        reconfigure = getattr(stream, "reconfigure", None)
-        if reconfigure is not None:
-            reconfigure(encoding="utf-8", errors=errors)
+    for name, errors in (("stdin", "surrogateescape"), ("stdout", "strict")):
+        stream = getattr(sys, name)
+        if stream is None:
+            setattr(sys, name, _ClosedStream())
+        elif hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=errors)
 
 
-def _stream(to_obj) -> int:
-    _utf8_stdio()
-    had_errors = False
-    try:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            record_id = None
-            try:
-                record = load_record(line)
-                record_id = record.get("id")
-                p1 = parse_point(record.get("p1"))
-                p2 = parse_point(record.get("p2"))
-                result = surface_distance(canonicalize(p1), canonicalize(p2))
-                obj = to_obj(result, record_id)
-            except (ValueError, KeyError) as exc:
-                obj = error_obj(exc, record_id)
-                had_errors = True
-            sys.stdout.write(dumps(obj) + "\n")
-        sys.stdout.flush()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
+def _solve(record: dict):
+    """A loaded query record's two points and their DistanceResult."""
+    p1 = parse_point(record.get("p1"))
+    p2 = parse_point(record.get("p2"))
+    return p1, p2, surface_distance(canonicalize(p1), canonicalize(p2))
+
+
+def _stream(args) -> int:
+    to_obj, had_errors = args.to_obj, False
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        record_id = None
+        try:
+            record = load_record(line)
+            record_id = record.get("id")
+            obj = to_obj(_solve(record)[2], record_id)
+        except (ValueError, KeyError) as exc:
+            obj = error_obj(exc, record_id)
+            had_errors = True
+        sys.stdout.write(dumps(obj) + "\n")
     return 2 if had_errors else 0
-
-
-def _cmd_distance(args) -> int:
-    return _stream(distance_result_to_obj)
-
-
-def _cmd_path(args) -> int:
-    return _stream(trail_result_to_obj)
 
 
 def _cmd_validate(args) -> int:
@@ -110,39 +118,23 @@ def _cmd_validate(args) -> int:
     reports = compare_pairs(pairs, tolerance=args.tolerance, subdivisions=args.subdivisions)
     failures = [report for report in reports if not report.passed]
     total = len(pairs)
-    try:
-        for report in failures:
-            sys.stdout.write(dumps(report.to_dict()) + "\n")
-        print(f"checked {total} pairs ({len(VALIDITY_WITNESSES)} witness rows + {args.count} random): "
-              f"{total - len(failures)} passed, {len(failures)} failed")
-        sys.stdout.flush()
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
+    for report in failures:
+        sys.stdout.write(dumps(report.to_dict()) + "\n")
+    print(f"checked {total} pairs ({len(VALIDITY_WITNESSES)} witness rows + {args.count} random): "
+          f"{total - len(failures)} passed, {len(failures)} failed")
     return 0 if not failures else 1
 
 
 def _cmd_render(args) -> int:
-    _utf8_stdio()
-    if args.query is not None:
-        line = args.query
-    else:
-        line = sys.stdin.readline().strip()
+    line = args.query if args.query is not None else sys.stdin.readline().strip()
     try:
-        record = load_record(line)
-        p1 = parse_point(record.get("p1"))
-        p2 = parse_point(record.get("p2"))
-        result = surface_distance(canonicalize(p1), canonicalize(p2))
+        p1, p2, result = _solve(load_record(line))
         svg = render_svg(p1, p2, result, scale=args.scale)
     except (ValueError, KeyError) as exc:
         print(dumps(error_obj(exc)), file=sys.stderr)
         return 2
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(svg)
     return 0
 
 
@@ -179,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_distance = sub.add_parser("distance", help="surface distances for JSON-lines queries")
-    p_distance.set_defaults(func=_cmd_distance)
+    p_distance.set_defaults(func=_stream, to_obj=distance_result_to_obj)
 
     p_path = sub.add_parser("path", help="shortest trails (with crossings) for queries")
-    p_path.set_defaults(func=_cmd_path)
+    p_path.set_defaults(func=_stream, to_obj=trail_result_to_obj)
 
     p_validate = sub.add_parser("validate", help="sweep random pairs through the oracle harness")
     p_validate.add_argument("--seed", type=int, default=0)
@@ -205,7 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     gc.freeze()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        _utf8_stdio()
+        code = args.func(args)
+        sys.stdout.flush()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

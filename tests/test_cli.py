@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octadist import cli, landscape
@@ -386,16 +387,26 @@ def test_validate_with_mesh_subdivisions():
 
 
 class RefusingStdout(io.StringIO):
-    """A stdout whose `write` raises `error`, keeping the first text it refused."""
+    """A stdout whose `write`, or with `refuse="flush"` its `flush`, raises `error`.
 
-    def __init__(self, error):
+    A refusing `write` keeps the first text it refused in `refused`; a
+    refusing `flush` takes every write.
+    """
+
+    def __init__(self, error, refuse="write"):
         super().__init__()
-        self.error, self.refused = error, None
+        self.error, self.refuse, self.refused = error, refuse, None
 
     def write(self, text):
+        if self.refuse != "write":
+            return super().write(text)
         if self.refused is None:
             self.refused = text
         raise self.error
+
+    def flush(self):
+        if self.refuse == "flush":
+            raise self.error
 
 
 @pytest.mark.parametrize(
@@ -421,6 +432,132 @@ def test_stdout_write_failure_is_an_io_error(capsys, error, argv, line):
     assert code == 1
     assert stdout.refused.startswith(line)
     assert capsys.readouterr().err == f"I/O error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(28, "No space left on device"), BrokenPipeError(32, "Broken pipe")],
+    ids=["OSError", "BrokenPipeError"],
+)
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["distance"], '{"distance": '),
+        (["path"], '{"length": '),
+        (["validate", "--count", "1"], "checked "),
+    ],
+    ids=["distance", "path", "validate"],
+)
+def test_stdout_flush_failure_is_an_io_error(capsys, error, argv, line):
+    stdout = RefusingStdout(error, refuse="flush")
+    with mock.patch.object(sys, "stdin", io.StringIO(WITNESS_L1 + "\n")), \
+            mock.patch.object(sys, "stdout", stdout):
+        code = cli.main(argv)
+    assert code == 1
+    assert stdout.getvalue().startswith(line)
+    assert capsys.readouterr().err == f"I/O error: {error}\n"
+
+
+class FailingStdin(io.StringIO):
+    """A stdin whose `readline` and iteration raise `error`."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def readline(self, size=-1):
+        raise self.error
+
+    def __next__(self):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(9, "Bad file descriptor"),
+     UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")],
+    ids=["OSError", "UnicodeDecodeError"],
+)
+@pytest.mark.parametrize("command", ["distance", "path", "render"])
+def test_stdin_read_failure_is_an_io_error(tmp_path, capsys, error, command):
+    out = tmp_path / "never.svg"
+    argv = [command, "--out", str(out)] if command == "render" else [command]
+    stdout = io.StringIO()
+    with mock.patch.object(sys, "stdin", FailingStdin(error)), \
+            mock.patch.object(sys, "stdout", stdout):
+        code = cli.main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"I/O error: {error}\n"
+    assert stdout.getvalue() == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_render_unopenable_out_is_an_io_error(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "q.svg"
+    stdout = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO()), mock.patch.object(sys, "stdout", stdout):
+        code = cli.main(["render", "--out", str(out), "--query", WITNESS_L1])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
+    assert stdout.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("closed", ["stdin", "stdout"])
+@pytest.mark.parametrize(
+    "argv, uses",
+    [
+        (["distance"], {"stdin", "stdout"}),
+        (["path"], {"stdin", "stdout"}),
+        (["validate", "--count", "1"], {"stdout"}),
+        (["render"], {"stdin"}),
+        (["render", "--query", WITNESS_L1], set()),
+    ],
+    ids=["distance", "path", "validate", "render-stdin", "render-query"],
+)
+def test_a_closed_standard_stream_fails_only_when_used(tmp_path, capsys, closed, argv, uses):
+    # Python sets sys.stdin or sys.stdout to None when it starts with that descriptor closed
+    out = tmp_path / "q.svg"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(out)]
+    streams = {"stdin": io.StringIO(WITNESS_L1 + "\n"), "stdout": io.StringIO(), closed: None}
+    with mock.patch.object(sys, "stdin", streams["stdin"]), \
+            mock.patch.object(sys, "stdout", streams["stdout"]):
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    if closed in uses:
+        assert (code, err) == (1, "I/O error: [Errno 9] Bad file descriptor\n")
+        assert not out.exists()
+    else:
+        assert (code, err) == (0, "")
+        assert out.exists() == (argv[0] == "render")
+
+
+@settings(max_examples=300)
+@given(lines)
+@example(WITNESS_L1)
+@example('{"p1":{"home":"F5","shared":"F2","x":0.3,"y":0.1},'
+         '"p2":{"home":"F5","shared":"F2","x":0.7,"y":0.1}}')
+def test_render_query_answers_any_line(line):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "q.svg")
+        with mock.patch.object(sys, "stdin", io.StringIO()), \
+                mock.patch.object(sys, "stdout", io.StringIO()), \
+                mock.patch.object(sys, "stderr", stderr):
+            code = cli.main(["render", "--out", out, f"--query={line}"])
+        if code == 0:
+            assert stderr.getvalue() == ""
+            with open(out, encoding="utf-8") as handle:
+                assert handle.read().startswith("<?xml")
+        else:
+            assert code == 2
+            assert not os.path.exists(out)
+            err = stderr.getvalue()
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert "error" in json.loads(err)
 
 
 def test_help_runs():
