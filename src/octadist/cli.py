@@ -71,10 +71,10 @@ def _utf8_stdio() -> None:
 
 
 def _solve(record: dict):
-    """A loaded query record's two points and their DistanceResult."""
-    p1 = parse_point(record.get("p1"))
-    p2 = parse_point(record.get("p2"))
-    return p1, p2, surface_distance(canonicalize(p1), canonicalize(p2))
+    """A loaded query record's two canonical points and their DistanceResult."""
+    a = canonicalize(parse_point(record.get("p1")))
+    b = canonicalize(parse_point(record.get("p2")))
+    return a, b, surface_distance(a, b)
 
 
 def _stream(args) -> int:
@@ -128,8 +128,7 @@ def _cmd_validate(args) -> int:
 def _cmd_render(args) -> int:
     line = args.query if args.query is not None else sys.stdin.readline().strip()
     try:
-        p1, p2, result = _solve(load_record(line))
-        svg = render_svg(p1, p2, result, scale=args.scale)
+        svg = render_svg(*_solve(load_record(line)), scale=args.scale)
     except (ValueError, KeyError) as exc:
         print(dumps(error_obj(exc)), file=sys.stderr)
         return 2

@@ -158,8 +158,8 @@ def canonicalize(r: Representation) -> SurfacePoint:
     on_right = ls * HALF_SQRT3 <= EPS_IN  # edge shared with the next ccw neighbor
     on_left = lt * HALF_SQRT3 <= EPS_IN  # edge shared with the previous ccw neighbor
 
-    corners = topo.chart_corners(r.home, r.shared)
     if (on_base + on_right + on_left) >= 2:  # a corner of the face
+        corners = topo.chart_corners(r.home, r.shared)
         if on_base and on_left:
             vertex = corners[0]
         elif on_base and on_right:

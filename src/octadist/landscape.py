@@ -65,8 +65,6 @@ class FrameMismatch(ValueError):
     """The second point is not in the chart the landscape prescribes."""
 
 
-LANDSCAPE_IDS = tuple(range(1, 10))
-
 #: Dual path of each landscape, as frame roles from origin to destination.
 PATH_ROLES: dict[int, tuple[int, ...]] = {
     1: (1, 2),
@@ -79,6 +77,8 @@ PATH_ROLES: dict[int, tuple[int, ...]] = {
     8: (1, 2, 5, 8),
     9: (1, 4, 3, 8),
 }
+
+LANDSCAPE_IDS = tuple(PATH_ROLES)
 
 #: Orientation used for the layout: (base-face role, reference shared-face role).
 _ORIENT_ROLES: dict[int, tuple[int, int]] = {
@@ -93,14 +93,6 @@ _ORIENT_ROLES: dict[int, tuple[int, int]] = {
     9: (1, 6),
 }
 
-#: Chart roles (home, shared) the second point must be expressed in.
-_P2_CHART_ROLES: dict[int, tuple[int, int]] = {
-    1: (2, 1),
-    2: (5, 6),
-    3: (5, 6),
-    **{a: (8, 7) for a in range(4, 10)},
-}
-
 APPLICABLE_IDS: dict[topo.Relation, tuple[int, ...]] = {
     topo.Relation.ADJACENT: (1,),
     topo.Relation.NEITHER: (2, 3),
@@ -109,6 +101,14 @@ APPLICABLE_IDS: dict[topo.Relation, tuple[int, ...]] = {
 
 _RELATION_FOR_ID: dict[int, topo.Relation] = {
     index: rel for rel, ids in APPLICABLE_IDS.items() for index in ids
+}
+
+#: Chart roles (home, shared) the second point must be expressed in: one
+#: formula chart per relation class.
+_P2_CHART_ROLES: dict[topo.Relation, tuple[int, int]] = {
+    topo.Relation.ADJACENT: (2, 1),
+    topo.Relation.NEITHER: (5, 6),
+    topo.Relation.OPPOSITE: (8, 7),
 }
 
 #: Point pairs witnessing the validity of each landscape, in the charts
@@ -187,17 +187,15 @@ class DistanceResult(_DistanceFields):
     equality and hashing compare `distance`, `argmin` and `fallback` only.
     """
 
+    # (planned landscape, chord length, intersections) of the first
+    # minimizer, or None for coincident and same-face pairs; a result that
+    # NamedTuple's _make builds has none
+    _winner = None
+
     def __new__(cls, distance: float, argmin: tuple[int, ...], fallback: bool, _winner=None):
         self = tuple.__new__(cls, (distance, argmin, fallback))
-        # (planned landscape, chord length, intersections) of the first
-        # minimizer, or None for coincident and same-face pairs
         self._winner = _winner
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> DistanceResult:
-        # NamedTuple's _make would build a result with no `_winner` at all
-        return cls(*iterable)
 
     def _replace(self, **changes) -> DistanceResult:
         """A copy with some fields changed; it keeps the first minimizer's chord."""
@@ -224,7 +222,7 @@ def _check_inputs(index: int, p1: Representation, p2: Representation) -> topo.Fr
             f"got F{p1.home} and F{p2.home} ({rel.value})"
         )
     frame = topo.Frame.from_anchor(p1.home, p1.shared)
-    h_role, s_role = _P2_CHART_ROLES[index]
+    h_role, s_role = _P2_CHART_ROLES[rel]
     if p2.home != frame.face(h_role) or p2.shared != frame.face(s_role):
         raise FrameMismatch(
             f"L{index} with p1 in the chart (F{p1.home}, F{p1.shared}) expects p2 in "
@@ -440,8 +438,9 @@ def _layout(index: int, frame: topo.Frame) -> _PlannedLandscape:
     """Layout of landscape `index` through `frame`, derived once.
 
     The first point's chart is (role 1, role 2) and the second point's
-    the one _P2_CHART_ROLES names; the interior edges' vertex labels and
-    planar segments follow in path order.  At most 9 x 24 entries exist.
+    the one _P2_CHART_ROLES names for its class; the interior edges'
+    vertex labels and planar segments follow in path order.  At most
+    9 x 24 entries exist.
     """
     roles = PATH_ROLES[index]
     faces = tuple(frame.face(r) for r in roles)
@@ -452,7 +451,7 @@ def _layout(index: int, frame: topo.Frame) -> _PlannedLandscape:
         (positions[faces[i]][s], positions[faces[i]][t])
         for i, (s, t) in enumerate(edge_labels)
     )
-    h_role, s_role = _P2_CHART_ROLES[index]
+    h_role, s_role = _P2_CHART_ROLES[_RELATION_FOR_ID[index]]
     return _PlannedLandscape(
         _FORMULAS[index],
         _corners(positions[faces[0]], frame.face(1), frame.face(2)),
@@ -520,12 +519,11 @@ def _plan(home1: int, shared1: int, home2: int, shared2: int) -> _ChartPairPlan:
     The homes must differ; at most 8 x 3 x 7 x 3 = 504 plans exist.
     """
     frame = topo.canonical_frame(home1, home2)
-    ids = APPLICABLE_IDS[topo.relation(home1, home2)]
-    s_role = _P2_CHART_ROLES[ids[0]][1]  # one formula chart per relation class
+    rel = topo.relation(home1, home2)
     return _ChartPairPlan(
         topo.turns(home1, shared1, frame.face(2)),
-        topo.turns(home2, shared2, frame.face(s_role)),
-        tuple(_layout(index, frame) for index in ids),
+        topo.turns(home2, shared2, frame.face(_P2_CHART_ROLES[rel][1])),
+        tuple(_layout(index, frame) for index in APPLICABLE_IDS[rel]),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from . import topology as topo
-from .coords import HALF_SQRT3, Representation, _place, canonicalize
+from .coords import HALF_SQRT3, Representation, SurfacePoint, _place
 from .landscape import DistanceResult
 
 _V146_7, _V1256, _V1234, _V2358, _V3478, _V5678 = topo.VERTICES
@@ -45,16 +45,6 @@ def net_position(rep: Representation) -> tuple[float, float]:
     return _place((corners[s], corners[t], corners[u]), rep.x, rep.y)
 
 
-def _trail_end(rep: Representation) -> tuple[float, float]:
-    """Net position of a trail end, on the copy of the point the trail meets.
-
-    An edge or vertex point has a copy on every face it touches, and the
-    copies on either side of a cut edge lie apart in the net; the trail
-    starts and ends on the home face of the canonical representation.
-    """
-    return net_position(canonicalize(rep).canonical)
-
-
 def _edge_point(face: int, edge, parameter: float) -> tuple[float, float]:
     corners = NET_CORNERS[face]
     (sx, sy), (tx, ty) = corners[edge[0]], corners[edge[1]]
@@ -62,22 +52,28 @@ def _edge_point(face: int, edge, parameter: float) -> tuple[float, float]:
 
 
 def trail_segments(
-    result: DistanceResult, p1: Representation, p2: Representation
+    result: DistanceResult, a: SurfacePoint, b: SurfacePoint
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Per-face net segments of the trail, in path order."""
+    """Per-face net segments of the trail from a to b, in path order.
+
+    `result` is `surface_distance(a, b)`.  An edge or vertex point has a
+    copy on every face it touches, and the copies on either side of a
+    cut edge lie apart in the net; the trail starts and ends on the home
+    face of the canonical representation, where `a` and `b` hold it.
+    """
     trail = result.trail
+    start = net_position(a.canonical)
+    end = net_position(b.canonical)
     if trail.landscape is None:
-        return [(_trail_end(p1), _trail_end(p2))]
+        return [(start, end)]
     if not trail.contained:
         return []
     faces = trail.landscape.faces
     segments = []
-    start = _trail_end(p1)
     for i, crossing in enumerate(trail.crossings):
-        end = _edge_point(faces[i], crossing.edge, crossing.parameter)
-        segments.append((start, end))
+        segments.append((start, _edge_point(faces[i], crossing.edge, crossing.parameter)))
         start = _edge_point(faces[i + 1], crossing.edge, crossing.parameter)
-    segments.append((start, _trail_end(p2)))
+    segments.append((start, end))
     return segments
 
 
@@ -92,12 +88,14 @@ def _polylines(segments):
 
 
 def render_svg(
-    p1: Representation,
-    p2: Representation,
+    a: SurfacePoint,
+    b: SurfacePoint,
     result: DistanceResult,
     scale: float = 100.0,
 ) -> str:
-    """Deterministic SVG of the net with the shortest trail overlaid.
+    """Deterministic SVG of the net with the shortest trail from a to b overlaid.
+
+    `result` is `surface_distance(a, b)`.
 
     Raises ValueError unless 0 < scale <= MAX_SCALE.
     """
@@ -132,13 +130,13 @@ def render_svg(
             f'  <text x="{fmt(tx)}" y="{fmt(ty)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="{fmt(0.14 * scale)}">F{face}</text>'
         )
-    for run in _polylines(trail_segments(result, p1, p2)):
+    for run in _polylines(trail_segments(result, a, b)):
         pts = " ".join("{},{}".format(*map(fmt, svg_xy(p))) for p in run)
         lines.append(
             f'  <polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>'
         )
-    for rep, label in ((p1, "p1"), (p2, "p2")):
-        px, py = svg_xy(_trail_end(rep))
+    for point, label in ((a, "p1"), (b, "p2")):
+        px, py = svg_xy(net_position(point.canonical))
         lines.append(f'  <circle cx="{fmt(px)}" cy="{fmt(py)}" r="3" fill="black"/>')
         lines.append(
             f'  <text x="{fmt(px + 5)}" y="{fmt(py - 5)}" font-family="sans-serif" '

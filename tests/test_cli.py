@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octadist import cli, landscape
+from octadist import topology as topo
 from octadist.coords import sample_uniform
-from octadist.serialize import dumps
+from octadist.serialize import dumps, load_record
 
-from conftest import point_to_obj
+from conftest import interior_rep, point_to_obj
 
 WITNESS_L1 = (
     '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
@@ -196,9 +197,38 @@ point_objs = st.one_of(
 records = st.fixed_dictionaries(
     {"p1": point_objs, "p2": point_objs}, optional={"id": st.one_of(any_text, json_scalars)}
 )
+# valid queries: points in any of the 24 charts (home, shared), inside the triangle
+charts = st.sampled_from([(h, s) for h in topo.FACE_INDICES for s in topo.neighbors(h)])
+units = st.floats(min_value=0.0, max_value=1.0)
+valid_points = st.builds(
+    lambda chart, u, v: point_to_obj(interior_rep(*chart, u, v)), charts, units, units
+)
+queries = st.fixed_dictionaries(
+    {"p1": valid_points, "p2": valid_points}, optional={"id": st.text(max_size=6)}
+)
 # a line is read up to "\n" or "\r"; stdin itself is valid UTF-8
 raw_lines = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=20)
-lines = st.one_of(raw_lines, records.map(json.dumps), json_values.map(json.dumps))
+lines = st.one_of(
+    raw_lines, records.map(json.dumps), queries.map(json.dumps), json_values.map(json.dumps)
+)
+
+
+def test_the_fuzzed_lines_often_hold_a_valid_query():
+    # the two tests that feed `lines` to the CLI reach its success path
+    # only on a line that solves, and their draws are derandomized
+    solved = []
+
+    @settings(max_examples=300)
+    @given(lines)
+    def draw(line):
+        try:
+            cli._solve(load_record(line))
+        except (ValueError, KeyError):
+            return
+        solved.append(line)
+
+    draw()
+    assert len(solved) >= 30
 
 
 @given(st.sampled_from(["distance", "path"]), st.lists(lines, max_size=6))

@@ -168,7 +168,7 @@ def test_per_landscape_calls_take_the_frame_of_the_first_chart():
         frame = topo.Frame.from_anchor(home, shared)
         p1 = interior_rep(home, shared, 0.3, 0.2)
         for index in landscape.LANDSCAPE_IDS:
-            h_role, s_role = _P2_CHART_ROLES[index]
+            h_role, s_role = _P2_CHART_ROLES[landscape._RELATION_FOR_ID[index]]
             p2 = interior_rep(frame.face(h_role), frame.face(s_role), 0.6, 0.1)
             instance = trail_crossings(index, p1, p2).landscape
             faces = tuple(frame.face(r) for r in PATH_ROLES[index])
@@ -514,8 +514,7 @@ def _prepare_pair(a, b):
     ra, rb = a.canonical, b.canonical
     frame = topo.canonical_frame(ra.home, rb.home)
     p1 = rotate_to_shared(ra, frame.face(2))
-    first_id = APPLICABLE_IDS[topo.relation(ra.home, rb.home)][0]
-    p2 = rotate_to_shared(rb, frame.face(_P2_CHART_ROLES[first_id][1]))
+    p2 = rotate_to_shared(rb, frame.face(_P2_CHART_ROLES[topo.relation(ra.home, rb.home)][1]))
     return frame, p1, p2
 
 

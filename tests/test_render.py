@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 import re
 
 import pytest
 
-from octadist import topology as topo
+from octadist import cli, topology as topo
 from octadist.coords import (
     Representation,
     canonicalize,
@@ -12,8 +13,10 @@ from octadist.coords import (
     rotate_once,
     vertex_representations,
 )
-from octadist.landscape import VALIDITY_WITNESSES, surface_distance
+from octadist.landscape import surface_distance
 from octadist.render import MAX_SCALE, NET_CORNERS, net_position, render_svg, trail_segments
+
+from conftest import point_to_obj
 
 
 def test_net_triangles_are_unit_equilateral():
@@ -47,10 +50,10 @@ def test_net_position_agrees_across_glued_edge():
     assert math.dist(a, b) < 1e-12
 
 
-def test_trail_segments_structure():
-    for index, (r1, r2) in VALIDITY_WITNESSES.items():
-        result = surface_distance(canonicalize(r1), canonicalize(r2))
-        segments = trail_segments(result, r1, r2)
+def test_trail_segments_structure(witness_points):
+    for a, b in witness_points.values():
+        result = surface_distance(a, b)
+        segments = trail_segments(result, a, b)
         assert len(segments) == len(result.trail.crossings) + 1
         # each segment stays inside its face's net triangle
         faces = result.trail.landscape.faces
@@ -73,19 +76,18 @@ def _inside_net_face(face, p, tol=1e-9):
 
 
 def test_trail_segments_same_face():
-    r1 = Representation(5, 2, 0.3, 0.1)
-    r2 = Representation(5, 2, 0.7, 0.1)
-    result = surface_distance(canonicalize(r1), canonicalize(r2))
-    segments = trail_segments(result, r1, r2)
+    a = canonicalize(Representation(5, 2, 0.3, 0.1))
+    b = canonicalize(Representation(5, 2, 0.7, 0.1))
+    segments = trail_segments(surface_distance(a, b), a, b)
     assert len(segments) == 1
     assert math.dist(*segments[0]) == pytest.approx(0.4, abs=1e-12)
 
 
-def test_render_svg_deterministic_and_well_formed():
-    r1, r2 = VALIDITY_WITNESSES[5]
-    result = surface_distance(canonicalize(r1), canonicalize(r2))
-    svg1 = render_svg(r1, r2, result)
-    svg2 = render_svg(r1, r2, result)
+def test_render_svg_deterministic_and_well_formed(witness_points):
+    a, b = witness_points[5]
+    result = surface_distance(a, b)
+    svg1 = render_svg(a, b, result)
+    svg2 = render_svg(a, b, result)
     assert svg1 == svg2
     assert svg1.startswith("<?xml")
     assert svg1.rstrip().endswith("</svg>")
@@ -99,20 +101,20 @@ def test_render_svg_deterministic_and_well_formed():
     ET.fromstring(svg1)  # parses as XML
 
 
-def test_render_svg_scale_changes_dimensions():
-    r1, r2 = VALIDITY_WITNESSES[1]
-    result = surface_distance(canonicalize(r1), canonicalize(r2))
-    small = render_svg(r1, r2, result, scale=50.0)
-    large = render_svg(r1, r2, result, scale=200.0)
+def test_render_svg_scale_changes_dimensions(witness_points):
+    a, b = witness_points[1]
+    result = surface_distance(a, b)
+    small = render_svg(a, b, result, scale=50.0)
+    large = render_svg(a, b, result, scale=200.0)
     assert small != large
     assert 'width="195.000000"' in small
 
 
-def test_render_svg_takes_scales_up_to_its_limit_only():
+def test_render_svg_takes_scales_up_to_its_limit_only(witness_points):
     # past MAX_SCALE the drawing's 3.9-edge width would overflow to inf
-    r1, r2 = VALIDITY_WITNESSES[1]
-    result = surface_distance(canonicalize(r1), canonicalize(r2))
-    svg = render_svg(r1, r2, result, scale=MAX_SCALE)
+    a, b = witness_points[1]
+    result = surface_distance(a, b)
+    svg = render_svg(a, b, result, scale=MAX_SCALE)
     numbers = []
     for token in re.split(r'[ ,"]', svg):
         try:
@@ -123,7 +125,7 @@ def test_render_svg_takes_scales_up_to_its_limit_only():
     assert all(math.isfinite(v) for v in numbers)
     for scale in (1e308, math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="scale"):
-            render_svg(r1, r2, result, scale=scale)
+            render_svg(a, b, result, scale=scale)
 
 
 def _every_chart(rep):
@@ -136,24 +138,51 @@ def _every_chart(rep):
     return out
 
 
-def test_trail_ends_on_the_canonical_copy_of_edge_and_vertex_points():
-    # an edge or vertex point written on the far side of a cut edge lies
-    # apart from the copy the trail starts on; the net trail must still
-    # be one unbroken path of the geodesic's length
-    boundary = []
+def _boundary_charts():
+    """Each edge and vertex point of the suite with every chart it has."""
+    points = []
     for f in topo.FACE_INDICES:
         for g in topo.neighbors(f):
             if f < g:
                 for t in (0.25, 0.5):
-                    boundary += _every_chart(Representation(f, g, t, 0.0))
+                    points.append(_every_chart(Representation(f, g, t, 0.0)))
     for v in topo.VERTICES:
-        for rep in vertex_representations(v):
-            boundary += _every_chart(rep)
-    interior = [Representation(f, topo.neighbors(f)[0], 0.3, 0.2) for f in topo.FACE_INDICES]
-    for p in boundary:
-        for q in interior:
-            for r1, r2 in ((p, q), (q, p)):
-                result = surface_distance(canonicalize(r1), canonicalize(r2))
-                segments = trail_segments(result, r1, r2)
-                total = sum(math.dist(a, b) for a, b in segments)
-                assert total == pytest.approx(result.distance, abs=1e-9), (r1, r2)
+        charts = {c for rep in vertex_representations(v) for c in _every_chart(rep)}
+        points.append(sorted(charts))
+    return points
+
+
+_INTERIOR = [Representation(f, topo.neighbors(f)[0], 0.3, 0.2) for f in topo.FACE_INDICES]
+
+
+def test_trail_ends_on_the_canonical_copy_of_edge_and_vertex_points():
+    # an edge or vertex point written on the far side of a cut edge lies
+    # apart from the copy the trail starts on; the net trail must still
+    # be one unbroken path of the geodesic's length
+    boundary = {canonicalize(chart) for charts in _boundary_charts() for chart in charts}
+    for p in sorted(boundary):
+        for q in map(canonicalize, _INTERIOR):
+            for a, b in ((p, q), (q, p)):
+                result = surface_distance(a, b)
+                segments = trail_segments(result, a, b)
+                total = sum(math.dist(s, t) for s, t in segments)
+                assert total == pytest.approx(result.distance, abs=1e-9), (a, b)
+
+
+def test_render_query_draws_every_chart_of_a_point_alike(tmp_path):
+    # `render --query` draws an edge or vertex point on its canonical
+    # chart, so every chart the query may write it in gives the same bytes
+    out = tmp_path / "q.svg"
+
+    def svg(r1, r2):
+        query = json.dumps({"p1": point_to_obj(r1), "p2": point_to_obj(r2)})
+        assert cli.main(["render", "--out", str(out), "--query", query]) == 0
+        return out.read_bytes()
+
+    for k, charts in enumerate(_boundary_charts()):
+        p, q = canonicalize(charts[0]).canonical, _INTERIOR[k % len(_INTERIOR)]
+        assert p in charts
+        expect_pq, expect_qp = svg(p, q), svg(q, p)
+        for chart in charts:
+            assert svg(chart, q) == expect_pq, chart
+            assert svg(q, chart) == expect_qp, chart
