@@ -87,10 +87,12 @@ def _stream(args) -> int:
         try:
             record = load_record(line)
             record_id = record.get("id")
-            obj = to_obj(_solve(record)[2], record_id)
+            obj = to_obj(_solve(record)[2])
         except (ValueError, KeyError) as exc:
-            obj = error_obj(exc, record_id)
+            obj = error_obj(exc)
             had_errors = True
+        if record_id is not None:
+            obj = {"id": record_id, **obj}
         sys.stdout.write(dumps(obj) + "\n")
     return 2 if had_errors else 0
 

@@ -95,6 +95,12 @@ def _place(corners, x: float, y: float) -> tuple[float, float]:
     )
 
 
+def _corners(positions, home: int, shared: int) -> tuple:
+    """Positions of the corners (S, T, U) of the chart (home, shared), looked up by vertex."""
+    s, t, u = topo.chart_corners(home, shared)
+    return positions[s], positions[t], positions[u]
+
+
 def turn(x: float, y: float, times: int) -> tuple[float, float]:
     """Chart coordinates of (x, y) after `times` shared-face rotations.
 

@@ -49,6 +49,7 @@ from .coords import (
     OrientedPoint,
     Representation,
     SurfacePoint,
+    _corners,
     _place,
     turn,
 )
@@ -77,8 +78,6 @@ PATH_ROLES: dict[int, tuple[int, ...]] = {
     8: (1, 2, 5, 8),
     9: (1, 4, 3, 8),
 }
-
-LANDSCAPE_IDS = tuple(PATH_ROLES)
 
 #: Orientation used for the layout: (base-face role, reference shared-face role).
 _ORIENT_ROLES: dict[int, tuple[int, int]] = {
@@ -213,7 +212,7 @@ class DistanceResult(_DistanceFields):
 def _check_inputs(index: int, p1: Representation, p2: Representation) -> topo.Frame:
     """Check the index, the relation and p2's chart; return the frame of p1's chart."""
     # True == 1, and would key `_layout`'s cache as landscape 1
-    if type(index) is not int or index not in LANDSCAPE_IDS:
+    if type(index) is not int or index not in PATH_ROLES:
         raise ValueError(f"landscape index must be 1..9, got {index}")
     rel = topo.relation(p1.home, p2.home)
     if rel is not _RELATION_FOR_ID[index]:
@@ -355,12 +354,6 @@ def chain_layout(
     for i in range(base_index - 1, -1, -1):
         _extend_layout(positions, faces[i + 1], faces[i])
     return positions
-
-
-def _corners(positions, home: int, shared: int) -> tuple:
-    """Layout positions of the corners (S, T, U) of the chart (home, shared)."""
-    s, t, u = topo.chart_corners(home, shared)
-    return positions[s], positions[t], positions[u]
 
 
 def _clamp01(v: float) -> float:

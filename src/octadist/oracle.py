@@ -35,12 +35,6 @@ def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, vectors[..., None])[..., 0]
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v, row by row: np.cross's products and differences, column by column."""
-    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
-    return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=1)
-
-
 class InvalidEmbedding(AssertionError):
     """The derived vertex coordinates failed a self-check."""
 
@@ -55,7 +49,7 @@ def _chirality_ok(rows: np.ndarray) -> bool:
     # every face's stored corner order must be counter-clockwise from
     # outside: its normal points the way of its corner sum, on all faces
     a, b, c = rows[_FACE_ROWS].transpose(1, 0, 2)
-    return min(sum((_cross(b - a, c - a) * (a + b + c)).T).tolist()) > 0.0
+    return min(sum((np.cross(b - a, c - a) * (a + b + c)).T).tolist()) > 0.0
 
 
 def _derive_vertex_rows() -> np.ndarray:
@@ -142,7 +136,7 @@ def _hinge(
     axis = pb - pa
     axis = axis / np.sqrt(_dots(axis, axis))[:, None]
     m = _apply(matrix, normal)
-    angles = list(map(math.atan2, _dots(axis, _cross(m, n0)).tolist(), _dots(m, n0).tolist()))
+    angles = list(map(math.atan2, _dots(axis, np.cross(m, n0)).tolist(), _dots(m, n0).tolist()))
     sin, versin = np.array(list(map(math.sin, angles))), 1.0 - np.array(list(map(math.cos, angles)))
     x, y, z = axis.T
     zero = np.zeros_like(x)
@@ -220,7 +214,7 @@ def _unfoldings() -> dict[tuple[int, int], PairChains]:
     ex = t0 - origin
     ex = ex / np.sqrt(_dots(ex, ex))[:, None]
     n0 = normals([p[0] for p in paths])
-    ey = _cross(n0, ex)
+    ey = np.cross(n0, ex)
 
     # plane corners by row: row i is path i's last face, row first[i] the
     # first face of two-face path i.  Row i of `faces` lists the rows of

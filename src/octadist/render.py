@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from . import topology as topo
-from .coords import HALF_SQRT3, Representation, SurfacePoint, _place
+from .coords import HALF_SQRT3, Representation, SurfacePoint, _corners, _place
 from .landscape import DistanceResult
 
 _V146_7, _V1256, _V1234, _V2358, _V3478, _V5678 = topo.VERTICES
@@ -40,9 +40,7 @@ MAX_SCALE = 1e307
 
 def net_position(rep: Representation) -> tuple[float, float]:
     """Map a represented point onto its home face in the net."""
-    corners = NET_CORNERS[rep.home]
-    s, t, u = topo.chart_corners(rep.home, rep.shared)
-    return _place((corners[s], corners[t], corners[u]), rep.x, rep.y)
+    return _place(_corners(NET_CORNERS[rep.home], rep.home, rep.shared), rep.x, rep.y)
 
 
 def _edge_point(face: int, edge, parameter: float) -> tuple[float, float]:

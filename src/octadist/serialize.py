@@ -130,13 +130,8 @@ def load_record(line: str) -> dict:
     return obj
 
 
-def error_obj(exc: Exception, record_id: str | None = None) -> dict:
-    out: dict = {}
-    if record_id is not None:
-        out["id"] = record_id
-    out["error"] = type(exc).__name__
-    out["detail"] = str(exc)
-    return out
+def error_obj(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "detail": str(exc)}
 
 
 def _crossings_obj(trail: TrailResult) -> list:
@@ -150,28 +145,23 @@ def _crossings_obj(trail: TrailResult) -> list:
     ]
 
 
-def distance_result_to_obj(result: DistanceResult, record_id: str | None = None) -> dict:
-    out: dict = {}
-    if record_id is not None:
-        out["id"] = record_id
-    out["distance"] = result.distance
-    out["argmin"] = [f"L{i}" for i in result.argmin]
-    out["fallback"] = result.fallback
-    return out
+def distance_result_to_obj(result: DistanceResult) -> dict:
+    return {
+        "distance": result.distance,
+        "argmin": [f"L{i}" for i in result.argmin],
+        "fallback": result.fallback,
+    }
 
 
-def trail_result_to_obj(result: DistanceResult, record_id: str | None = None) -> dict:
+def trail_result_to_obj(result: DistanceResult) -> dict:
     """Path output: the minimizing trail, reporting the distance as its length."""
     trail = result.trail
-    out: dict = {}
-    if record_id is not None:
-        out["id"] = record_id
-    out["length"] = result.distance
-    out["landscape"] = None if trail.landscape is None else trail.landscape.name
-    out["faces"] = (
-        None if trail.landscape is None else [f"F{f}" for f in trail.landscape.faces]
-    )
-    out["crossings"] = _crossings_obj(trail)
-    out["contained"] = trail.contained
-    out["fallback"] = result.fallback
-    return out
+    landscape = trail.landscape
+    return {
+        "length": result.distance,
+        "landscape": None if landscape is None else landscape.name,
+        "faces": None if landscape is None else [f"F{f}" for f in landscape.faces],
+        "crossings": _crossings_obj(trail),
+        "contained": trail.contained,
+        "fallback": result.fallback,
+    }

@@ -172,6 +172,26 @@ def test_distance_stream_builds_no_trail(monkeypatch):
         run_stream("path", WITNESS_L1 + "\n")
 
 
+@pytest.mark.parametrize("command", ["distance", "path"])
+def test_stream_writes_the_id_first_on_results_and_errors(command):
+    # the id leads a result and an error line alike; a null id and an
+    # unparsed line give none
+    p2 = '"p2": {"home": "F2", "shared": "F1", "x": 0.5, "y": 0.2}'
+    lines = [
+        '{"id": "a", "p1": {"home": "F1", "shared": "F2", "x": 0.5, "y": 0.2}, ' + p2 + "}",
+        '{"id": null, "p1": {"home": "F1", "shared": "F2", "x": 0.5, "y": 0.2}, ' + p2 + "}",
+        '{"id": "b", "p1": {"home": "F1", "shared": "F3", "x": 0.5, "y": 0.2}, ' + p2 + "}",
+        "not json",
+    ]
+    code, out = run_stream(command, "\n".join(lines) + "\n")
+    assert code == 2
+    a, null, b, bad = out.splitlines()
+    assert a.startswith('{"id": "a", ')
+    assert b.startswith('{"id": "b", "error": ')
+    assert "id" not in json.loads(null) and "error" not in json.loads(null)
+    assert json.loads(bad) == {"error": "BadRecord", "detail": "invalid JSON: Expecting value"}
+
+
 # surrogates included: json.dumps writes them as \uXXXX escapes
 any_text = st.text(st.characters(exclude_categories=()), max_size=6)
 json_scalars = st.one_of(

@@ -167,7 +167,7 @@ def test_per_landscape_calls_take_the_frame_of_the_first_chart():
     for home, shared in charts:
         frame = topo.Frame.from_anchor(home, shared)
         p1 = interior_rep(home, shared, 0.3, 0.2)
-        for index in landscape.LANDSCAPE_IDS:
+        for index in PATH_ROLES:
             h_role, s_role = _P2_CHART_ROLES[landscape._RELATION_FOR_ID[index]]
             p2 = interior_rep(frame.face(h_role), frame.face(s_role), 0.6, 0.1)
             instance = trail_crossings(index, p1, p2).landscape
@@ -217,7 +217,7 @@ def test_every_layout_unfolds_each_face_across_its_hinge():
     ]
     layouts = 0
     for frame in frames:
-        for index in landscape.LANDSCAPE_IDS:
+        for index in PATH_ROLES:
             roles = PATH_ROLES[index]
             faces = tuple(frame.face(r) for r in roles)
             base_role, ref_role = landscape._ORIENT_ROLES[index]

@@ -122,20 +122,21 @@ def test_load_record_then_parse_point_happy_path():
 
 
 def test_error_obj_classification():
-    assert error_obj(BadRecord("x"), "q1") == {"id": "q1", "error": "BadRecord", "detail": "x"}
-    obj = error_obj(InvalidRepresentation("y"))
-    assert obj["error"] == "InvalidRepresentation"
-    assert "id" not in obj
+    obj = error_obj(BadRecord("x"))
+    assert obj == {"error": "BadRecord", "detail": "x"}
+    assert list(obj) == ["error", "detail"]
+    assert error_obj(InvalidRepresentation("y"))["error"] == "InvalidRepresentation"
 
 
 def test_result_objects_shape():
     a = canonicalize(Representation(1, 2, 0.5, 0.2))
     b = canonicalize(Representation(2, 1, 0.5, 0.2))
     result = surface_distance(a, b)
-    dist_obj = distance_result_to_obj(result, "w")
-    assert list(dist_obj) == ["id", "distance", "argmin", "fallback"]
+    dist_obj = distance_result_to_obj(result)
+    assert list(dist_obj) == ["distance", "argmin", "fallback"]
     assert dist_obj["argmin"] == ["L1"]
-    trail_obj = trail_result_to_obj(result, "w")
+    trail_obj = trail_result_to_obj(result)
+    assert list(trail_obj) == ["length", "landscape", "faces", "crossings", "contained", "fallback"]
     assert trail_obj["length"] == dist_obj["distance"]
     assert trail_obj["landscape"] == "L1"
     assert trail_obj["faces"] == ["F1", "F2"]
