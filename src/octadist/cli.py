@@ -36,7 +36,7 @@ from .coords import canonicalize, sample_uniform
 from .landscape import VALIDITY_WITNESSES, surface_distance
 from .render import MAX_SCALE, render_svg
 from .serialize import (
-    distance_result_to_obj,
+    distance_line,
     dumps,
     error_obj,
     load_record,
@@ -77,8 +77,12 @@ def _solve(record: dict):
     return a, b, surface_distance(a, b)
 
 
+def _path_line(result) -> str:
+    return dumps(trail_result_to_obj(result))
+
+
 def _stream(args) -> int:
-    to_obj, had_errors = args.to_obj, False
+    to_line, had_errors = args.to_line, False
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -87,13 +91,14 @@ def _stream(args) -> int:
         try:
             record = load_record(line)
             record_id = record.get("id")
-            obj = to_obj(_solve(record)[2])
+            text = to_line(_solve(record)[2])
         except (ValueError, KeyError) as exc:
-            obj = error_obj(exc)
+            text = dumps(error_obj(exc))
             had_errors = True
         if record_id is not None:
-            obj = {"id": record_id, **obj}
-        sys.stdout.write(dumps(obj) + "\n")
+            # the id leads the object, as dumps({"id": record_id, **obj}) writes it
+            text = '{"id": ' + dumps(record_id) + ", " + text[1:]
+        sys.stdout.write(text + "\n")
     return 2 if had_errors else 0
 
 
@@ -172,10 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_distance = sub.add_parser("distance", help="surface distances for JSON-lines queries")
-    p_distance.set_defaults(func=_stream, to_obj=distance_result_to_obj)
+    p_distance.set_defaults(func=_stream, to_line=distance_line)
 
     p_path = sub.add_parser("path", help="shortest trails (with crossings) for queries")
-    p_path.set_defaults(func=_stream, to_obj=trail_result_to_obj)
+    p_path.set_defaults(func=_stream, to_line=_path_line)
 
     p_validate = sub.add_parser("validate", help="sweep random pairs through the oracle harness")
     p_validate.add_argument("--seed", type=int, default=0)

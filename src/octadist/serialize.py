@@ -145,12 +145,17 @@ def _crossings_obj(trail: TrailResult) -> list:
     ]
 
 
-def distance_result_to_obj(result: DistanceResult) -> dict:
-    return {
-        "distance": result.distance,
-        "argmin": [f"L{i}" for i in result.argmin],
-        "fallback": result.fallback,
-    }
+#: The nine landscape ids as `dumps` writes their names, "L1" to "L9".
+_LANDSCAPE_NAMES = {i: f'"L{i}"' for i in range(1, 10)}
+
+
+def distance_line(result: DistanceResult) -> str:
+    """Distance output as text: the bytes `dumps` gives its distance/argmin/fallback object."""
+    return (
+        '{"distance": ' + format_float(result.distance)
+        + ', "argmin": [' + ", ".join([_LANDSCAPE_NAMES[i] for i in result.argmin])
+        + ('], "fallback": true}' if result.fallback else '], "fallback": false}')
+    )
 
 
 def trail_result_to_obj(result: DistanceResult) -> dict:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from octadist import cli, landscape
 from octadist import topology as topo
-from octadist.coords import sample_uniform
-from octadist.serialize import dumps, load_record
+from octadist.coords import canonicalize, sample_uniform
+from octadist.serialize import dumps, load_record, parse_point, trail_result_to_obj
 
 from conftest import interior_rep, point_to_obj
 
@@ -190,6 +190,26 @@ def test_stream_writes_the_id_first_on_results_and_errors(command):
     assert b.startswith('{"id": "b", "error": ')
     assert "id" not in json.loads(null) and "error" not in json.loads(null)
     assert json.loads(bad) == {"error": "BadRecord", "detail": "invalid JSON: Expecting value"}
+
+
+@pytest.mark.parametrize("command", ["distance", "path"])
+def test_stream_id_splice_is_dumps_of_the_merged_object(command):
+    # the id is written in front of the object text; the bytes are those of
+    # dumps({"id": record_id, **obj}) for ids that need escaping or are not ASCII
+    good = json.loads(WITNESS_L1)
+    bad = {**good, "p1": {**good["p1"], "shared": "F3"}}
+    result = landscape.surface_distance(*(canonicalize(parse_point(good[k])) for k in ("p1", "p2")))
+    objs = {
+        "distance": {"distance": result.distance, "argmin": ["L1"], "fallback": False},
+        "path": trail_result_to_obj(result),
+    }
+    error = {"error": "InvalidRepresentation", "detail": "F3 is not adjacent to F1"}
+    ids = ['quote "', "back\\slash", "control \x01\x1f", "é", "astral \U0001f600"]
+    lines = [json.dumps({"id": i, **record}) for i in ids for record in (good, bad)]
+    code, out = run_stream(command, "\n".join(lines) + "\n")
+    assert code == 2
+    expected = [dumps({"id": i, **obj}) for i in ids for obj in (objs[command], error)]
+    assert out.splitlines() == expected
 
 
 # surrogates included: json.dumps writes them as \uXXXX escapes

@@ -109,14 +109,19 @@ def test_embedding_chirality_is_outward_ccw():
 
 
 def test_embedding_adjacency_matches_topology():
-    for a in topo.FACE_INDICES:
-        derived = {
-            b
-            for b in topo.FACE_INDICES
-            if b != a
-            and len(set(topo.face_vertices(a)) & set(topo.face_vertices(b))) == 2
-        }
-        assert derived == set(topo.neighbors(a))
+    # faces are neighbors exactly when their embedded triangles share two
+    # points, one edge (length 1) apart, and each triangle's corner order
+    # turns counter-clockwise seen from outside the solid
+    triangles = {f: oracle._VERTEX_ROWS[row] for f, row in zip(topo.FACE_INDICES, oracle._FACE_ROWS)}
+    for a, corners in triangles.items():
+        p, q, r = corners
+        assert np.dot(np.cross(q - p, r - p), p + q + r) > 0.0
+        for b in topo.FACE_INDICES:
+            shared = [point for point in corners if (point == triangles[b]).all(axis=1).any()]
+            adjacent = b != a and len(shared) == 2
+            assert adjacent == (b in topo.neighbors(a)) == (a in topo.neighbors(b))
+            if adjacent:
+                assert math.dist(*shared) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embed_3d_vertex_and_centroid():

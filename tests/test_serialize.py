@@ -5,11 +5,11 @@ import math
 import pytest
 
 from octadist.coords import InvalidRepresentation, Representation, canonicalize
-from octadist.landscape import surface_distance
+from octadist.landscape import DistanceResult, surface_distance
 from octadist.serialize import (
     BadRecord,
     _parse_face,
-    distance_result_to_obj,
+    distance_line,
     dumps,
     error_obj,
     format_float,
@@ -19,6 +19,7 @@ from octadist.serialize import (
 )
 
 from conftest import point_to_obj
+from test_golden import golden_pairs
 
 
 @pytest.mark.parametrize(
@@ -132,7 +133,9 @@ def test_result_objects_shape():
     a = canonicalize(Representation(1, 2, 0.5, 0.2))
     b = canonicalize(Representation(2, 1, 0.5, 0.2))
     result = surface_distance(a, b)
-    dist_obj = distance_result_to_obj(result)
+    line = distance_line(result)
+    assert line == '{"distance": 0.40000000000000002, "argmin": ["L1"], "fallback": false}'
+    dist_obj = json.loads(line)
     assert list(dist_obj) == ["distance", "argmin", "fallback"]
     assert dist_obj["argmin"] == ["L1"]
     trail_obj = trail_result_to_obj(result)
@@ -147,6 +150,17 @@ def test_result_objects_shape():
     assert crossing["t"] == pytest.approx(0.5, abs=1e-12)
     # a full line survives a JSON round trip bit-for-bit on the floats
     assert json.loads(dumps(trail_obj))["length"] == trail_obj["length"]
+
+
+def test_distance_line_is_dumps_of_the_distance_object():
+    results = [surface_distance(canonicalize(a), canonicalize(b)) for a, b in golden_pairs()]
+    # the corpus holds a tie, same-face and coincident pairs; add a fallback
+    assert any(len(r.argmin) > 1 for r in results)
+    assert any(r.argmin == () for r in results)
+    results += [DistanceResult(1.25, (4,), True), DistanceResult(0.0, (), True)]
+    for r in results:
+        obj = {"distance": r.distance, "argmin": [f"L{i}" for i in r.argmin], "fallback": r.fallback}
+        assert distance_line(r) == dumps(obj)
 
 
 def _reference_dumps(obj):
