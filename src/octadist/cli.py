@@ -32,8 +32,8 @@ import math
 import os
 import sys
 
-from .coords import canonicalize, sample_uniform
-from .landscape import VALIDITY_WITNESSES, surface_distance
+from .coords import _canonical, canonicalize, sample_uniform
+from .landscape import VALIDITY_WITNESSES, _distance, surface_distance
 from .render import MAX_SCALE, render_svg
 from .serialize import (
     distance_line,
@@ -77,8 +77,14 @@ def _solve(record: dict):
     return a, b, surface_distance(a, b)
 
 
-def _path_line(result) -> str:
-    return dumps(trail_result_to_obj(result))
+def _distance_line(record: dict) -> str:
+    a = _canonical(parse_point(record.get("p1")))
+    b = _canonical(parse_point(record.get("p2")))
+    return distance_line(_distance(a, b))
+
+
+def _path_line(record: dict) -> str:
+    return dumps(trail_result_to_obj(_solve(record)[2]))
 
 
 def _stream(args) -> int:
@@ -91,7 +97,7 @@ def _stream(args) -> int:
         try:
             record = load_record(line)
             record_id = record.get("id")
-            text = to_line(_solve(record)[2])
+            text = to_line(record)
         except (ValueError, KeyError) as exc:
             text = dumps(error_obj(exc))
             had_errors = True
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_distance = sub.add_parser("distance", help="surface distances for JSON-lines queries")
-    p_distance.set_defaults(func=_stream, to_line=distance_line)
+    p_distance.set_defaults(func=_stream, to_line=_distance_line)
 
     p_path = sub.add_parser("path", help="shortest trails (with crossings) for queries")
     p_path.set_defaults(func=_stream, to_line=_path_line)

@@ -39,26 +39,31 @@ class _RepresentationFields(NamedTuple):
     y: float
 
 
+def _checked(home: int, shared: int, x: float, y: float) -> tuple[int, int, float, float]:
+    """The quadruple as a tuple if it locates a surface point, else InvalidRepresentation."""
+    # a label is an int: True or 1.0 equals the label 1 and would pass
+    # the membership tests, then key the caches' tables as face 1 but
+    # print as "FTrue" or "F1.0"
+    if type(home) is not int or home not in topo.FACE_INDICES:
+        raise InvalidRepresentation(f"unknown face {home!r}")
+    if type(shared) is not int:
+        raise InvalidRepresentation(f"unknown face {shared!r}")
+    if shared not in topo.neighbors(home):
+        raise InvalidRepresentation(f"F{shared} is not adjacent to F{home}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidRepresentation("coordinates must be finite")
+    if y < -EPS_IN or y > SQRT3 * x + EPS_IN or y > SQRT3 * (1.0 - x) + EPS_IN:
+        raise InvalidRepresentation(f"({x}, {y}) lies outside the face triangle")
+    return home, shared, x, y
+
+
 class Representation(_RepresentationFields):
     """Quadruple (home face, shared face, x, y) locating a surface point."""
 
     __slots__ = ()
 
     def __new__(cls, home: int, shared: int, x: float, y: float):
-        # a label is an int: True or 1.0 equals the label 1 and would pass
-        # the membership tests, then key the caches' tables as face 1 but
-        # print as "FTrue" or "F1.0"
-        if type(home) is not int or home not in topo.FACE_INDICES:
-            raise InvalidRepresentation(f"unknown face {home!r}")
-        if type(shared) is not int:
-            raise InvalidRepresentation(f"unknown face {shared!r}")
-        if shared not in topo.neighbors(home):
-            raise InvalidRepresentation(f"F{shared} is not adjacent to F{home}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InvalidRepresentation("coordinates must be finite")
-        if y < -EPS_IN or y > SQRT3 * x + EPS_IN or y > SQRT3 * (1.0 - x) + EPS_IN:
-            raise InvalidRepresentation(f"({x}, {y}) lies outside the face triangle")
-        return tuple.__new__(cls, (home, shared, x, y))
+        return tuple.__new__(cls, _checked(home, shared, x, y))
 
     @classmethod
     def _make(cls, iterable) -> Representation:
@@ -151,21 +156,21 @@ def vertex_representations(v: topo.VertexLabel) -> list[Representation]:
     return reps
 
 
-def canonicalize(r: Representation) -> SurfacePoint:
-    """Deterministic canonical form of a representation.
+def _canonical(r: tuple) -> tuple:
+    """Deterministic canonical form of a checked (home, shared, x, y) tuple.
 
-    Points within EPS_IN of an edge are snapped onto it and expressed
-    with the smaller of the two incident faces as home; vertices use the
-    lexicographically smallest (home, shared) chart.  Interior points
-    keep their chart unchanged.
+    A point within EPS_IN of an edge is snapped onto it, with the smaller
+    incident face as home, and a vertex takes its smallest (home, shared)
+    chart.  An interior point is returned as it was given.
     """
-    ls, lt, lu = barycentric(r.x, r.y)
-    on_base = lu * HALF_SQRT3 <= EPS_IN  # edge shared with r.shared
+    home, shared, x, y = r
+    ls, lt, lu = barycentric(x, y)
+    on_base = lu * HALF_SQRT3 <= EPS_IN  # edge shared with `shared`
     on_right = ls * HALF_SQRT3 <= EPS_IN  # edge shared with the next ccw neighbor
     on_left = lt * HALF_SQRT3 <= EPS_IN  # edge shared with the previous ccw neighbor
 
     if (on_base + on_right + on_left) >= 2:  # a corner of the face
-        corners = topo.chart_corners(r.home, r.shared)
+        corners = topo.chart_corners(home, shared)
         if on_base and on_left:
             vertex = corners[0]
         elif on_base and on_right:
@@ -173,21 +178,24 @@ def canonicalize(r: Representation) -> SurfacePoint:
         else:
             vertex = corners[2]
         # the first chart has the smallest home face, so the smallest (home, shared)
-        return SurfacePoint(vertex_representations(vertex)[0])
+        return vertex_representations(vertex)[0]
 
     if on_base or on_right or on_left:  # on one edge only
-        aligned = r
-        if on_right:
-            aligned = rotate_once(r)
-        elif on_left:
-            aligned = rotate_once(rotate_once(r))
-        x = min(1.0, max(0.0, aligned.x))
-        other = aligned.shared
-        if aligned.home < other:
-            return SurfacePoint(Representation(aligned.home, other, x, 0.0))
-        return SurfacePoint(Representation(other, aligned.home, 1.0 - x, 0.0))
+        # turn the chart until that edge is its base; the turned point lies at
+        # most EPS_IN / 2 below it, so Representation would accept it unchanged
+        times = 1 if on_right else 2 if on_left else 0
+        for _ in range(times):
+            shared = topo.next_shared_ccw(home, shared)
+        x, y = turn(x, y, times)
+        x = min(1.0, max(0.0, x))
+        return (home, shared, x, 0.0) if home < shared else (shared, home, 1.0 - x, 0.0)
 
-    return SurfacePoint(r)
+    return r
+
+
+def canonicalize(r: Representation) -> SurfacePoint:
+    """Canonical form of a representation (see _canonical), as a SurfacePoint."""
+    return SurfacePoint(tuple.__new__(Representation, _canonical(r)))
 
 
 def surface_point(home: int, shared: int, x: float, y: float) -> SurfacePoint:

@@ -29,10 +29,11 @@ ordered pair of charts, built on first use: how far each point's chart
 turns (topology.turns, coords.turn) and the records of its applicable
 landscapes.  The minimum then runs on plain floats with the same
 operations, in the same order, as the validated trail_length and
-trail_crossings.  surface_distance keeps the first minimizer's chord
-with its result and builds the trail from it only when the result's
-`trail` is first read, so a caller that wants the numbers alone (the
-`distance` command, the oracle's compare) never pays for it.
+trail_crossings.  Its core, _distance, takes and returns plain tuples,
+and the `distance` command calls it directly.  surface_distance wraps
+it: it keeps the first minimizer's chord with its result and builds the
+trail from it only when the result's `trail` is first read, so a caller
+that wants the numbers alone (the oracle's compare) never pays for it.
 """
 
 from __future__ import annotations
@@ -520,31 +521,17 @@ def _plan(home1: int, shared1: int, home2: int, shared2: int) -> _ChartPairPlan:
     )
 
 
-def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
-    """Geodesic distance on the surface, with its minimizing landscapes.
+def _distance(ra: tuple, rb: tuple) -> tuple:
+    """surface_distance's fields and winner (see DistanceResult) from two canonical quadruples."""
+    home1, shared1, x1, y1 = ra
+    home2, shared2, x2, y2 = rb
+    if home1 == home2:  # coincident points give hypot(0.0, 0.0), zero
+        x, y = turn(x2, y2, topo.turns(home2, shared2, shared1))
+        return math.hypot(x1 - x, y1 - y), (), False, None
 
-    Adjacent home faces use L1; faces sharing only a vertex use the
-    smaller of L2 and L3; opposite faces the smallest of L4..L9.  A trail
-    counts only if its chord stays inside its landscape, so the
-    landscapes are laid out shortest formula first (equal lengths in id
-    order), and the pass stops at the first length above the first
-    contained one + TIE_EPS.  The contained landscapes it met are the
-    argmin.  If no chord is contained (possible only for
-    boundary-degenerate inputs), the TIE_EPS band of the unfiltered
-    minimum is returned with `fallback` set.  Same-face pairs use the
-    in-face straight distance, coincident points return zero; both report
-    an empty `argmin`.
-    """
-    ra, rb = a.canonical, b.canonical
-    if ra.home == rb.home:
-        if ra == rb:
-            return DistanceResult(0.0, (), False)
-        x, y = turn(rb.x, rb.y, topo.turns(rb.home, rb.shared, ra.shared))
-        return DistanceResult(math.hypot(ra.x - x, ra.y - y), (), False)
-
-    plan = _plan(ra.home, ra.shared, rb.home, rb.shared)
-    x1, y1 = turn(ra.x, ra.y, plan.turns1)
-    x2, y2 = turn(rb.x, rb.y, plan.turns2)
+    plan = _plan(home1, shared1, home2, shared2)
+    x1, y1 = turn(x1, y1, plan.turns1)
+    x2, y2 = turn(x2, y2, plan.turns2)
     landscapes = plan.landscapes
     lengths = [ls.formula(x1, y1, x2, y2) for ls in landscapes]
     order = sorted(range(len(landscapes)), key=lengths.__getitem__)
@@ -561,13 +548,26 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
         pool = [k for k in order if lengths[k] <= lengths[order[0]] + TIE_EPS]
     distance = lengths[pool[0]]
     pool.sort()
-    first = pool[0]
-    return DistanceResult(
-        distance,
-        tuple([landscapes[k].instance.index for k in pool]),
-        fallback,
-        (landscapes[first], *chords[first]),
-    )
+    argmin = tuple([landscapes[k].instance.index for k in pool])
+    return distance, argmin, fallback, (landscapes[pool[0]], *chords[pool[0]])
+
+
+def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
+    """Geodesic distance on the surface, with its minimizing landscapes.
+
+    Adjacent home faces use L1; faces sharing only a vertex use the
+    smaller of L2 and L3; opposite faces the smallest of L4..L9.  A trail
+    counts only if its chord stays inside its landscape, so the
+    landscapes are laid out shortest formula first (equal lengths in id
+    order), and the pass stops at the first length above the first
+    contained one + TIE_EPS.  The contained landscapes it met are the
+    argmin.  If no chord is contained (possible only for
+    boundary-degenerate inputs), the TIE_EPS band of the unfiltered
+    minimum is returned with `fallback` set.  Same-face pairs use the
+    in-face straight distance, coincident points return zero; both report
+    an empty `argmin`.  This wraps `_distance`, the core over plain tuples.
+    """
+    return DistanceResult(*_distance(a.canonical, b.canonical))
 
 
 def shortest_path(a: SurfacePoint, b: SurfacePoint) -> TrailResult:

@@ -149,12 +149,12 @@ def _crossings_obj(trail: TrailResult) -> list:
 _LANDSCAPE_NAMES = {i: f'"L{i}"' for i in range(1, 10)}
 
 
-def distance_line(result: DistanceResult) -> str:
-    """Distance output as text: the bytes `dumps` gives its distance/argmin/fallback object."""
+def distance_line(result: tuple) -> str:
+    """`dumps`'s text of a DistanceResult, read by position so `_distance`'s tuple serves too."""
     return (
-        '{"distance": ' + format_float(result.distance)
-        + ', "argmin": [' + ", ".join([_LANDSCAPE_NAMES[i] for i in result.argmin])
-        + ('], "fallback": true}' if result.fallback else '], "fallback": false}')
+        '{"distance": ' + format_float(result[0])
+        + ', "argmin": [' + ", ".join([_LANDSCAPE_NAMES[i] for i in result[1]])
+        + ('], "fallback": true}' if result[2] else '], "fallback": false}')
     )
 
 

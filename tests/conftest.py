@@ -40,9 +40,10 @@ def interior_rep(home: int, shared: int, u: float, v: float) -> Representation:
     return Representation(home, shared, x, y)
 
 
-def point_to_obj(rep: Representation) -> dict:
-    """The wire literal of a representation, as query records spell it."""
-    return {"home": f"F{rep.home}", "shared": f"F{rep.shared}", "x": rep.x, "y": rep.y}
+def point_to_obj(rep) -> dict:
+    """The wire literal of a representation or any (home, shared, x, y) tuple, as records spell it."""
+    home, shared, x, y = rep
+    return {"home": f"F{home}", "shared": f"F{shared}", "x": x, "y": y}
 
 
 def rotate_to_shared(r: Representation, shared: int) -> Representation:
@@ -53,6 +54,17 @@ def rotate_to_shared(r: Representation, shared: int) -> Representation:
             return out
         out = rotate_once(out)
     raise ValueError(f"F{shared} is not adjacent to F{r.home}")
+
+
+def vertex_charts(vertices=topo.VERTICES):
+    """Every chart of the vertices: each of a vertex's four faces in that face's three charts."""
+    corner_xy = ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))
+    return [
+        Representation(home, shared, *corner_xy[topo.chart_corners(home, shared).index(v)])
+        for v in vertices
+        for home in sorted(v)
+        for shared in topo.neighbors(home)
+    ]
 
 
 def boundary_points():

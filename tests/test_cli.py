@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,17 @@ from hypothesis import strategies as st
 
 from octadist import cli, landscape
 from octadist import topology as topo
-from octadist.coords import canonicalize, sample_uniform
-from octadist.serialize import dumps, load_record, parse_point, trail_result_to_obj
+from octadist.coords import EPS_IN, canonicalize, rotate_once, sample_uniform, turn
+from octadist.serialize import (
+    distance_line,
+    dumps,
+    error_obj,
+    load_record,
+    parse_point,
+    trail_result_to_obj,
+)
 
-from conftest import interior_rep, point_to_obj
+from conftest import interior_rep, point_to_obj, vertex_charts
 
 WITNESS_L1 = (
     '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
@@ -212,6 +220,80 @@ def test_stream_id_splice_is_dumps_of_the_merged_object(command):
     assert out.splitlines() == expected
 
 
+def in_every_chart(home, shared, x, y):
+    """(home, shared, x, y) written in each of home's three charts, unchecked."""
+    quadruples = []
+    for _ in range(3):
+        quadruples.append((home, shared, x, y))
+        shared = topo.next_shared_ccw(home, shared)
+        x, y = turn(x, y, 1)
+    return quadruples
+
+
+def public_line(p1, p2) -> str:
+    """The distance line of two point literals through the public functions, or their error."""
+    try:
+        a, b = canonicalize(parse_point(p1)), canonicalize(parse_point(p2))
+        return distance_line(landscape.surface_distance(a, b))
+    except ValueError as exc:
+        return dumps(error_obj(exc))
+
+
+def test_distance_stream_matches_the_public_path_on_boundary_points():
+    # the stream runs its own record path over plain tuples: edge points
+    # written in a chart that must turn to reach the edge, vertices in every
+    # chart and points just inside and outside an edge give what the public
+    # functions give, bit for bit, and so do their errors
+    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
+    edges = [in_every_chart(*chart, t, 0.0) for chart in charts for t in (0.25, 0.6)]
+    near = [
+        in_every_chart(*chart, 0.3, k * EPS_IN)
+        for chart in charts
+        for k in (0.4, 0.9, 1.1, -0.4, -0.9, -1.1)
+    ]
+    boundary = [q for triple in edges + near for q in triple]
+    boundary += vertex_charts()
+    uniform = [p.canonical for p in sample_uniform(30, 400)]
+    # the antipodal vertices tie L2 and L3, here in every pair of charts
+    top, bottom = (vertex_charts([frozenset(v)]) for v in ((1, 2, 3, 4), (5, 6, 7, 8)))
+    pairs = [(p, q) for p in top for q in bottom]
+    pairs += zip(boundary, boundary[7:] + boundary[:7])
+    pairs += zip(boundary, boundary[::-1])
+    pairs += [(p, q) for p in boundary for q in uniform[:4]]
+    # coincident: one literal twice, one edge point in two charts of a face
+    # and in a chart of the face across the edge
+    pairs += [(p, p) for p in boundary]
+    pairs += [(a, b) for a, b, _ in edges]
+    pairs += [(a, (a[1], a[0], 1.0 - a[2], 0.0)) for a, _, _ in edges]
+    # a point of the same home face, in the next chart
+    pairs += [(p, rotate_once(interior_rep(*p[:2], 0.3, 0.4))) for p in boundary]
+    pairs += zip(uniform[0::2], uniform[1::2])
+    literals = [tuple(point_to_obj(q) for q in pair) for pair in pairs]
+    good = {"home": "F1", "shared": "F2", "x": 0.5, "y": 0.2}
+    malformed = [
+        {**good, "home": True},
+        {**good, "shared": 1.0},
+        {**good, "home": "F9"},
+        {**good, "shared": "F8"},  # not adjacent to F1
+        {**good, "x": math.nan},
+        {**good, "y": math.inf},
+        {**good, "y": -0.5},  # outside the face triangle
+        {**good, "x": "0.5"},
+    ]
+    literals += [(m, good) for m in malformed] + [(good, m) for m in malformed]
+
+    lines = [json.dumps({"id": f"r{i}", "p1": p1, "p2": p2}) for i, (p1, p2) in enumerate(literals)]
+    code, out = run_stream("distance", "\n".join(lines) + "\n")
+    assert code == 2
+    expected = [
+        f'{{"id": "r{i}", ' + public_line(p1, p2)[1:] for i, (p1, p2) in enumerate(literals)
+    ]
+    assert out.splitlines() == expected
+    # most lines are answers; the errors are the malformed points and the
+    # points more than the tolerance outside an edge
+    assert sum('"error": ' in line for line in expected) < len(expected) // 4
+
+
 # surrogates included: json.dumps writes them as \uXXXX escapes
 any_text = st.text(st.characters(exclude_categories=()), max_size=6)
 json_scalars = st.one_of(
@@ -237,11 +319,19 @@ point_objs = st.one_of(
 records = st.fixed_dictionaries(
     {"p1": point_objs, "p2": point_objs}, optional={"id": st.one_of(any_text, json_scalars)}
 )
-# valid queries: points in any of the 24 charts (home, shared), inside the triangle
+# valid queries: points in any of the 24 charts (home, shared), inside the
+# triangle, on an edge that the chart may have to turn to reach, or at a vertex
 charts = st.sampled_from([(h, s) for h in topo.FACE_INDICES for s in topo.neighbors(h)])
 units = st.floats(min_value=0.0, max_value=1.0)
-valid_points = st.builds(
-    lambda chart, u, v: point_to_obj(interior_rep(*chart, u, v)), charts, units, units
+valid_points = st.one_of(
+    st.builds(lambda chart, u, v: point_to_obj(interior_rep(*chart, u, v)), charts, units, units),
+    st.builds(
+        lambda chart, t, times: point_to_obj(in_every_chart(*chart, t, 0.0)[times]),
+        charts,
+        units,
+        st.integers(min_value=0, max_value=2),
+    ),
+    st.sampled_from([point_to_obj(r) for r in vertex_charts()]),
 )
 queries = st.fixed_dictionaries(
     {"p1": valid_points, "p2": valid_points}, optional={"id": st.text(max_size=6)}
