@@ -182,12 +182,12 @@ def _canonical(r: tuple) -> tuple:
 
     if on_base or on_right or on_left:  # on one edge only
         # turn the chart until that edge is its base; the turned point lies at
-        # most EPS_IN / 2 below it, so Representation would accept it unchanged
+        # most EPS_IN / 2 below it, and more than EPS_IN from the other edges
+        # puts it at EPS_IN / SQRT3 < x < 1 - EPS_IN / SQRT3: no clamp is needed
         times = 1 if on_right else 2 if on_left else 0
         for _ in range(times):
             shared = topo.next_shared_ccw(home, shared)
         x, y = turn(x, y, times)
-        x = min(1.0, max(0.0, x))
         return (home, shared, x, 0.0) if home < shared else (shared, home, 1.0 - x, 0.0)
 
     return r

@@ -17,23 +17,29 @@ chain_layout places each face by the counter-clockwise rule: the layout
 keeps every face's ccw corner order, so each face lies right of the ccw
 hinge edge of the face before it, and no side is searched for.
 
-surface_distance finds its minimum in one shortest-first pass, as the
-oracle's unfold_geodesic does with its chains: it lays the applicable
-landscapes out in ascending formula length, keeps the contained ones,
-and stops at the first length above the first contained one + TIE_EPS.
-Each landscape's layout through a frame is one record, derived from
-chain_layout once per process: the formula, the corners of its two
-formula charts, the hinge segments and their edge labels, and the
-instance.  trail_crossings reads that record.  So does the plan of each
-ordered pair of charts, built on first use: how far each point's chart
-turns (topology.turns, coords.turn) and the records of its applicable
-landscapes.  The minimum then runs on plain floats with the same
-operations, in the same order, as the validated trail_length and
-trail_crossings.  Its core, _distance, takes and returns plain tuples,
-and the `distance` command calls it directly.  surface_distance wraps
-it: it keeps the first minimizer's chord with its result and builds the
-trail from it only when the result's `trail` is first read, so a caller
-that wants the numbers alone (the oracle's compare) never pays for it.
+Every landscape is convex: each is a strip of 2 to 4 triangles in which
+no vertex lies in more than 3 consecutive faces (a Tier-1 test checks
+this over every layout).  So the chord between a point of its first
+face and a point of its last face stays inside it and crosses each
+hinge once, in path order, and every trail is contained: no code here
+handles a chord that leaves its landscape.
+
+surface_distance takes the least formula length; its argmin is the
+TIE_EPS band of that minimum, in id order, and only the band's first
+landscape is laid out, for its chord.  Each landscape's layout through
+a frame is one record, derived from chain_layout once per process: the
+formula, the corners of its two formula charts, the hinge segments and
+their edge labels, and the instance.  trail_crossings reads that
+record.  So does the plan of each ordered pair of charts, built on first
+use: how far each point's chart turns (topology.turns, coords.turn) and
+the records of its applicable landscapes.  The minimum then runs on
+plain floats with the same operations, in the same order, as the
+validated trail_length and trail_crossings.  Its core, _distance, takes
+and returns plain tuples, and the `distance` command calls it directly.
+surface_distance wraps it: it keeps the winner's chord with its result
+and builds the trail from it only when the result's `trail` is first
+read, so a caller that wants the numbers alone (the oracle's compare)
+never pays for it.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from typing import Callable, NamedTuple
 
 from . import topology as topo
 from .coords import (
-    EPS_IN,
     SQRT3,
     HALF_SQRT3,
     OrientedPoint,
@@ -156,10 +161,11 @@ class Crossing(NamedTuple):
 class TrailResult(NamedTuple):
     """Chord of one landscape: length, crossings, containment.
 
-    `length` is the trail length: the chord length when the chord stays
-    inside the landscape, infinity otherwise.  `chord_length` is always
-    the finite chord length of the layout.  `crossings` is populated only
-    for contained trails (one entry per interior edge, in path order).
+    Every landscape is convex, so its chord stays inside it: `length` and
+    `chord_length` are both the chord length of the layout, `crossings`
+    has one entry per interior edge, in path order, and `contained` is
+    always true.  A same-face or coincident pair has no landscape and no
+    crossings.
     """
 
     length: float
@@ -180,8 +186,8 @@ class DistanceResult(_DistanceFields):
 
     `argmin` lists the minimizing landscape ids ascending (empty for
     coincident or same-face pairs, where no landscape id applies).
-    `fallback` marks the degenerate situation where no applicable chord
-    was contained and the unfiltered minimum was reported instead.
+    Every landscape is convex, so every chord is contained and
+    `fallback` is always false; the field stays for the wire formats.
     `trail` is the trail of the first minimizer; it is built the first
     time it is read and then kept.  The three fields are the tuple, so
     equality and hashing compare `distance`, `argmin` and `fallback` only.
@@ -357,62 +363,34 @@ def chain_layout(
     return positions
 
 
-def _clamp01(v: float) -> float:
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-
-
 def chord_edge_intersections(a, b, edges):
-    """Ordered intersections of the chord a-b with a list of segments.
+    """Crossings of the chord a-b with a landscape's hinge segments, in path order.
 
-    Each entry of `edges` is (ps, pt); returns a list of (edge parameter,
-    chord parameter, point) or None when the chord misses a segment, hits
-    them out of order, or leaves [0, 1] on either parameter beyond EPS_IN.
-    Endpoint grazes count as crossings; parameters are clamped on output.
+    Each entry of `edges` is (ps, pt); returns one (edge parameter,
+    point) per segment, the parameter clamped to [0, 1] and measured from
+    ps.  The landscape is convex, so the chord between its first and last
+    face meets every hinge within the segment, in order.  A zero-length
+    chord is placed at the segment point nearest to it, and a chord along
+    the edge's line at the middle of its overlap with the segment.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
-    chord_len = math.hypot(dx, dy)
+    degenerate = math.hypot(dx, dy) < 1e-12
     out = []
-    prev_t = -EPS_IN
     for ps, pt in edges:
         ex, ey = pt[0] - ps[0], pt[1] - ps[1]
-        if chord_len < 1e-12:
-            # degenerate chord: the single point must lie on the segment
-            ee = ex * ex + ey * ey
-            s = _clamp01(((a[0] - ps[0]) * ex + (a[1] - ps[1]) * ey) / ee)
-            px, py = ps[0] + s * ex, ps[1] + s * ey
-            if math.hypot(a[0] - px, a[1] - py) > EPS_IN:
-                return None
-            out.append((s, 0.0, (px, py)))
-            continue
-        denom = dx * ey - dy * ex
         fx, fy = ps[0] - a[0], ps[1] - a[1]
-        if abs(denom) < 1e-14:
-            # chord parallel to the edge line: contained only if collinear
-            dist_a = abs(fx * ey - fy * ex) / math.hypot(ex, ey)
-            if dist_a > EPS_IN:
-                return None
+        denom = dx * ey - dy * ex
+        if degenerate:
+            s = (-fx * ex - fy * ey) / (ex * ex + ey * ey)
+        elif abs(denom) < 1e-14:  # along the edge's line
             ee = ex * ex + ey * ey
             sa = (-fx * ex - fy * ey) / ee
             sb = ((b[0] - ps[0]) * ex + (b[1] - ps[1]) * ey) / ee
-            lo, hi = min(sa, sb), max(sa, sb)
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
-            if lo > hi + EPS_IN:
-                return None
-            s = _clamp01((lo + hi) / 2.0)
-            t = 0.5 if abs(sb - sa) < 1e-12 else _clamp01((s - sa) / (sb - sa))
+            s = (max(min(sa, sb), 0.0) + min(max(sa, sb), 1.0)) / 2.0
         else:
-            t = (fx * ey - fy * ex) / denom
             s = (fx * dy - fy * dx) / denom
-            if s < -EPS_IN or s > 1.0 + EPS_IN:
-                return None
-            if t < -EPS_IN or t > 1.0 + EPS_IN:
-                return None
-            if t < prev_t - EPS_IN:
-                return None
-            prev_t = max(prev_t, t)
-            s = _clamp01(s)
-            t = _clamp01(t)
-        out.append((s, t, (ps[0] + s * ex, ps[1] + s * ey)))
+        s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
+        out.append((s, (ps[0] + s * ex, ps[1] + s * ey)))
     return out
 
 
@@ -459,8 +437,7 @@ def _layout(index: int, frame: topo.Frame) -> _PlannedLandscape:
 def _chord(ls: _PlannedLandscape, x1: float, y1: float, x2: float, y2: float):
     """Chord length of one laid-out landscape and its edge intersections.
 
-    (x1, y1) and (x2, y2) are in the layout's two formula charts; the
-    intersections are None when the chord is not contained.
+    (x1, y1) and (x2, y2) are in the layout's two formula charts.
     """
     a = _place(ls.first, x1, y1)
     b = _place(ls.last, x2, y2)
@@ -468,11 +445,9 @@ def _chord(ls: _PlannedLandscape, x1: float, y1: float, x2: float, y2: float):
 
 
 def _trail(ls: _PlannedLandscape, chord: float, hits) -> TrailResult:
-    if hits is None:
-        return TrailResult(math.inf, chord, ls.instance, (), False)
     crossings = tuple(
-        Crossing(edge=ls.edge_labels[i], point=OrientedPoint(*pt), parameter=s)
-        for i, (s, _t, pt) in enumerate(hits)
+        Crossing(edge=edge, point=OrientedPoint(*pt), parameter=s)
+        for edge, (s, pt) in zip(ls.edge_labels, hits)
     )
     return TrailResult(chord, chord, ls.instance, crossings, True)
 
@@ -483,9 +458,7 @@ def trail_crossings(index: int, p1: Representation, p2: Representation) -> Trail
     Takes its frame and charts as trail_length does.  Lays the
     landscape's faces out in its reference orientation, places both
     points, and intersects the chord with the interior shared edges in
-    dual-path order.  The trail is contained exactly when every
-    intersection parameter stays in [0, 1] (endpoints included) and the
-    chord meets the edges in path order.
+    dual-path order.  The landscape is convex, so the trail is contained.
     """
     ls = _layout(index, _check_inputs(index, p1, p2))  # p1 and p2 are in the layout's charts
     return _trail(ls, *_chord(ls, p1.x, p1.y, p2.x, p2.y))
@@ -497,8 +470,7 @@ class _ChartPairPlan(NamedTuple):
     The first point turns `turns1` times into its formula chart, the
     second `turns2` times into its own.  `landscapes` holds the layout
     records of the applicable landscapes in ascending id order; each
-    record's instance carries its id.  surface_distance visits them
-    shortest first.
+    record's instance carries its id.
     """
 
     turns1: int
@@ -534,38 +506,23 @@ def _distance(ra: tuple, rb: tuple) -> tuple:
     x2, y2 = turn(x2, y2, plan.turns2)
     landscapes = plan.landscapes
     lengths = [ls.formula(x1, y1, x2, y2) for ls in landscapes]
-    order = sorted(range(len(landscapes)), key=lengths.__getitem__)
-    chords = {}
-    pool = []  # contained landscapes, shortest first
-    for k in order:
-        if pool and lengths[k] > lengths[pool[0]] + TIE_EPS:
-            break
-        chords[k] = chord = _chord(landscapes[k], x1, y1, x2, y2)
-        if chord[1] is not None:
-            pool.append(k)
-    fallback = not pool
-    if fallback:
-        pool = [k for k in order if lengths[k] <= lengths[order[0]] + TIE_EPS]
-    distance = lengths[pool[0]]
-    pool.sort()
-    argmin = tuple([landscapes[k].instance.index for k in pool])
-    return distance, argmin, fallback, (landscapes[pool[0]], *chords[pool[0]])
+    best = min(lengths)
+    band = [ls for ls, length in zip(landscapes, lengths) if length <= best + TIE_EPS]
+    argmin = tuple([ls.instance.index for ls in band])
+    return best, argmin, False, (band[0], *_chord(band[0], x1, y1, x2, y2))
 
 
 def surface_distance(a: SurfacePoint, b: SurfacePoint) -> DistanceResult:
     """Geodesic distance on the surface, with its minimizing landscapes.
 
     Adjacent home faces use L1; faces sharing only a vertex use the
-    smaller of L2 and L3; opposite faces the smallest of L4..L9.  A trail
-    counts only if its chord stays inside its landscape, so the
-    landscapes are laid out shortest formula first (equal lengths in id
-    order), and the pass stops at the first length above the first
-    contained one + TIE_EPS.  The contained landscapes it met are the
-    argmin.  If no chord is contained (possible only for
-    boundary-degenerate inputs), the TIE_EPS band of the unfiltered
-    minimum is returned with `fallback` set.  Same-face pairs use the
-    in-face straight distance, coincident points return zero; both report
-    an empty `argmin`.  This wraps `_distance`, the core over plain tuples.
+    smaller of L2 and L3; opposite faces the smallest of L4..L9.  The
+    argmin is every landscape within TIE_EPS of the least formula length,
+    in id order, and the first of them is the trail's.  Every landscape
+    is convex, so its chord stays inside it and `fallback` is always
+    false.  Same-face pairs use the in-face straight distance, coincident
+    points return zero; both report an empty `argmin`.  This wraps
+    `_distance`, the core over plain tuples.
     """
     return DistanceResult(*_distance(a.canonical, b.canonical))
 

@@ -64,8 +64,6 @@ def trail_segments(
     end = net_position(b.canonical)
     if trail.landscape is None:
         return [(start, end)]
-    if not trail.contained:
-        return []
     faces = trail.landscape.faces
     segments = []
     for i, crossing in enumerate(trail.crossings):

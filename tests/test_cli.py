@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from octadist import cli, landscape
 from octadist import topology as topo
-from octadist.coords import EPS_IN, canonicalize, rotate_once, sample_uniform, turn
+from octadist.coords import (
+    EPS_IN,
+    Representation,
+    canonicalize,
+    rotate_once,
+    sample_uniform,
+    turn,
+)
+from octadist.oracle import unfold_geodesic
 from octadist.serialize import (
     distance_line,
     dumps,
@@ -373,6 +381,61 @@ def test_stream_answers_every_line_of_any_input(command, input_lines):
     objs = [json.loads(line) for line in got]
     errors = sum("error" in obj for obj in objs)
     assert code == (2 if errors else 0)
+
+
+def _edge_point(chart, t, flip, times):
+    """(t, 0) on the base of `chart`, written from either home face, in its chart `times` turns on."""
+    home, shared = chart
+    if flip:
+        home, shared, t = shared, home, 1.0 - t
+    return in_every_chart(home, shared, t, 0.0)[times]
+
+
+def _near_edge_point(chart, t, k, times):
+    """(t, k x EPS_IN) near the base of `chart`, in its chart `times` turns on.
+
+    A chart accepts a point at most EPS_IN below its base but only
+    EPS_IN / 2 beyond a slanted edge, so a point outside goes half as far
+    in a turned chart.
+    """
+    return in_every_chart(*chart, t, (k if k >= 0.0 or times == 0 else k / 2.0) * EPS_IN)[times]
+
+
+turns = st.integers(min_value=0, max_value=2)
+# points of every chart kind: interior, on an edge in each of the three
+# charts of either home face, a vertex in every chart, and within EPS_IN of
+# an edge on either side, which snaps onto it
+chart_kind_points = st.one_of(
+    st.builds(lambda chart, u, v: tuple(interior_rep(*chart, u, v)), charts, units, units),
+    st.builds(_edge_point, charts, units, st.booleans(), turns),
+    st.sampled_from([tuple(r) for r in vertex_charts()]),
+    st.builds(
+        _near_edge_point,
+        charts,
+        st.floats(min_value=0.001, max_value=0.999),
+        st.floats(min_value=-0.99, max_value=0.99),
+        turns,
+    ),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(chart_kind_points, chart_kind_points), min_size=1, max_size=8))
+def test_distance_lines_match_the_oracle_on_points_of_every_chart_kind(pairs):
+    # the stream's own record path over plain tuples, held to the unfolding
+    # oracle; the oracle takes each point in its canonical chart, where an
+    # edge point lies on its edge exactly
+    lines = [
+        json.dumps({"id": f"r{i}", "p1": point_to_obj(p), "p2": point_to_obj(q)})
+        for i, (p, q) in enumerate(pairs)
+    ]
+    code, out = run_stream("distance", "".join(line + "\n" for line in lines))
+    assert code == 0, out
+    got = [json.loads(line) for line in out.splitlines()]
+    assert [obj["id"] for obj in got] == [f"r{i}" for i in range(len(pairs))]
+    for obj, (p, q) in zip(got, pairs):
+        expected = unfold_geodesic(canonicalize(Representation(*p)), canonicalize(Representation(*q)))
+        assert abs(obj["distance"] - expected) <= 1e-9, (p, q, obj)
 
 
 def test_distance_and_path_agree_and_are_deterministic():

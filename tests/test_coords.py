@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from octadist import topology as topo
 from octadist.coords import (
+    EPS_IN,
+    HALF_SQRT3,
     SQRT3,
     InvalidRepresentation,
     NotOnSharedEdge,
@@ -16,6 +19,8 @@ from octadist.coords import (
     flip_home_face,
     rotate_once,
     sample_uniform,
+    _canonical,
+    barycentric,
     surface_point,
     turn,
     vertex_representations,
@@ -177,6 +182,43 @@ def test_canonicalize_snaps_non_base_edges():
     sp = canonicalize(rep)
     assert sp.canonical.y == 0.0
     assert sp.canonical.home < sp.canonical.shared
+
+
+def test_an_edge_point_turns_strictly_inside_its_edge():
+    # a point within EPS_IN of one edge only is more than EPS_IN from the
+    # other two, so both other barycentric weights exceed EPS_IN / HALF_SQRT3
+    # and, once its chart turns that edge onto the base, EPS_IN / SQRT3 <
+    # x < 1 - EPS_IN / SQRT3: no clamp is needed.  Points 0.5 to 1.01 x
+    # EPS_IN from the edge (either side) and from the other edge at each
+    # of its corners, in every chart, hold it
+    factors = (-1.01, -0.99, -0.5, 0.0, 0.5, 0.99, 1.01)
+    seen = set()
+    for home in topo.FACE_INDICES:
+        for shared in topo.neighbors(home):
+            for base_after, corner, d, e in itertools.product(range(3), (0, 1), factors, factors[4:]):
+                # d x EPS_IN from the edge that is the base after `base_after`
+                # turns, e x EPS_IN from the other edge at its corner
+                along = (2.0 * e * EPS_IN + d * EPS_IN) / SQRT3
+                x, y = turn(along if corner == 0 else 1.0 - along, d * EPS_IN, (3 - base_after) % 3)
+                try:
+                    Representation(home, shared, x, y)
+                except InvalidRepresentation:
+                    continue
+                on_right, on_left, on_base = (w * HALF_SQRT3 <= EPS_IN for w in barycentric(x, y))
+                if on_right + on_left + on_base != 1:
+                    continue
+                times = 1 if on_right else 2 if on_left else 0
+                turned_shared = shared
+                for _ in range(times):
+                    turned_shared = topo.next_shared_ccw(home, turned_shared)
+                tx, _ty = turn(x, y, times)
+                assert EPS_IN / 2.0 < tx < 1.0 - EPS_IN / 2.0
+                assert _canonical((home, shared, x, y)) in (
+                    (home, turned_shared, tx, 0.0),
+                    (turned_shared, home, 1.0 - tx, 0.0),
+                )
+                seen.add((home, shared, times, tx < 0.5))
+    assert len(seen) == 24 * 3 * 2
 
 
 def test_representation_validation():

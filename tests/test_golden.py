@@ -4,15 +4,21 @@ The CLI digests below were recorded before the minimizer-only layout
 path existed; any change to the numbers, the argmin, the trail or the
 wire format shows up here as a different SHA-256.  The oracle digests
 pin every bit of `unfold_geodesic` and `mesh_upper_bound` on the pairs
-that `validate --seed 0 --count 700` checks.
+that `validate --seed 0 --count 700` checks.  The byte pins of the CI
+workflow and the benchmark's stored seed-0 digests of `distance-boundary`
+and `path-opposite` are checked here too.
 """
 
 import hashlib
 import itertools
+import json
 import random
 import struct
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from octadist import oracle, topology as topo
 from octadist.coords import (
@@ -114,3 +120,79 @@ def test_oracle_values_match_recorded_digests():
     for n in (4, 8, 16):
         got[f"mesh_upper_bound_{n}"] = digest([oracle.mesh_upper_bound(a, b, n) for a, b in pairs])
     assert got == ORACLE_DIGESTS
+
+
+# The byte pins the CI workflow checks on an installed package, with the
+# same data and hashes, so a local run checks them too.
+CI_QUERY = (
+    '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
+    '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2}}'
+)
+# an id with a quote, a backslash, a control escape, a non-ASCII and an
+# astral character, a bad point and an unparsed line
+CI_IDS_JSONL = "".join(
+    line + "\n"
+    for line in (
+        r'{"id":"a","p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2}}',
+        r'{"id":"b","p1":{"home":"F1","shared":"F3","x":0.5,"y":0.2},"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2}}',
+        "not json",
+        r'{"id":"q\"b\\c\u0001dé\ud83d\ude00","p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2}}',
+    )
+)
+CI_IDS_DIGESTS = {
+    "distance": "c539449e485ce983ceaeed4a857c474e22ab39d6dadabd917acc31562eab91dd",
+    "path": "df241e7ef121135b090cb5c9858ce56f9db8d322c8b940406ff6710f79cb57ac",
+}
+CI_SVGS = {
+    "q": (CI_QUERY, "ea6b59984447ca8048aacc0bd5e52072cbeb350275fabe197b93ca4c0d3904ba"),
+    # p1 written in its non-canonical chart draws as (F1, F2, 0.25, 0) does
+    "edge": (
+        '{"p1":{"home":"F2","shared":"F1","x":0.75,"y":0},"p2":{"home":"F8","shared":"F7","x":0.3,"y":0.2}}',
+        "99577373af57a28e04b8bae515bd597ae09668a19f97c6e8b63cadf6e20456db",
+    ),
+}
+
+
+def _cli(args, stdin=b""):
+    return subprocess.run(
+        [sys.executable, "-m", "octadist.cli", *args], input=stdin, capture_output=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("command", sorted(CI_IDS_DIGESTS))
+def test_ci_pin_of_the_id_splice(command):
+    proc = _cli([command], CI_IDS_JSONL.encode())
+    assert proc.returncode == 2
+    assert hashlib.sha256(proc.stdout).hexdigest() == CI_IDS_DIGESTS[command]
+
+
+@pytest.mark.parametrize("name", sorted(CI_SVGS))
+def test_ci_pin_of_render(tmp_path, name):
+    query, digest = CI_SVGS[name]
+    out = tmp_path / f"{name}.svg"
+    assert _cli(["render", "--out", str(out), "--query", query]).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_ci_pin_of_the_validate_summary():
+    proc = _cli(["validate", "--count", "20", "--subdivisions", "4"])
+    assert proc.returncode == 0
+    assert proc.stdout == b"checked 29 pairs (9 witness rows + 20 random): 29 passed, 0 failed\n"
+
+
+@pytest.mark.parametrize("workload", ["distance-boundary", "path-opposite"])
+def test_benchmark_digest_at_seed_0(workload):
+    # the stored stdout digests of the two workloads that pin the bytes of
+    # boundary points and of `path`; the corpus lines are written with the
+    # standard json module, not with octadist.serialize
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    corpus = workloads.WORKLOADS[workload](0)
+    proc = _cli(corpus.argv, corpus.stdin)
+    assert proc.returncode == 0, proc.stderr.decode()
+    digests = json.loads((bench / "digests.json").read_text())
+    assert hashlib.sha256(proc.stdout).hexdigest() == digests[workload]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from octadist import landscape
+from octadist import landscape, oracle
 from octadist import topology as topo
 from octadist.coords import (
     Representation,
@@ -15,6 +15,7 @@ from octadist.coords import (
     flip_home_face,
     rotate_once,
     sample_uniform,
+    turn,
     vertex_representations,
 )
 from octadist.landscape import (
@@ -34,7 +35,7 @@ from octadist.landscape import (
 )
 from octadist.oracle import embed_3d, unfold_geodesic
 
-from conftest import boundary_points, interior_rep, rotate_to_shared
+from conftest import boundary_points, interior_rep, rotate_to_shared, vertex_charts
 
 SQRT3 = math.sqrt(3.0)
 
@@ -248,13 +249,61 @@ def test_every_layout_unfolds_each_face_across_its_hinge():
 
 @given(framed_pairs())
 def test_valid_landscape_chords_are_always_contained(case):
-    # the nine landscape regions are convex, so in-chart chords never leave
-    index, p1, p2, _frame = case
+    # the nine landscape regions are convex, so in-chart chords never
+    # leave: each crossing, its parameter clamped, lies on the chord, and
+    # they follow the chord in path order
+    index, p1, p2, frame = case
     trail = trail_crossings(index, p1, p2)
     assert trail.contained
     assert len(trail.crossings) == len(PATH_ROLES[index]) - 1
+    ls = landscape._layout(index, frame)
+    (ax, ay), (bx, by) = landscape._place(ls.first, p1.x, p1.y), landscape._place(ls.last, p2.x, p2.y)
+    along = []
     for c in trail.crossings:
         assert 0.0 <= c.parameter <= 1.0
+        px, py = c.point
+        assert abs((bx - ax) * (py - ay) - (by - ay) * (px - ax)) <= 1e-12 * trail.length
+        along.append((bx - ax) * (px - ax) + (by - ay) * (py - ay))
+    assert along == sorted(along)
+
+
+def _chart_points(home: int, shared: int) -> list[tuple[float, float]]:
+    """Points of the chart (home, shared) as the minimum receives them.
+
+    Vertices, points on each edge and interior points are written in each
+    of the home face's three charts and turned into (home, shared) with
+    `turn`, as `_distance` turns a canonical point into its formula chart;
+    the rounding of the turn leaves some of them a hair outside.
+    """
+    corners = ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0))
+    written = [*corners, (0.3, 0.0), (0.5, 0.0), (0.5, SQRT3 / 6.0), (0.2, 0.1)]
+    points = []
+    for chart_shared in topo.neighbors(home):
+        times = topo.turns(home, chart_shared, shared)
+        points += [turn(x, y, times) for x, y in written]
+    return points
+
+
+def test_every_layout_contains_the_chords_of_its_charts():
+    # every landscape is convex, so no code checks a chord's containment:
+    # here the oracle's own intersection routine checks it, over every
+    # layout record, for chords between vertices, edge points and interior
+    # points of the two formula charts
+    frames = [topo.Frame.from_anchor(h, s) for h in topo.FACE_INDICES for s in topo.neighbors(h)]
+    chords = 0
+    for frame in frames:
+        for index in PATH_ROLES:
+            ls = landscape._layout(index, frame)
+            h_role, s_role = _P2_CHART_ROLES[landscape._RELATION_FOR_ID[index]]
+            starts = [landscape._place(ls.first, *p) for p in _chart_points(frame.face(1), frame.face(2))]
+            ends = [
+                landscape._place(ls.last, *q)
+                for q in _chart_points(frame.face(h_role), frame.face(s_role))
+            ]
+            for a, b in itertools.product(starts, ends):
+                assert oracle._chord_in_chain(ls.segments, a, b) is not None, (index, frame, a, b)
+                chords += 1
+    assert chords == 9 * 24 * 21**2
 
 
 def test_trail_crossings_witness_row_one():
@@ -287,28 +336,27 @@ def test_trail_crossings_collinear_chord_along_edge():
     assert trail.length == pytest.approx(0.6, abs=1e-12)
 
 
-def test_chord_intersection_rejects_misses_and_disorder():
+def test_chord_intersection_places_grazes_and_degenerate_chords():
     from octadist.landscape import chord_edge_intersections
 
-    # chord passes beside the segment: edge parameter out of range
     edge = ((0.0, 0.0), (1.0, 0.0))
-    assert chord_edge_intersections((2.0, 1.0), (2.0, -1.0), [edge]) is None
-    # chord parallel to the edge but off its line
-    assert chord_edge_intersections((0.0, 0.5), (1.0, 0.5), [edge]) is None
-    # edges met out of path order
+    # one (edge parameter, point) per segment, in path order
     e1 = ((0.0, 1.0), (2.0, 1.0))
     e2 = ((0.0, 2.0), (2.0, 2.0))
-    assert chord_edge_intersections((1.0, 0.0), (1.0, 3.0), [e1, e2]) is not None
-    assert chord_edge_intersections((1.0, 0.0), (1.0, 3.0), [e2, e1]) is None
+    assert chord_edge_intersections((0.5, 0.0), (0.5, 3.0), [e1, e2]) == [
+        (0.25, (0.5, 1.0)),
+        (0.25, (0.5, 2.0)),
+    ]
     # endpoint grazes count as crossings
-    hits = chord_edge_intersections((0.0, -1.0), (0.0, 1.0), [edge])
-    assert hits is not None and hits[0][0] == 0.0
-    # a zero-length chord off the segment
-    assert chord_edge_intersections((0.5, 1.0), (0.5, 1.0), [edge]) is None
-    # a chord on the edge's line but beside the segment
-    assert chord_edge_intersections((2.0, 0.0), (3.0, 0.0), [edge]) is None
-    # a chord that ends before it reaches the edge
-    assert chord_edge_intersections((0.5, -2.0), (0.5, -1.0), [edge]) is None
+    assert chord_edge_intersections((0.0, -1.0), (0.0, 1.0), [edge]) == [(0.0, (0.0, 0.0))]
+    # a zero-length chord sits at its own position on the segment
+    assert chord_edge_intersections((0.3, 0.0), (0.3, 0.0), [edge]) == [(0.3, (0.3, 0.0))]
+    # a chord along the segment crosses it at the middle of their overlap
+    assert chord_edge_intersections((0.2, 0.0), (1.4, 0.0), [edge]) == [(0.6, (0.6, 0.0))]
+    assert chord_edge_intersections((0.8, 0.0), (0.2, 0.0), [edge]) == [(0.5, (0.5, 0.0))]
+    # parameters are clamped onto the segment
+    (hit,) = chord_edge_intersections((1.0 + 1e-12, -1.0), (1.0 + 1e-12, 1.0), [edge])
+    assert hit == (1.0, (1.0, 0.0))
 
 
 def test_surface_distance_coincident_points():
@@ -530,19 +578,17 @@ class Reference(NamedTuple):
 def all_landscape_distance(a, b) -> Reference:
     """Reference minimum that lays out every applicable landscape.
 
-    Chords that leave their landscape count as infinite; with none
-    contained, the unfiltered minimum is reported with `fallback` set.
+    The argmin is the TIE_EPS band of the least formula length; every
+    landscape is convex, so each trail is contained and `fallback` false.
     """
     _frame, p1, p2 = _prepare_pair(a, b)
     ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
     lengths = {i: trail_length(i, p1, p2) for i in ids}
     trails = {i: trail_crossings(i, p1, p2) for i in ids}
-    contained_ids = [i for i in ids if trails[i].contained]
-    fallback = not contained_ids
-    pool = list(ids) if fallback else contained_ids
-    best = min(lengths[i] for i in pool)
-    argmin = tuple(i for i in pool if lengths[i] <= best + TIE_EPS)
-    return Reference(best, argmin, trails[argmin[0]], fallback)
+    assert all(trail.contained for trail in trails.values())
+    best = min(lengths.values())
+    argmin = tuple(i for i in ids if lengths[i] <= best + TIE_EPS)
+    return Reference(best, argmin, trails[argmin[0]], False)
 
 
 def _bits(result):
@@ -611,50 +657,44 @@ def test_every_chart_pair_matches_reference_bit_for_bit():
         assert_matches_reference(a, b)
 
 
+def test_every_member_of_a_tie_is_in_the_argmin():
+    # the antipodal vertices tie L2 and L3 in every pair of their charts:
+    # both are the argmin, and the trail is the first one's
+    top, bottom = (vertex_charts([frozenset(v)]) for v in ((1, 2, 3, 4), (5, 6, 7, 8)))
+    for p, q in itertools.product(top, bottom):
+        a, b = canonicalize(p), canonicalize(q)
+        result = assert_matches_reference(a, b)
+        assert result.argmin == (2, 3) and not result.fallback
+        assert result.trail.landscape.index == 2 and result.trail.contained
+
+
 @pytest.mark.parametrize("uncontained", ["minimizer", "all"])
-def test_uncontained_minimizer_falls_back_to_every_landscape(monkeypatch, uncontained):
-    # valid chords are always contained, so force the other branch by
-    # reporting chords as leaving their landscape
-    a, b = canonicalize(VALIDITY_WITNESSES[4][0]), canonicalize(VALIDITY_WITNESSES[4][1])
-    original = landscape.chord_edge_intersections
-    l4_segments = landscape._layout(4, _prepare_pair(a, b)[0]).segments
-
-    def leaky(p, q, edges):
-        if uncontained == "all" or edges == l4_segments:
-            return None
-        return original(p, q, edges)
-
-    # the reference's trail_crossings meets the same patched helper
-    monkeypatch.setattr(landscape, "chord_edge_intersections", leaky)
-    ref = all_landscape_distance(a, b)
-    result = surface_distance(a, b)
-    assert _bits(result) == _bits(ref)
-    if uncontained == "all":
-        assert result.fallback and result.argmin == (4,)
-    else:
-        assert not result.fallback and 4 not in result.argmin
-
-
-def test_uncontained_member_of_a_tie_leaves_the_argmin(monkeypatch):
-    # the antipodal vertices tie L2 and L3; an uncontained L2 leaves L3 alone
-    a = canonicalize(vertex_representations(frozenset({1, 2, 3, 4}))[0])
-    b = canonicalize(vertex_representations(frozenset({5, 6, 7, 8}))[0])
-    assert surface_distance(a, b).argmin == (2, 3)
-    original = landscape.chord_edge_intersections
-    l2_segments = landscape._layout(2, _prepare_pair(a, b)[0]).segments
-
-    def leaky(p, q, edges):
-        return None if edges == l2_segments else original(p, q, edges)
-
-    monkeypatch.setattr(landscape, "chord_edge_intersections", leaky)
-    result = surface_distance(a, b)
-    assert _bits(result) == _bits(all_landscape_distance(a, b))
-    assert result.argmin == (3,) and not result.fallback
+def test_uncontained_minimizer_falls_back_to_every_landscape(uncontained):
+    # the fallback this name describes is gone: every landscape is convex,
+    # so neither the minimizer ("minimizer") nor any applicable landscape
+    # ("all") of a witness pair leaves its strip, as the oracle's own
+    # intersection routine confirms, and no result falls back
+    for row in VALIDITY_WITNESSES.values():
+        a, b = canonicalize(row[0]), canonicalize(row[1])
+        frame, p1, p2 = _prepare_pair(a, b)
+        result = assert_matches_reference(a, b)
+        assert not result.fallback and result.trail.contained
+        if uncontained == "minimizer":
+            ids = result.argmin[:1]
+            assert result.trail.landscape.index == ids[0]
+        else:
+            ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
+        for index in ids:
+            ls = landscape._layout(index, frame)
+            start = landscape._place(ls.first, p1.x, p1.y)
+            end = landscape._place(ls.last, p2.x, p2.y)
+            assert oracle._chord_in_chain(ls.segments, start, end) is not None, (index, row)
+            assert math.dist(start, end) == pytest.approx(trail_length(index, p1, p2), abs=1e-12)
 
 
 def test_only_the_tie_band_is_laid_out(monkeypatch):
-    # the shortest-first pass lays out exactly the landscapes within
-    # TIE_EPS of the distance, each once
+    # the minimum lays out one landscape a pair, the first of the TIE_EPS
+    # band of the least formula length, for its chord
     laid_out = []
     original = landscape._chord
 
@@ -668,10 +708,14 @@ def test_only_the_tie_band_is_laid_out(monkeypatch):
         (a, b) for a, b in zip(points[::2], points[1::2]) if a.canonical.home != b.canonical.home
     ]
     assert len(pairs) >= 2000
-    for a, b in pairs[:2000]:
+    a = canonicalize(vertex_representations(frozenset({1, 2, 3, 4}))[0])
+    b = canonicalize(vertex_representations(frozenset({5, 6, 7, 8}))[0])
+    pairs = pairs[:2000] + [(a, b)]
+    for a, b in pairs:
         laid_out.clear()
         result = surface_distance(a, b)
         _frame, p1, p2 = _prepare_pair(a, b)
         ids = APPLICABLE_IDS[topo.relation(a.canonical.home, b.canonical.home)]
         band = [i for i in ids if trail_length(i, p1, p2) <= result.distance + TIE_EPS]
-        assert sorted(laid_out) == band
+        assert laid_out == band[:1]
+    assert band == [2, 3]  # the last pair ties

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from octadist import cli, landscape, topology as topo
+from octadist import cli, topology as topo
 from octadist.coords import (
     Representation,
     canonicalize,
@@ -101,17 +101,20 @@ def test_render_svg_deterministic_and_well_formed(witness_points):
     ET.fromstring(svg1)  # parses as XML
 
 
-def test_fallback_result_draws_its_two_points_and_no_trail(witness_points, monkeypatch):
-    # with no landscape contained, the trail of the reported minimum is
-    # not drawn: the net keeps the two points alone
-    monkeypatch.setattr(landscape, "chord_edge_intersections", lambda a, b, edges: None)
-    a, b = witness_points[5]
-    result = surface_distance(a, b)
-    assert result.fallback
-    assert trail_segments(result, a, b) == []
-    svg = render_svg(a, b, result)
-    assert svg.count("<circle") == 2
-    assert "<polyline" not in svg
+def test_every_result_draws_its_trail(witness_points):
+    # every landscape is convex, so every trail is contained and drawn,
+    # also for a result whose `fallback` flag a caller has set
+    for a, b in witness_points.values():
+        result = surface_distance(a, b)
+        flagged = result._replace(fallback=True)
+        segments = trail_segments(flagged, a, b)
+        assert segments == trail_segments(result, a, b)
+        assert len(segments) == len(result.trail.crossings) + 1
+        assert segments[0][0] == net_position(a.canonical)
+        assert segments[-1][1] == net_position(b.canonical)
+        svg = render_svg(a, b, flagged)
+        assert svg == render_svg(a, b, result)
+        assert svg.count("<circle") == 2 and svg.count("<polyline") >= 1
 
 
 def test_render_svg_scale_changes_dimensions(witness_points):
