@@ -20,7 +20,7 @@ from . import topology as topo
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
 
-#: Tolerance for triangle membership and for snapping points onto edges.
+#: Distance to an edge up to which a point outside it is valid and one near it is snapped onto it.
 EPS_IN = 1e-9
 
 
@@ -29,7 +29,7 @@ class InvalidRepresentation(ValueError):
 
 
 class NotOnSharedEdge(ValueError):
-    """Home-face flips are only defined for points with y = 0."""
+    """Home-face flips are only defined for points within EPS_IN of the shared edge."""
 
 
 class _RepresentationFields(NamedTuple):
@@ -40,7 +40,7 @@ class _RepresentationFields(NamedTuple):
 
 
 def _checked(home: int, shared: int, x: float, y: float) -> tuple[int, int, float, float]:
-    """The quadruple as a tuple if it locates a surface point, else InvalidRepresentation."""
+    """The quadruple as a tuple if (x, y) is at most EPS_IN outside each edge, else InvalidRepresentation."""
     # a label is an int: True or 1.0 equals the label 1 and would pass
     # the membership tests, then key the caches' tables as face 1 but
     # print as "FTrue" or "F1.0"
@@ -52,7 +52,7 @@ def _checked(home: int, shared: int, x: float, y: float) -> tuple[int, int, floa
         raise InvalidRepresentation(f"F{shared} is not adjacent to F{home}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidRepresentation("coordinates must be finite")
-    if y < -EPS_IN or y > SQRT3 * x + EPS_IN or y > SQRT3 * (1.0 - x) + EPS_IN:
+    if min(edge_distances(x, y)) < -EPS_IN:
         raise InvalidRepresentation(f"({x}, {y}) lies outside the face triangle")
     return home, shared, x, y
 
@@ -90,6 +90,12 @@ def barycentric(x: float, y: float) -> tuple[float, float, float]:
     return 1.0 - x - yy, x - yy, 2.0 * yy
 
 
+def edge_distances(x: float, y: float) -> tuple[float, float, float]:
+    """Signed distances of (x, y) to the chart edges opposite S, T and U (the base), negative outside."""
+    yy = y / SQRT3  # barycentric(x, y), each weight times HALF_SQRT3
+    return (1.0 - x - yy) * HALF_SQRT3, (x - yy) * HALF_SQRT3, 2.0 * yy * HALF_SQRT3
+
+
 def _place(corners, x: float, y: float) -> tuple[float, float]:
     """Plane position of chart point (x, y), given the chart's corners (S, T, U) there."""
     ls, lt, lu = barycentric(x, y)
@@ -125,15 +131,14 @@ def rotate_once(r: Representation) -> Representation:
 
 
 def flip_home_face(r: Representation) -> Representation:
-    """Swap home and shared face for a point on the shared edge.
+    """Swap home and shared face for a point within EPS_IN of the shared edge.
 
     (home, shared, x, 0) and (shared, home, 1 - x, 0) are the two charts
     of one edge point; the flip is an involution.
     """
-    if abs(r.y) > EPS_IN:
+    if abs(edge_distances(r.x, r.y)[2]) > EPS_IN:
         raise NotOnSharedEdge(f"y = {r.y} exceeds {EPS_IN}")
-    x = min(1.0, max(0.0, r.x))
-    return Representation(r.shared, r.home, 1.0 - x, 0.0)
+    return Representation(r.shared, r.home, 1.0 - min(1.0, max(0.0, r.x)), 0.0)
 
 
 def vertex_representations(v: topo.VertexLabel) -> list[Representation]:
@@ -164,26 +169,21 @@ def _canonical(r: tuple) -> tuple:
     chart.  An interior point is returned as it was given.
     """
     home, shared, x, y = r
-    ls, lt, lu = barycentric(x, y)
-    on_base = lu * HALF_SQRT3 <= EPS_IN  # edge shared with `shared`
-    on_right = ls * HALF_SQRT3 <= EPS_IN  # edge shared with the next ccw neighbor
-    on_left = lt * HALF_SQRT3 <= EPS_IN  # edge shared with the previous ccw neighbor
+    ds, dt, du = edge_distances(x, y)
+    on_base = du <= EPS_IN  # edge shared with `shared`
+    on_right = ds <= EPS_IN  # edge shared with the next ccw neighbor
+    on_left = dt <= EPS_IN  # edge shared with the previous ccw neighbor
 
     if (on_base + on_right + on_left) >= 2:  # a corner of the face
-        corners = topo.chart_corners(home, shared)
-        if on_base and on_left:
-            vertex = corners[0]
-        elif on_base and on_right:
-            vertex = corners[1]
-        else:
-            vertex = corners[2]
+        # the corner (S, T or U) where the two near edges meet is opposite the far one
+        vertex = topo.chart_corners(home, shared)[(on_right, on_left, on_base).index(False)]
         # the first chart has the smallest home face, so the smallest (home, shared)
         return vertex_representations(vertex)[0]
 
     if on_base or on_right or on_left:  # on one edge only
-        # turn the chart until that edge is its base; the turned point lies at
-        # most EPS_IN / 2 below it, and more than EPS_IN from the other edges
-        # puts it at EPS_IN / SQRT3 < x < 1 - EPS_IN / SQRT3: no clamp is needed
+        # turn the chart until that edge is its base; at most EPS_IN below it and
+        # more than EPS_IN from the other edges, the point drops onto the base at
+        # EPS_IN / SQRT3 < x < 1 - EPS_IN / SQRT3: no clamp is needed
         times = 1 if on_right else 2 if on_left else 0
         for _ in range(times):
             shared = topo.next_shared_ccw(home, shared)

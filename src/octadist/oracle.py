@@ -264,13 +264,24 @@ def _unfoldings() -> dict[tuple[int, int], PairChains]:
     return pair_chains
 
 
+def _nearest_on_segment(p, ps, ex, ey, ee):
+    """Parameter of the point of segment ps + s (ex, ey) nearest p, if within EPS_IN of p; else None."""
+    s = ((p[0] - ps[0]) * ex + (p[1] - ps[1]) * ey) / ee
+    s = min(1.0, max(0.0, s))
+    if math.hypot(p[0] - ps[0] - s * ex, p[1] - ps[1] - s * ey) > EPS_IN:
+        return None
+    return s
+
+
 def _chord_in_chain(hinges, a, b):
     """Crossing parameters of the chord with the hinge edges, or None.
 
     `hinges` are one chain's (S, T) hinge points in path order, as
     floats.  Contained means: every hinge is met within its segment, in
-    path order.  Implemented independently of the landscape module's
-    intersection routine.
+    path order.  A hinge that passes within EPS_IN of a chord end is met
+    at that end, whatever the chord's direction there, and a chord along
+    a hinge's line meets it where they overlap.  Implemented
+    independently of the landscape module's intersection routine.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
     chord_len = math.hypot(dx, dy)
@@ -278,21 +289,12 @@ def _chord_in_chain(hinges, a, b):
     prev_t = -EPS_IN
     for ps, pt in hinges:
         ex, ey = pt[0] - ps[0], pt[1] - ps[1]
-        if chord_len < 1e-12:
-            ee = ex * ex + ey * ey
-            s = ((a[0] - ps[0]) * ex + (a[1] - ps[1]) * ey) / ee
-            s = min(1.0, max(0.0, s))
-            if math.hypot(a[0] - ps[0] - s * ex, a[1] - ps[1] - s * ey) > EPS_IN:
-                return None
-            params.append((s, 0.0))
-            continue
+        ee = ex * ex + ey * ey
         denom = dx * ey - dy * ex
         fx, fy = ps[0] - a[0], ps[1] - a[1]
-        if abs(denom) < 1e-14:
-            elen = math.hypot(ex, ey)
-            if abs(fx * ey - fy * ex) / elen > EPS_IN:
+        if chord_len >= 1e-12 and abs(denom) < 1e-14:
+            if abs(fx * ey - fy * ex) / math.hypot(ex, ey) > EPS_IN:
                 return None
-            ee = ex * ex + ey * ey
             sa = (-fx * ex - fy * ey) / ee
             sb = ((b[0] - ps[0]) * ex + (b[1] - ps[1]) * ey) / ee
             lo, hi = max(min(sa, sb), 0.0), min(max(sa, sb), 1.0)
@@ -300,10 +302,16 @@ def _chord_in_chain(hinges, a, b):
                 return None
             params.append(((lo + hi) / 2.0, 0.5))
             continue
-        t = (fx * ey - fy * ex) / denom
-        s = (fx * dy - fy * dx) / denom
-        if not (-EPS_IN <= s <= 1.0 + EPS_IN) or not (-EPS_IN <= t <= 1.0 + EPS_IN):
-            return None
+        s, t = _nearest_on_segment(a, ps, ex, ey, ee), 0.0
+        if s is None:
+            s, t = _nearest_on_segment(b, ps, ex, ey, ee), 1.0
+        if s is None:
+            if chord_len < 1e-12:
+                return None
+            t = (fx * ey - fy * ex) / denom
+            s = (fx * dy - fy * dx) / denom
+            if not (-EPS_IN <= s <= 1.0 + EPS_IN) or not (-EPS_IN <= t <= 1.0 + EPS_IN):
+                return None
         if t < prev_t - EPS_IN:
             return None
         prev_t = max(prev_t, t)

@@ -1,11 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from octadist import oracle, topology as topo
-from octadist.coords import Representation, canonicalize, rotate_once, vertex_representations
+from octadist.coords import Representation, canonicalize, rotate_once, turn, vertex_representations
 
 settings.register_profile(
     "suite",
@@ -16,6 +18,18 @@ settings.register_profile(
 settings.load_profile("suite")
 
 SQRT3 = math.sqrt(3.0)
+
+
+def run_cli(args, stdin="", env=None):
+    """Run `python -m octadist.cli` with `args`; text in and out when `stdin` is text, else bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "octadist.cli", *args],
+        input=stdin,
+        capture_output=True,
+        text=isinstance(stdin, str),
+        env=env,
+        timeout=60,
+    )
 
 
 def triangle_point(u: float, v: float, margin: float = 1e-6) -> tuple[float, float]:
@@ -44,6 +58,16 @@ def point_to_obj(rep) -> dict:
     """The wire literal of a representation or any (home, shared, x, y) tuple, as records spell it."""
     home, shared, x, y = rep
     return {"home": f"F{home}", "shared": f"F{shared}", "x": x, "y": y}
+
+
+def in_every_chart(home, shared, x, y):
+    """(home, shared, x, y) written in each of home's three charts, unchecked."""
+    quadruples = []
+    for _ in range(3):
+        quadruples.append((home, shared, x, y))
+        shared = topo.next_shared_ccw(home, shared)
+        x, y = turn(x, y, 1)
+    return quadruples
 
 
 def rotate_to_shared(r: Representation, shared: int) -> Representation:

@@ -7,8 +7,6 @@ pinned here; the seeds make each sweep reproducible.
 import itertools
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -25,7 +23,7 @@ from octadist.coords import (
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 from octadist.serialize import dumps
 
-from conftest import best_chord_loop, point_to_obj, sampled_containment
+from conftest import best_chord_loop, point_to_obj, run_cli, sampled_containment
 
 # Geodesic between the two vertices not incident to a common face,
 # recorded from the first verified run of the unfolding oracle
@@ -203,15 +201,6 @@ def test_criterion_7_antipodal_vertex_regression():
     _report("7 antipodal-vertex regression", failures, f"d = {d!r}")
 
 
-def _run_cli(args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "octadist.cli", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_criterion_8_cli_contract(tmp_path):
     failures = []
     points = sample_uniform(SEED_CORPUS, 100)
@@ -227,8 +216,8 @@ def test_criterion_8_cli_contract(tmp_path):
     ) + "\n"
 
     for command in ("distance", "path"):
-        first = _run_cli([command], corpus)
-        second = _run_cli([command], corpus)
+        first = run_cli([command], corpus)
+        second = run_cli([command], corpus)
         if first.returncode != 0 or first.stdout != second.stdout:
             failures.append(f"{command}: nondeterministic or failing")
         if len(first.stdout.splitlines()) != 50:
@@ -236,14 +225,14 @@ def test_criterion_8_cli_contract(tmp_path):
 
     record = corpus.splitlines()[0]
     out1, out2 = tmp_path / "r1.svg", tmp_path / "r2.svg"
-    r1 = _run_cli(["render", "--out", str(out1)], record + "\n")
-    r2 = _run_cli(["render", "--out", str(out2)], record + "\n")
+    r1 = run_cli(["render", "--out", str(out1)], record + "\n")
+    r2 = run_cli(["render", "--out", str(out2)], record + "\n")
     if r1.returncode != 0 or out1.read_bytes() != out2.read_bytes():
         failures.append("render: nondeterministic or failing")
 
     broken = corpus.splitlines()
     broken[10] = "NOT JSON"
-    mangled = _run_cli(["distance"], "\n".join(broken) + "\n")
+    mangled = run_cli(["distance"], "\n".join(broken) + "\n")
     lines = mangled.stdout.splitlines()
     if mangled.returncode != 2 or len(lines) != 50:
         failures.append("malformed-line isolation broken")
@@ -252,7 +241,7 @@ def test_criterion_8_cli_contract(tmp_path):
         if "error" not in objs[10] or any("error" in o for i, o in enumerate(objs) if i != 10):
             failures.append("error object misplaced")
 
-    validate = _run_cli(["validate"])
+    validate = run_cli(["validate"])
     if validate.returncode != 0:
         failures.append(f"validate default run exited {validate.returncode}")
     _report("8 CLI contract", failures, "determinism, isolation, validate exit 0")

@@ -2,7 +2,6 @@ import io
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 from unittest import mock
@@ -19,7 +18,6 @@ from octadist.coords import (
     canonicalize,
     rotate_once,
     sample_uniform,
-    turn,
 )
 from octadist.oracle import unfold_geodesic
 from octadist.serialize import (
@@ -31,21 +29,12 @@ from octadist.serialize import (
     trail_result_to_obj,
 )
 
-from conftest import interior_rep, point_to_obj, vertex_charts
+from conftest import in_every_chart, interior_rep, point_to_obj, run_cli, vertex_charts
 
 WITNESS_L1 = (
     '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
     '"p2":{"home":"F2","shared":"F1","x":0.5,"y":0.2}}'
 )
-
-
-def run_cli(args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "octadist.cli", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
 
 
 def corpus_lines(seed=404, count=50):
@@ -137,12 +126,7 @@ def test_stream_is_utf8_whatever_the_locale(command, encoding):
     body = WITNESS_L1[1:].encode()
     stdin = b"\n".join([b'{"id": "a", ' + body, b'{"id": "b\xff", ' + body,
                          '{"id": "\u00e9\u2603", '.encode() + body]) + b"\n"
-    proc = subprocess.run(
-        [sys.executable, "-m", "octadist.cli", command],
-        input=stdin,
-        capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": encoding},
-    )
+    proc = run_cli([command], stdin, env={**os.environ, "PYTHONIOENCODING": encoding})
     assert proc.returncode == 2, proc.stderr
     out = [json.loads(line) for line in proc.stdout.decode("utf-8").splitlines()]
     assert len(out) == 3
@@ -153,10 +137,9 @@ def test_stream_is_utf8_whatever_the_locale(command, encoding):
 
 def test_render_reads_utf8_stdin_whatever_the_locale(tmp_path):
     out = tmp_path / "q.svg"
-    proc = subprocess.run(
-        [sys.executable, "-m", "octadist.cli", "render", "--out", str(out)],
-        input='{"id": "\u00e9", '.encode() + WITNESS_L1[1:].encode() + b"\n",
-        capture_output=True,
+    proc = run_cli(
+        ["render", "--out", str(out)],
+        '{"id": "\u00e9", '.encode() + WITNESS_L1[1:].encode() + b"\n",
         env={**os.environ, "PYTHONIOENCODING": "ascii"},
     )
     assert proc.returncode == 0, proc.stderr
@@ -226,16 +209,6 @@ def test_stream_id_splice_is_dumps_of_the_merged_object(command):
     assert code == 2
     expected = [dumps({"id": i, **obj}) for i in ids for obj in (objs[command], error)]
     assert out.splitlines() == expected
-
-
-def in_every_chart(home, shared, x, y):
-    """(home, shared, x, y) written in each of home's three charts, unchecked."""
-    quadruples = []
-    for _ in range(3):
-        quadruples.append((home, shared, x, y))
-        shared = topo.next_shared_ccw(home, shared)
-        x, y = turn(x, y, 1)
-    return quadruples
 
 
 def public_line(p1, p2) -> str:
@@ -392,19 +365,15 @@ def _edge_point(chart, t, flip, times):
 
 
 def _near_edge_point(chart, t, k, times):
-    """(t, k x EPS_IN) near the base of `chart`, in its chart `times` turns on.
-
-    A chart accepts a point at most EPS_IN below its base but only
-    EPS_IN / 2 beyond a slanted edge, so a point outside goes half as far
-    in a turned chart.
-    """
-    return in_every_chart(*chart, t, (k if k >= 0.0 or times == 0 else k / 2.0) * EPS_IN)[times]
+    """(t, k x EPS_IN) near the base of `chart`, in its chart `times` turns on."""
+    return in_every_chart(*chart, t, k * EPS_IN)[times]
 
 
 turns = st.integers(min_value=0, max_value=2)
 # points of every chart kind: interior, on an edge in each of the three
-# charts of either home face, a vertex in every chart, and within EPS_IN of
-# an edge on either side, which snaps onto it
+# charts of either home face, a vertex in every chart, within EPS_IN of an
+# edge on either side, which snaps onto it, and 1.001 to 10 x EPS_IN inside
+# an edge, which stays where it is
 chart_kind_points = st.one_of(
     st.builds(lambda chart, u, v: tuple(interior_rep(*chart, u, v)), charts, units, units),
     st.builds(_edge_point, charts, units, st.booleans(), turns),
@@ -413,7 +382,7 @@ chart_kind_points = st.one_of(
         _near_edge_point,
         charts,
         st.floats(min_value=0.001, max_value=0.999),
-        st.floats(min_value=-0.99, max_value=0.99),
+        st.one_of(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=1.001, max_value=10.0)),
         turns,
     ),
 )
@@ -421,6 +390,8 @@ chart_kind_points = st.one_of(
 
 @settings(max_examples=100)
 @given(st.lists(st.tuples(chart_kind_points, chart_kind_points), min_size=1, max_size=8))
+# an edge point and a point 1.001 x EPS_IN inside that edge, whose chord runs along it
+@example([((4, 1, 0.125, 0.0), (4, 7, 0.2500000008660254, 0.4330127013922193))])
 def test_distance_lines_match_the_oracle_on_points_of_every_chart_kind(pairs):
     # the stream's own record path over plain tuples, held to the unfolding
     # oracle; the oracle takes each point in its canonical chart, where an

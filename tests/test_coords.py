@@ -21,15 +21,17 @@ from octadist.coords import (
     sample_uniform,
     _canonical,
     barycentric,
+    edge_distances,
     surface_point,
     turn,
     vertex_representations,
 )
 
-from conftest import boundary_points, interior_rep, rotate_to_shared
+from conftest import boundary_points, in_every_chart, interior_rep, rotate_to_shared, vertex_charts
 
 faces = st.sampled_from(topo.FACE_INDICES)
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+CHARTS = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
 
 
 @st.composite
@@ -186,11 +188,11 @@ def test_canonicalize_snaps_non_base_edges():
 
 def test_an_edge_point_turns_strictly_inside_its_edge():
     # a point within EPS_IN of one edge only is more than EPS_IN from the
-    # other two, so both other barycentric weights exceed EPS_IN / HALF_SQRT3
-    # and, once its chart turns that edge onto the base, EPS_IN / SQRT3 <
-    # x < 1 - EPS_IN / SQRT3: no clamp is needed.  Points 0.5 to 1.01 x
-    # EPS_IN from the edge (either side) and from the other edge at each
-    # of its corners, in every chart, hold it
+    # other two and at most EPS_IN below the first, so once its chart turns
+    # that edge onto the base, EPS_IN / SQRT3 < x < 1 - EPS_IN / SQRT3: no
+    # clamp is needed.  Points 0.5 to 1.01 x EPS_IN from the edge (either
+    # side) and from the other edge at each of its corners, in every chart,
+    # hold it
     factors = (-1.01, -0.99, -0.5, 0.0, 0.5, 0.99, 1.01)
     seen = set()
     for home in topo.FACE_INDICES:
@@ -204,7 +206,7 @@ def test_an_edge_point_turns_strictly_inside_its_edge():
                     Representation(home, shared, x, y)
                 except InvalidRepresentation:
                     continue
-                on_right, on_left, on_base = (w * HALF_SQRT3 <= EPS_IN for w in barycentric(x, y))
+                on_right, on_left, on_base = (dist <= EPS_IN for dist in edge_distances(x, y))
                 if on_right + on_left + on_base != 1:
                     continue
                 times = 1 if on_right else 2 if on_left else 0
@@ -219,6 +221,107 @@ def test_an_edge_point_turns_strictly_inside_its_edge():
                 )
                 seen.add((home, shared, times, tx < 0.5))
     assert len(seen) == 24 * 3 * 2
+
+
+def test_edge_distances_are_the_distances_to_the_three_edges():
+    # opposite S the right edge, opposite T the left edge, opposite U the base
+    for x, y in ((0.3, 0.2), (0.5, HALF_SQRT3), (0.0, 0.0), (0.5, -0.1), (1.2, 0.1)):
+        right = (SQRT3 * (1.0 - x) - y) / 2.0
+        left = (SQRT3 * x - y) / 2.0
+        assert edge_distances(x, y) == pytest.approx((right, left, y), abs=1e-15)
+        # bit for bit the barycentric weights times HALF_SQRT3, as the snap always read them
+        assert edge_distances(x, y) == tuple(w * HALF_SQRT3 for w in barycentric(x, y))
+
+
+def _assert_same_point(forms):
+    """Every form canonicalizes to one chart, with coordinates within 1e-12."""
+    first, *rest = (canonicalize(form).canonical for form in forms)
+    for other in rest:
+        assert other[:2] == first[:2], (forms, first, other)
+        assert abs(other.x - first.x) <= 1e-12 and abs(other.y - first.y) <= 1e-12, (first, other)
+
+
+def _turned(rep):
+    """rep, rotate_once of it, and rotate_once twice."""
+    once = rotate_once(rep)
+    return [rep, once, rotate_once(once)]
+
+
+within = st.floats(min_value=-0.999, max_value=0.999)
+turns = st.integers(min_value=0, max_value=2)
+
+
+@given(st.sampled_from(CHARTS), st.floats(min_value=0.001, max_value=0.999), within, turns)
+def test_a_point_within_eps_in_of_an_edge_keeps_one_canonical_form_under_every_move(chart, t, k, times):
+    # (t, k x EPS_IN) by the base of `chart`, written in the chart `times`
+    # turns on, where that edge may be slanted: each chart of it is valid
+    forms = [Representation(*q) for q in in_every_chart(*chart, t, k * EPS_IN)]
+    moved = _turned(forms[times]) + [flip_home_face(forms[0])]
+    _assert_same_point(forms + moved)
+    assert canonicalize(forms[0]).canonical.y == 0.0
+
+
+@given(st.sampled_from(CHARTS), st.floats(min_value=0.0, max_value=0.999), st.floats(0.0, 2.0 * math.pi), turns)
+def test_a_point_within_eps_in_of_a_corner_is_its_vertex_in_every_chart(chart, r, angle, times):
+    # r x EPS_IN from the S corner of `chart` in any direction, written in the
+    # chart `times` turns on, where that corner may be T or U
+    x, y = r * EPS_IN * math.cos(angle), r * EPS_IN * math.sin(angle)
+    rep = Representation(*in_every_chart(*chart, x, y)[times])
+    vertex = topo.chart_corners(*chart)[0]
+    forms = _turned(rep) + vertex_charts([vertex])
+    _assert_same_point(forms)
+    assert canonicalize(rep).canonical == vertex_representations(vertex)[0]
+
+
+# A point k x EPS_IN inside (k > 0) or outside (k < 0) an edge, or from both
+# edges at a corner: "snapped" onto the edge or the vertex, "kept" as given,
+# or "invalid" (InvalidRepresentation).
+TOLERANCE_CASES = [
+    (0.5, "snapped"),
+    (0.99, "snapped"),
+    (1.01, "kept"),
+    (2.0, "kept"),
+    (-0.5, "snapped"),
+    (-0.99, "snapped"),
+    (-1.01, "invalid"),
+    (-2.0, "invalid"),
+]
+
+
+@pytest.mark.parametrize("k, outcome", TOLERANCE_CASES)
+def test_a_point_near_an_edge_in_all_24_charts(k, outcome):
+    for (home, shared), t, times in itertools.product(CHARTS, (0.3, 0.7), range(3)):
+        # k x EPS_IN from the edge of F{home} and F{shared}, which is the
+        # base, the right or the left edge of the chart it is written in
+        quad = in_every_chart(home, shared, t, k * EPS_IN)[times]
+        if outcome == "invalid":
+            with pytest.raises(InvalidRepresentation):
+                Representation(*quad)
+            continue
+        got = canonicalize(Representation(*quad)).canonical
+        if outcome == "kept":
+            assert got == quad
+        else:
+            x = t if home < shared else 1.0 - t
+            assert got[:2] == (min(home, shared), max(home, shared)) and got.y == 0.0, (quad, got)
+            assert abs(got.x - x) <= 1e-12, (quad, got)
+
+
+@pytest.mark.parametrize("k, outcome", TOLERANCE_CASES)
+def test_a_point_near_a_corner_in_all_24_charts(k, outcome):
+    for (home, shared), times in itertools.product(CHARTS, range(3)):
+        # k x EPS_IN from both edges at the S corner of (home, shared), on
+        # the bisector, written with that corner at S, T or U
+        quad = in_every_chart(home, shared, SQRT3 * k * EPS_IN, k * EPS_IN)[times]
+        if outcome == "invalid":
+            with pytest.raises(InvalidRepresentation):
+                Representation(*quad)
+            continue
+        got = canonicalize(Representation(*quad)).canonical
+        if outcome == "kept":
+            assert got == quad
+        else:
+            assert got == vertex_representations(topo.chart_corners(home, shared)[0])[0], quad
 
 
 def test_representation_validation():

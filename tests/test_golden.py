@@ -5,8 +5,8 @@ path existed; any change to the numbers, the argmin, the trail or the
 wire format shows up here as a different SHA-256.  The oracle digests
 pin every bit of `unfold_geodesic` and `mesh_upper_bound` on the pairs
 that `validate --seed 0 --count 700` checks.  The byte pins of the CI
-workflow and the benchmark's stored seed-0 digests of `distance-boundary`
-and `path-opposite` are checked here too.
+workflow and the benchmark's stored seed-0 digests of all four workloads
+are checked here too.
 """
 
 import hashlib
@@ -31,7 +31,7 @@ from octadist.coords import (
 from octadist.landscape import VALIDITY_WITNESSES
 from octadist.serialize import dumps
 
-from conftest import point_to_obj
+from conftest import point_to_obj, run_cli
 
 DIGESTS = {
     "distance": "f3fb0b3f7cb10ea109a787856aae3214e2fb31e9ddd5564a99344764d31344a5",
@@ -153,15 +153,9 @@ CI_SVGS = {
 }
 
 
-def _cli(args, stdin=b""):
-    return subprocess.run(
-        [sys.executable, "-m", "octadist.cli", *args], input=stdin, capture_output=True, timeout=60
-    )
-
-
 @pytest.mark.parametrize("command", sorted(CI_IDS_DIGESTS))
 def test_ci_pin_of_the_id_splice(command):
-    proc = _cli([command], CI_IDS_JSONL.encode())
+    proc = run_cli([command], CI_IDS_JSONL.encode())
     assert proc.returncode == 2
     assert hashlib.sha256(proc.stdout).hexdigest() == CI_IDS_DIGESTS[command]
 
@@ -170,21 +164,21 @@ def test_ci_pin_of_the_id_splice(command):
 def test_ci_pin_of_render(tmp_path, name):
     query, digest = CI_SVGS[name]
     out = tmp_path / f"{name}.svg"
-    assert _cli(["render", "--out", str(out), "--query", query]).returncode == 0
+    assert run_cli(["render", "--out", str(out), "--query", query], b"").returncode == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_ci_pin_of_the_validate_summary():
-    proc = _cli(["validate", "--count", "20", "--subdivisions", "4"])
+    proc = run_cli(["validate", "--count", "20", "--subdivisions", "4"], b"")
     assert proc.returncode == 0
     assert proc.stdout == b"checked 29 pairs (9 witness rows + 20 random): 29 passed, 0 failed\n"
 
 
-@pytest.mark.parametrize("workload", ["distance-boundary", "path-opposite"])
+@pytest.mark.parametrize("workload", ["distance-boundary", "distance-uniform", "path-opposite", "validate-mesh"])
 def test_benchmark_digest_at_seed_0(workload):
-    # the stored stdout digests of the two workloads that pin the bytes of
-    # boundary points and of `path`; the corpus lines are written with the
-    # standard json module, not with octadist.serialize
+    # the stored stdout digest of every benchmark workload; the corpus lines
+    # are written with the standard json module, not with octadist.serialize,
+    # and a stream with malformed lines exits 2
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     sys.path.insert(0, str(bench))
     try:
@@ -192,7 +186,7 @@ def test_benchmark_digest_at_seed_0(workload):
     finally:
         sys.path.remove(str(bench))
     corpus = workloads.WORKLOADS[workload](0)
-    proc = _cli(corpus.argv, corpus.stdin)
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_cli(corpus.argv, corpus.stdin)
+    assert proc.returncode == (2 if corpus.malformed else 0), proc.stderr.decode()
     digests = json.loads((bench / "digests.json").read_text())
     assert hashlib.sha256(proc.stdout).hexdigest() == digests[workload]

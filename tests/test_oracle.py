@@ -24,6 +24,7 @@ from octadist.coords import (
     flip_home_face,
     rotate_once,
     sample_uniform,
+    surface_point,
     vertex_representations,
 )
 from octadist.landscape import VALIDITY_WITNESSES, surface_distance
@@ -33,6 +34,7 @@ from conftest import (
     best_chord_loop,
     boundary_points,
     chain_row,
+    in_every_chart,
     interior_rep,
     real_hinges,
     sampled_containment,
@@ -487,6 +489,38 @@ def test_chord_in_chain_rejects_hinges_met_out_of_order():
     params = oracle._chord_in_chain(real_hinges((1, 2, 3)), first, last)
     assert params is not None and params[0][1] < params[1][1]
     assert oracle._chord_in_chain(real_hinges((1, 2, 3)), last, first) is None
+
+
+def test_a_hinge_within_eps_in_of_a_chord_end_is_met_at_that_end():
+    # the chord starts on the F1-F4 hinge, to rounding, and runs nearly along
+    # it to a point 1.001 x EPS_IN inside F4: its crossing parameter with the
+    # hinge's line lands near -1e-8, yet the hinge is met where the chord starts
+    a = surface_point(4, 1, 0.125, 0.0)
+    b = surface_point(4, 7, 0.2500000008660254, 0.4330127013922193)
+    assert abs(oracle.unfold_geodesic(a, b) - 0.375) <= 1e-9
+    assert abs(oracle.unfold_geodesic(b, a) - 0.375) <= 1e-9
+    hinges = real_hinges((1, 4))
+    ((ps, pt),) = hinges
+    ex, ey = pt[0] - ps[0], pt[1] - ps[1]
+    near, far = (ps[0] + 0.5 * ex, ps[1] + 0.5 * ey), (ps[0] + 0.75 * ex, ps[1] + 0.75 * ey)
+    off = (far[0] - 2 * EPS_IN * ey, far[1] + 2 * EPS_IN * ex)  # 2 x EPS_IN off the hinge
+    assert oracle._chord_in_chain(hinges, near, off) == [(0.5, 0.0)]
+    assert oracle._chord_in_chain(hinges, off, near) == [(0.5, 1.0)]
+
+
+@pytest.mark.parametrize("k", [1.001, 2.0, 10.0])
+def test_an_edge_point_and_a_point_just_inside_that_edge_are_their_chord_apart(k):
+    # (t1, 0) and (t2, k x EPS_IN) in one chart lie in one face, so the
+    # geodesic is their chord, whichever charts they are written in
+    for home in topo.FACE_INDICES:
+        for shared in topo.neighbors(home):
+            for t1, t2, times in itertools.product((0.125, 0.5, 0.9), (0.25, 0.7), range(3)):
+                p = in_every_chart(home, shared, t1, 0.0)[times]
+                q = in_every_chart(home, shared, t2, k * EPS_IN)[(times + 1) % 3]
+                a, b = canonicalize(Representation(*p)), canonicalize(Representation(*q))
+                expected = math.hypot(t2 - t1, k * EPS_IN)
+                assert abs(oracle.unfold_geodesic(a, b) - expected) <= 1e-9, (p, q)
+                assert abs(oracle.unfold_geodesic(b, a) - expected) <= 1e-9, (q, p)
 
 
 def test_sampled_containment_rejects_a_chord_leaving_the_chain():
