@@ -165,7 +165,8 @@ def _canonical(r: tuple) -> tuple:
     """Deterministic canonical form of a checked (home, shared, x, y) tuple.
 
     A point within EPS_IN of an edge is snapped onto it, with the smaller
-    incident face as home, and a vertex takes its smallest (home, shared)
+    incident face as home, and a vertex, or a point that lands within
+    EPS_IN of one once snapped, takes the vertex's smallest (home, shared)
     chart.  An interior point is returned as it was given.
     """
     home, shared, x, y = r
@@ -188,7 +189,15 @@ def _canonical(r: tuple) -> tuple:
         for _ in range(times):
             shared = topo.next_shared_ccw(home, shared)
         x, y = turn(x, y, times)
-        return (home, shared, x, 0.0) if home < shared else (shared, home, 1.0 - x, 0.0)
+        if home > shared:
+            home, shared, x = shared, home, 1.0 - x
+        # dropped from up to EPS_IN outside the edge, a point can land within
+        # EPS_IN of its end (S when dt, T when ds): then it is that vertex.  This
+        # reads the x returned, so a canonical form canonicalizes to itself
+        ds, dt, _ = edge_distances(x, 0.0)
+        if ds <= EPS_IN or dt <= EPS_IN:
+            return vertex_representations(topo.chart_corners(home, shared)[ds <= EPS_IN])[0]
+        return home, shared, x, 0.0
 
     return r
 

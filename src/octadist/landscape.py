@@ -36,10 +36,13 @@ the records of its applicable landscapes.  The minimum then runs on
 plain floats with the same operations, in the same order, as the
 validated trail_length and trail_crossings.  Its core, _distance, takes
 and returns plain tuples, and the `distance` command calls it directly.
-surface_distance wraps it: it keeps the winner's chord with its result
-and builds the trail from it only when the result's `trail` is first
-read, so a caller that wants the numbers alone (the oracle's compare)
-never pays for it.
+For each pair of distinct home faces it lays out the winner's landscape
+(_chord: both placements, the chord and every hinge crossing), so every
+caller pays for that layout.  surface_distance wraps it: it keeps the
+winner's chord with its result and builds the trail objects
+(TrailResult, Crossing) from it only when the result's `trail` is first
+read, so a caller that wants the numbers alone (the `distance` command,
+the oracle's compare) builds no trail objects.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octadist import cli, landscape
-from octadist import topology as topo
 from octadist.coords import (
     EPS_IN,
     Representation,
@@ -29,7 +28,16 @@ from octadist.serialize import (
     trail_result_to_obj,
 )
 
-from conftest import in_every_chart, interior_rep, point_to_obj, run_cli, vertex_charts
+from conftest import (
+    CHARTS,
+    chart_kind_points,
+    in_every_chart,
+    interior_rep,
+    near_edge_pairs,
+    point_to_obj,
+    run_cli,
+    vertex_charts,
+)
 
 WITNESS_L1 = (
     '{"p1":{"home":"F1","shared":"F2","x":0.5,"y":0.2},'
@@ -225,11 +233,10 @@ def test_distance_stream_matches_the_public_path_on_boundary_points():
     # written in a chart that must turn to reach the edge, vertices in every
     # chart and points just inside and outside an edge give what the public
     # functions give, bit for bit, and so do their errors
-    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
-    edges = [in_every_chart(*chart, t, 0.0) for chart in charts for t in (0.25, 0.6)]
+    edges = [in_every_chart(*chart, t, 0.0) for chart in CHARTS for t in (0.25, 0.6)]
     near = [
         in_every_chart(*chart, 0.3, k * EPS_IN)
-        for chart in charts
+        for chart in CHARTS
         for k in (0.4, 0.9, 1.1, -0.4, -0.9, -1.1)
     ]
     boundary = [q for triple in edges + near for q in triple]
@@ -300,20 +307,8 @@ point_objs = st.one_of(
 records = st.fixed_dictionaries(
     {"p1": point_objs, "p2": point_objs}, optional={"id": st.one_of(any_text, json_scalars)}
 )
-# valid queries: points in any of the 24 charts (home, shared), inside the
-# triangle, on an edge that the chart may have to turn to reach, or at a vertex
-charts = st.sampled_from([(h, s) for h in topo.FACE_INDICES for s in topo.neighbors(h)])
-units = st.floats(min_value=0.0, max_value=1.0)
-valid_points = st.one_of(
-    st.builds(lambda chart, u, v: point_to_obj(interior_rep(*chart, u, v)), charts, units, units),
-    st.builds(
-        lambda chart, t, times: point_to_obj(in_every_chart(*chart, t, 0.0)[times]),
-        charts,
-        units,
-        st.integers(min_value=0, max_value=2),
-    ),
-    st.sampled_from([point_to_obj(r) for r in vertex_charts()]),
-)
+# valid queries: points of every chart kind
+valid_points = chart_kind_points.map(point_to_obj)
 queries = st.fixed_dictionaries(
     {"p1": valid_points, "p2": valid_points}, optional={"id": st.text(max_size=6)}
 )
@@ -356,40 +351,8 @@ def test_stream_answers_every_line_of_any_input(command, input_lines):
     assert code == (2 if errors else 0)
 
 
-def _edge_point(chart, t, flip, times):
-    """(t, 0) on the base of `chart`, written from either home face, in its chart `times` turns on."""
-    home, shared = chart
-    if flip:
-        home, shared, t = shared, home, 1.0 - t
-    return in_every_chart(home, shared, t, 0.0)[times]
-
-
-def _near_edge_point(chart, t, k, times):
-    """(t, k x EPS_IN) near the base of `chart`, in its chart `times` turns on."""
-    return in_every_chart(*chart, t, k * EPS_IN)[times]
-
-
-turns = st.integers(min_value=0, max_value=2)
-# points of every chart kind: interior, on an edge in each of the three
-# charts of either home face, a vertex in every chart, within EPS_IN of an
-# edge on either side, which snaps onto it, and 1.001 to 10 x EPS_IN inside
-# an edge, which stays where it is
-chart_kind_points = st.one_of(
-    st.builds(lambda chart, u, v: tuple(interior_rep(*chart, u, v)), charts, units, units),
-    st.builds(_edge_point, charts, units, st.booleans(), turns),
-    st.sampled_from([tuple(r) for r in vertex_charts()]),
-    st.builds(
-        _near_edge_point,
-        charts,
-        st.floats(min_value=0.001, max_value=0.999),
-        st.one_of(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=1.001, max_value=10.0)),
-        turns,
-    ),
-)
-
-
 @settings(max_examples=100)
-@given(st.lists(st.tuples(chart_kind_points, chart_kind_points), min_size=1, max_size=8))
+@given(st.lists(st.one_of(st.tuples(chart_kind_points, chart_kind_points), near_edge_pairs()), min_size=1, max_size=8))
 # an edge point and a point 1.001 x EPS_IN inside that edge, whose chord runs along it
 @example([((4, 1, 0.125, 0.0), (4, 7, 0.2500000008660254, 0.4330127013922193))])
 def test_distance_lines_match_the_oracle_on_points_of_every_chart_kind(pairs):

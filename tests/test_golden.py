@@ -24,14 +24,13 @@ from octadist import oracle, topology as topo
 from octadist.coords import (
     Representation,
     canonicalize,
-    rotate_once,
     sample_uniform,
     vertex_representations,
 )
 from octadist.landscape import VALIDITY_WITNESSES
 from octadist.serialize import dumps
 
-from conftest import point_to_obj, run_cli
+from conftest import CHARTS, every_chart, point_to_obj, run_cli
 
 DIGESTS = {
     "distance": "f3fb0b3f7cb10ea109a787856aae3214e2fb31e9ddd5564a99344764d31344a5",
@@ -46,25 +45,17 @@ ORACLE_DIGESTS = {
 }
 
 
-def _random_chart(rep: Representation, rng: random.Random) -> Representation:
-    for _ in range(rng.randrange(3)):
-        rep = rotate_once(rep)
-    return rep
-
-
 def golden_pairs(seed: int = 2024, count: int = 300) -> list[tuple[Representation, Representation]]:
     """Random pairs in random charts, plus boundary points and the tie pair."""
     rng = random.Random(seed)
-    points = [_random_chart(p.canonical, rng) for p in sample_uniform(seed, 2 * count)]
+    points = [every_chart(p.canonical)[rng.randrange(3)] for p in sample_uniform(seed, 2 * count)]
     pairs = list(zip(points[0::2], points[1::2]))
     # same-face and coincident pairs
-    pairs += [(points[0], _random_chart(points[0], rng))]
-    pairs += [(p, _random_chart(Representation(p.home, p.shared, 0.5, 0.25), rng)) for p in points[:8]]
+    pairs += [(points[0], every_chart(points[0])[rng.randrange(3)])]
+    pairs += [(p, every_chart(Representation(p.home, p.shared, 0.5, 0.25))[rng.randrange(3)]) for p in points[:8]]
     # vertices in every chart, and edge points in both of their charts
     special = [rep for v in topo.VERTICES for rep in vertex_representations(v)]
-    for f in topo.FACE_INDICES:
-        for g in topo.neighbors(f):
-            special.append(Representation(f, g, 0.3, 0.0))
+    special += [Representation(*chart, 0.3, 0.0) for chart in CHARTS]
     pairs += [(a, b) for a, b in itertools.combinations(special, 2) if rng.random() < 0.15]
     # antipodal vertices: a tie between the two mirror strips L2 and L3
     pairs.append(

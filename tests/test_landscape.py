@@ -35,11 +35,18 @@ from octadist.landscape import (
 )
 from octadist.oracle import embed_3d, unfold_geodesic
 
-from conftest import boundary_points, interior_rep, rotate_to_shared, vertex_charts
+from conftest import (
+    CHARTS,
+    FRAMES,
+    SQRT3,
+    boundary_points,
+    charts,
+    interior_rep,
+    rotate_to_shared,
+    units,
+    vertex_charts,
+)
 
-SQRT3 = math.sqrt(3.0)
-
-units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 landscape_ids = st.sampled_from(range(1, 10))
 
 
@@ -47,9 +54,7 @@ landscape_ids = st.sampled_from(range(1, 10))
 def framed_pairs(draw, ids=landscape_ids):
     """(index, p1, p2, frame) with both points in the charts L-index expects."""
     index = draw(ids)
-    n1 = draw(st.sampled_from(topo.FACE_INDICES))
-    n2 = topo.neighbors(n1)[draw(st.integers(min_value=0, max_value=2))]
-    frame = topo.Frame.from_anchor(n1, n2)
+    frame = topo.Frame.from_anchor(*draw(charts))
     p1 = interior_rep(frame.face(1), frame.face(2), draw(units), draw(units))
     if index == 1:
         home, shared = frame.face(2), frame.face(1)
@@ -163,10 +168,7 @@ def test_a_bool_index_leaves_the_layouts_alone():
 
 
 def test_per_landscape_calls_take_the_frame_of_the_first_chart():
-    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
-    assert len(charts) == 24
-    for home, shared in charts:
-        frame = topo.Frame.from_anchor(home, shared)
+    for (home, shared), frame in zip(CHARTS, FRAMES):
         p1 = interior_rep(home, shared, 0.3, 0.2)
         for index in PATH_ROLES:
             h_role, s_role = _P2_CHART_ROLES[landscape._RELATION_FOR_ID[index]]
@@ -213,11 +215,8 @@ def test_every_layout_unfolds_each_face_across_its_hinge():
     # each face after the base is a unit triangle that shares its hinge's
     # two positions, bit for bit, with the face it unfolds from, and lies
     # on the other side of that hinge
-    frames = [
-        topo.Frame.from_anchor(n1, n2) for n1 in topo.FACE_INDICES for n2 in topo.neighbors(n1)
-    ]
     layouts = 0
-    for frame in frames:
+    for frame in FRAMES:
         for index in PATH_ROLES:
             roles = PATH_ROLES[index]
             faces = tuple(frame.face(r) for r in roles)
@@ -289,9 +288,8 @@ def test_every_layout_contains_the_chords_of_its_charts():
     # here the oracle's own intersection routine checks it, over every
     # layout record, for chords between vertices, edge points and interior
     # points of the two formula charts
-    frames = [topo.Frame.from_anchor(h, s) for h in topo.FACE_INDICES for s in topo.neighbors(h)]
     chords = 0
-    for frame in frames:
+    for frame in FRAMES:
         for index in PATH_ROLES:
             ls = landscape._layout(index, frame)
             h_role, s_role = _P2_CHART_ROLES[landscape._RELATION_FOR_ID[index]]
@@ -455,7 +453,7 @@ def test_surface_distance_edge_point_to_opposite_face():
 
 
 @given(framed_pairs(ids=st.just(4)))
-def test_distance_uses_best_contained_landscape(case):
+def test_distance_is_the_least_applicable_formula_length(case):
     _index, p1, p2, frame = case
     a, b = canonicalize(p1), canonicalize(p2)
     result = surface_distance(a, b)
@@ -636,8 +634,7 @@ def test_minimizer_only_layout_matches_reference_on_boundary_points():
 
 def test_every_chart_pair_matches_reference_bit_for_bit():
     # each ordered chart pair with distinct homes has its own plan
-    charts = [(home, shared) for home in topo.FACE_INDICES for shared in topo.neighbors(home)]
-    keys = [(c1, c2) for c1 in charts for c2 in charts if c1[0] != c2[0]]
+    keys = [(c1, c2) for c1 in CHARTS for c2 in CHARTS if c1[0] != c2[0]]
     assert len(keys) == 504
     rng = random.Random(504)
     pairs = []
@@ -668,18 +665,18 @@ def test_every_member_of_a_tie_is_in_the_argmin():
         assert result.trail.landscape.index == 2 and result.trail.contained
 
 
-@pytest.mark.parametrize("uncontained", ["minimizer", "all"])
-def test_uncontained_minimizer_falls_back_to_every_landscape(uncontained):
-    # the fallback this name describes is gone: every landscape is convex,
-    # so neither the minimizer ("minimizer") nor any applicable landscape
-    # ("all") of a witness pair leaves its strip, as the oracle's own
-    # intersection routine confirms, and no result falls back
+@pytest.mark.parametrize("landscapes", ["minimizer", "all"])
+def test_witness_chords_stay_in_their_landscapes(landscapes):
+    # every landscape is convex, so neither the minimizer ("minimizer") nor
+    # any applicable landscape ("all") of a witness pair leaves its strip,
+    # as the oracle's own intersection routine confirms, and no result
+    # falls back
     for row in VALIDITY_WITNESSES.values():
         a, b = canonicalize(row[0]), canonicalize(row[1])
         frame, p1, p2 = _prepare_pair(a, b)
         result = assert_matches_reference(a, b)
         assert not result.fallback and result.trail.contained
-        if uncontained == "minimizer":
+        if landscapes == "minimizer":
             ids = result.argmin[:1]
             assert result.trail.landscape.index == ids[0]
         else:

@@ -31,26 +31,21 @@ from octadist.landscape import VALIDITY_WITNESSES, surface_distance
 from octadist.serialize import dumps
 
 from conftest import (
+    CHARTS,
     best_chord_loop,
     boundary_points,
     chain_row,
+    every_chart,
     in_every_chart,
     interior_rep,
+    interior_reps,
     real_hinges,
     sampled_containment,
+    units,
 )
-
-units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 #: Each vertex's 3D position, read from the oracle's one table of them.
 COORDS = {v: oracle._VERTEX_ROWS[oracle._VERTEX_ROW[v]] for v in topo.VERTICES}
-
-
-@st.composite
-def interior_reps(draw):
-    home = draw(st.sampled_from(topo.FACE_INDICES))
-    shared = draw(st.sampled_from(topo.neighbors(home)))
-    return interior_rep(home, shared, draw(units), draw(units))
 
 
 def test_oracle_takes_only_surface_distance_from_landscape():
@@ -144,7 +139,7 @@ def test_embed_3d_flip_well_defined(home, x):
     )
 
 
-@given(interior_reps())
+@given(interior_reps)
 def test_embed_3d_rotation_invariant(rep):
     base = oracle.embed_3d(rep)
     out = rep
@@ -168,28 +163,13 @@ def _embed_by_coordinate(rep):
     return [ls * ps + lt * pt + lu * pu for ps, pt, pu in zip(s, t, u)]
 
 
-def _every_chart(rep):
-    """rep in each chart of its home face, and for a boundary point in every chart of its other faces too."""
-    starts = [rep]
-    if abs(rep.y) <= EPS_IN:
-        starts.append(flip_home_face(rep))
-    if rep.x == 0.0 and rep.y == 0.0:
-        starts += vertex_representations(topo.chart_corners(rep.home, rep.shared)[0])
-    charts = []
-    for start in starts:
-        for _ in range(3):
-            charts.append(start)
-            start = rotate_once(start)
-    return charts
-
-
 def _hexes(rows):
     return [[c.hex() for c in row] for row in rows]
 
 
 def test_embedding_has_the_bits_of_the_per_coordinate_sum():
     points = sample_uniform(5, 600) + boundary_points()
-    reps = [chart for p in points for chart in _every_chart(p.canonical)]
+    reps = [chart for p in points for chart in every_chart(p.canonical)]
     assert len(reps) >= 3 * len(points)
     expected = _hexes(map(_embed_by_coordinate, reps))
     assert _hexes(oracle.embed_3d(rep).tolist() for rep in reps) == expected
@@ -512,15 +492,13 @@ def test_a_hinge_within_eps_in_of_a_chord_end_is_met_at_that_end():
 def test_an_edge_point_and_a_point_just_inside_that_edge_are_their_chord_apart(k):
     # (t1, 0) and (t2, k x EPS_IN) in one chart lie in one face, so the
     # geodesic is their chord, whichever charts they are written in
-    for home in topo.FACE_INDICES:
-        for shared in topo.neighbors(home):
-            for t1, t2, times in itertools.product((0.125, 0.5, 0.9), (0.25, 0.7), range(3)):
-                p = in_every_chart(home, shared, t1, 0.0)[times]
-                q = in_every_chart(home, shared, t2, k * EPS_IN)[(times + 1) % 3]
-                a, b = canonicalize(Representation(*p)), canonicalize(Representation(*q))
-                expected = math.hypot(t2 - t1, k * EPS_IN)
-                assert abs(oracle.unfold_geodesic(a, b) - expected) <= 1e-9, (p, q)
-                assert abs(oracle.unfold_geodesic(b, a) - expected) <= 1e-9, (q, p)
+    for chart, t1, t2, times in itertools.product(CHARTS, (0.125, 0.5, 0.9), (0.25, 0.7), range(3)):
+        p = in_every_chart(*chart, t1, 0.0)[times]
+        q = in_every_chart(*chart, t2, k * EPS_IN)[(times + 1) % 3]
+        a, b = canonicalize(Representation(*p)), canonicalize(Representation(*q))
+        expected = math.hypot(t2 - t1, k * EPS_IN)
+        assert abs(oracle.unfold_geodesic(a, b) - expected) <= 1e-9, (p, q)
+        assert abs(oracle.unfold_geodesic(b, a) - expected) <= 1e-9, (q, p)
 
 
 def test_sampled_containment_rejects_a_chord_leaving_the_chain():

@@ -6,17 +6,11 @@ import re
 import pytest
 
 from octadist import cli, topology as topo
-from octadist.coords import (
-    Representation,
-    canonicalize,
-    flip_home_face,
-    rotate_once,
-    vertex_representations,
-)
+from octadist.coords import Representation, canonicalize, flip_home_face
 from octadist.landscape import surface_distance
 from octadist.render import MAX_SCALE, NET_CORNERS, net_position, render_svg, trail_segments
 
-from conftest import point_to_obj
+from conftest import CHARTS, boundary_points, every_chart, point_to_obj
 
 
 def test_net_triangles_are_unit_equilateral():
@@ -30,10 +24,8 @@ def test_net_gluing_is_consistent():
     # wherever two adjacent faces share both corner positions, the shared
     # labels must sit on the same net points; otherwise the edge is a cut
     glued = 0
-    for a in topo.FACE_INDICES:
-        for b in topo.neighbors(a):
-            if b < a:
-                continue
+    for a, b in CHARTS:
+        if a < b:
             s, t = topo.shared_edge(a, b)
             same = (
                 math.dist(NET_CORNERS[a][s], NET_CORNERS[b][s]) < 1e-12
@@ -144,29 +136,12 @@ def test_render_svg_takes_scales_up_to_its_limit_only(witness_points):
             render_svg(a, b, result, scale=scale)
 
 
-def _every_chart(rep):
-    """Every chart of a point on rep's shared edge: both homes, each turned 0, 1 and 2 times."""
-    out = []
-    for r in (rep, flip_home_face(rep)):
-        for _ in range(3):
-            out.append(r)
-            r = rotate_once(r)
-    return out
-
-
-def _boundary_charts():
-    """Each edge and vertex point of the suite with every chart it has."""
-    points = []
-    for f in topo.FACE_INDICES:
-        for g in topo.neighbors(f):
-            if f < g:
-                for t in (0.25, 0.5):
-                    points.append(_every_chart(Representation(f, g, t, 0.0)))
-    for v in topo.VERTICES:
-        charts = {c for rep in vertex_representations(v) for c in _every_chart(rep)}
-        points.append(sorted(charts))
-    return points
-
+# the edge points, then the vertices, of boundary_points, each in every chart it has
+_BOUNDARY_CHARTS = [
+    list(dict.fromkeys(every_chart(p.canonical)))
+    for p in sorted(boundary_points(), key=lambda p: p.canonical.x == 0.0)
+    if p.canonical.y == 0.0
+]
 
 _INTERIOR = [Representation(f, topo.neighbors(f)[0], 0.3, 0.2) for f in topo.FACE_INDICES]
 
@@ -175,7 +150,7 @@ def test_trail_ends_on_the_canonical_copy_of_edge_and_vertex_points():
     # an edge or vertex point written on the far side of a cut edge lies
     # apart from the copy the trail starts on; the net trail must still
     # be one unbroken path of the geodesic's length
-    boundary = {canonicalize(chart) for charts in _boundary_charts() for chart in charts}
+    boundary = {canonicalize(chart) for charts in _BOUNDARY_CHARTS for chart in charts}
     for p in sorted(boundary):
         for q in map(canonicalize, _INTERIOR):
             for a, b in ((p, q), (q, p)):
@@ -195,7 +170,7 @@ def test_render_query_draws_every_chart_of_a_point_alike(tmp_path):
         assert cli.main(["render", "--out", str(out), "--query", query]) == 0
         return out.read_bytes()
 
-    for k, charts in enumerate(_boundary_charts()):
+    for k, charts in enumerate(_BOUNDARY_CHARTS):
         p, q = canonicalize(charts[0]).canonical, _INTERIOR[k % len(_INTERIOR)]
         assert p in charts
         expect_pq, expect_qp = svg(p, q), svg(q, p)

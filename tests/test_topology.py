@@ -7,10 +7,7 @@ from octadist import topology as topo
 from octadist.landscape import PATH_ROLES
 from octadist.topology import Frame, Relation
 
-
-def all_frames() -> list[Frame]:
-    """All 24 valid role assignments, by the anchor constructor."""
-    return [Frame.from_anchor(n1, n2) for n1 in topo.FACE_INDICES for n2 in topo.neighbors(n1)]
+from conftest import CHARTS, FRAMES
 
 
 def is_valid_frame(frame: Frame) -> bool:
@@ -103,12 +100,11 @@ def test_relation_class_sizes():
 
 
 def test_chart_corners_partition_face():
-    for home in topo.FACE_INDICES:
-        for shared in topo.neighbors(home):
-            s, t, u = topo.chart_corners(home, shared)
-            assert {s, t, u} == set(topo.face_vertices(home))
-            # the S-T edge is the one shared with `shared`
-            assert (s & t) == frozenset({home, shared})
+    for home, shared in CHARTS:
+        s, t, u = topo.chart_corners(home, shared)
+        assert {s, t, u} == set(topo.face_vertices(home))
+        # the S-T edge is the one shared with `shared`
+        assert (s & t) == frozenset({home, shared})
 
 
 def test_chart_corners_rejects_non_neighbor():
@@ -167,12 +163,12 @@ def test_dual_paths_from_a_face_to_itself_are_empty():
 def test_exactly_24_valid_frames_and_constructor_agrees():
     brute = enumerate_valid_assignments()
     assert len(brute) == 24
-    assert set(brute) == set(all_frames())
+    assert set(brute) == set(FRAMES)
 
 
 def test_frames_preserve_all_neighbor_cycles():
     # every valid frame acts as a rotation of the labelled solid
-    for frame in all_frames():
+    for frame in FRAMES:
         for role in range(1, 9):
             image = frame.face(role)
             mapped = tuple(frame.face(r) for r in topo.neighbors(role))
@@ -230,15 +226,14 @@ def test_canonical_frame_rejects_bad_input():
 
 def test_turns_agrees_with_stepping_next_shared_ccw():
     cases = 0
-    for home in topo.FACE_INDICES:
-        for shared in topo.neighbors(home):
-            for target in topo.neighbors(home):
-                steps, out = 0, shared
-                while out != target:
-                    out = topo.next_shared_ccw(home, out)
-                    steps += 1
-                assert topo.turns(home, shared, target) == steps
-                cases += 1
+    for home, shared in CHARTS:
+        for target in topo.neighbors(home):
+            steps, out = 0, shared
+            while out != target:
+                out = topo.next_shared_ccw(home, out)
+                steps += 1
+            assert topo.turns(home, shared, target) == steps
+            cases += 1
     assert cases == 8 * 3 * 3
 
 
@@ -275,7 +270,7 @@ def _convexity_breach(path):
 
 def test_every_landscape_unfolds_to_a_convex_strip():
     landscapes = {
-        tuple(frame.face(role) for role in roles) for frame in all_frames() for roles in PATH_ROLES.values()
+        tuple(frame.face(role) for role in roles) for frame in FRAMES for roles in PATH_ROLES.values()
     }
     assert len(landscapes) == 120
     # every vertex of a landscape lies in at most 3 consecutive faces of it
