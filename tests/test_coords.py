@@ -373,6 +373,19 @@ def test_representation_is_a_plain_tuple_of_its_fields():
         rep.x = 0.4
 
 
+@given(interior_reps)
+def test_canonicalize_is_idempotent(rep):
+    once = canonicalize(rep)
+    assert canonicalize(once.canonical) == once
+
+
+@given(faces, units)
+def test_canonicalize_idempotent_on_edges(home, x):
+    rep = Representation(home, topo.neighbors(home)[1], x, 0.0)
+    once = canonicalize(rep)
+    assert canonicalize(once.canonical) == once
+
+
 @settings(max_examples=300)
 @given(st.one_of(chart_kind_points, near_corner_points))
 @example((1, 2, 8.66e-10, -9e-10))  # dropped onto the base, it lands within EPS_IN of S
