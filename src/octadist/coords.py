@@ -134,11 +134,17 @@ def flip_home_face(r: Representation) -> Representation:
     """Swap home and shared face for a point within EPS_IN of the shared edge.
 
     (home, shared, x, 0) and (shared, home, 1 - x, 0) are the two charts
-    of one edge point; the flip is an involution.
+    of one edge point.  The point drops onto the edge, or, by canonicalize's
+    corner rule, onto an end when it is within EPS_IN of the end's other
+    edge.  So two flips give back an edge point farther than
+    EPS_IN / HALF_SQRT3 from both ends, and turn a nearer one into that
+    end's vertex, which two flips give back.
     """
-    if abs(edge_distances(r.x, r.y)[2]) > EPS_IN:
+    ds, dt, du = edge_distances(r.x, r.y)
+    if abs(du) > EPS_IN:
         raise NotOnSharedEdge(f"y = {r.y} exceeds {EPS_IN}")
-    return Representation(r.shared, r.home, 1.0 - min(1.0, max(0.0, r.x)), 0.0)
+    x = 0.0 if dt <= EPS_IN else 1.0 if ds <= EPS_IN else r.x
+    return Representation(r.shared, r.home, 1.0 - x, 0.0)
 
 
 def vertex_representations(v: topo.VertexLabel) -> list[Representation]:

@@ -2,13 +2,14 @@
 
 Points travel as {"home": "F3", "shared": "F4", "x": 0.4, "y": 0.3};
 query records as {"p1": <point>, "p2": <point>, "id": <optional str>}.
+`home` and `shared` are "F1".."F8" or an integer 1..8; anything else
+("F01" included) is a BadRecord.
 All numbers are emitted with 17 significant digits so that doubles
 round-trip exactly and output is byte-deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from typing import Any
@@ -29,17 +30,17 @@ def format_float(value: float) -> str:
 
 #: What json.dumps(s, ensure_ascii=False) calls, without a new encoder per call.
 _encode_str = json.encoder.encode_basestring
-
-
-@functools.lru_cache(maxsize=256)
-def _encode_key(key: str) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return json.dumps(key)
+#: What json.dumps(key) calls: keys are written ASCII-escaped.
+_encode_ascii = json.encoder.encode_basestring_ascii
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic single-line JSON with 17-significant-digit floats."""
+    """Deterministic single-line JSON with 17-significant-digit floats.
+
+    Only the exact JSON types are written: str, float, None, True, False,
+    int, a dict with str keys and a list.  Any other type, a subclass of
+    one of these included, raises TypeError.
+    """
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -51,23 +52,18 @@ def dumps(obj: Any) -> str:
         return "true"
     if obj is False:
         return "false"
-    # no class derives from two of dict, list, tuple, str, int and float, so the
-    # order of these checks does not change which branch a value takes
-    if isinstance(obj, dict):
-        items = ", ".join([_encode_key(k) + ": " + dumps(v) for k, v in obj.items()])
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
+    if kind is int:
+        return repr(obj)
+    if kind is dict:
+        if any(type(key) is not str for key in obj):
+            raise TypeError("keys must be str")
+        return "{" + ", ".join([_encode_ascii(k) + ": " + dumps(v) for k, v in obj.items()]) + "}"
+    if kind is list:
         return "[" + ", ".join([dumps(v) for v in obj]) + "]"
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)  # the digits, also for an IntEnum member on 3.10
-    if isinstance(obj, float):
-        return format_float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-#: Face labels as the wire spells them; anything else takes the general path.
+#: Face labels as the wire spells them.
 _FACE_LABELS = {f"F{face}": face for face in range(1, 9)}
 
 
@@ -76,14 +72,7 @@ def _parse_face(value: Any, field: str) -> int:
         face = _FACE_LABELS.get(value)
         if face is not None:
             return face
-    if isinstance(value, str) and value.startswith("F"):
-        value = value[1:]
-        if value.isascii() and value.isdigit():
-            try:
-                value = int(value)
-            except ValueError:  # more digits than int() converts
-                pass
-    if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 8:
+    elif type(value) is int and 1 <= value <= 8:
         return value
     raise BadRecord(f"{field} must be a face label 'F1'..'F8'")
 
@@ -96,9 +85,9 @@ def parse_point(obj: Any) -> Representation:
     shared = _parse_face(obj.get("shared"), "shared")
     x = obj.get("x")
     y = obj.get("y")
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
+    if type(x) not in (int, float):
         raise BadRecord("x must be a number")
-    if not isinstance(y, (int, float)) or isinstance(y, bool):
+    if type(y) not in (int, float):
         raise BadRecord("y must be a number")
     try:
         x, y = float(x), float(y)

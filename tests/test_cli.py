@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from unittest import mock
@@ -298,7 +299,8 @@ json_values = st.recursive(
     ),
     max_leaves=6,
 )
-faces = st.one_of(st.sampled_from([f"F{i}" for i in range(10)]), json_scalars)
+# with the zero-padded labels "F00".."F09", which are BadRecords like "F9"
+faces = st.one_of(st.sampled_from([f"F{i}" for i in range(10)] + [f"F0{i}" for i in range(10)]), json_scalars)
 coords = st.one_of(st.floats(min_value=-0.1, max_value=1.1), json_scalars)
 point_objs = st.one_of(
     st.fixed_dictionaries({"home": faces, "shared": faces, "x": coords, "y": coords}),
@@ -312,11 +314,36 @@ valid_points = chart_kind_points.map(point_to_obj)
 queries = st.fixed_dictionaries(
     {"p1": valid_points, "p2": valid_points}, optional={"id": st.text(max_size=6)}
 )
+
+
+def _zero_pad(query, point, key):
+    """The query with one face label of one point written with a leading zero."""
+    padded = dict(query[point])
+    padded[key] = "F0" + padded[key][1:]
+    return {**query, point: padded}
+
+
+# valid queries but for one zero-padded label
+padded_queries = st.builds(_zero_pad, queries, st.sampled_from(["p1", "p2"]), st.sampled_from(["home", "shared"]))
 # a line is read up to "\n" or "\r"; stdin itself is valid UTF-8
 raw_lines = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=20)
 lines = st.one_of(
-    raw_lines, records.map(json.dumps), queries.map(json.dumps), json_values.map(json.dumps)
+    raw_lines,
+    records.map(json.dumps),
+    queries.map(json.dumps),
+    padded_queries.map(json.dumps),
+    json_values.map(json.dumps),
 )
+
+
+def _has_a_zero_padded_label(line):
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return False
+    points = (record.get("p1"), record.get("p2")) if isinstance(record, dict) else ()
+    labels = [point.get(key) for point in points if isinstance(point, dict) for key in ("home", "shared")]
+    return any(isinstance(label, str) and re.fullmatch(r"F0[0-9]+", label) for label in labels)
 
 
 def test_the_fuzzed_lines_often_hold_a_valid_query():
@@ -349,6 +376,8 @@ def test_stream_answers_every_line_of_any_input(command, input_lines):
     objs = [json.loads(line) for line in got]
     errors = sum("error" in obj for obj in objs)
     assert code == (2 if errors else 0)
+    # a zero-padded face label makes its line an error object
+    assert all("error" in obj for line, obj in zip(expected, objs) if _has_a_zero_padded_label(line))
 
 
 @settings(max_examples=100)

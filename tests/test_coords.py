@@ -124,13 +124,40 @@ def test_flip_rejects_off_edge_points():
         flip_home_face(Representation(1, 2, 0.5, 0.2))
 
 
+#: An edge point farther than this from an end of its edge is more than
+#: EPS_IN from that end's other edge, so it does not become the vertex.
+END_BAND = EPS_IN / HALF_SQRT3
+
+
 @given(faces, units)
+@example(1, END_BAND * (1 - 1e-6))
+@example(1, END_BAND * (1 + 1e-6))
+@example(1, 1.0 - END_BAND * (1 - 1e-6))
+@example(1, 1.0 - END_BAND * (1 + 1e-6))
 def test_flip_is_involution(home, x):
+    # an edge point farther than END_BAND from both ends comes back; a
+    # nearer one lands on that end's vertex, which two flips give back.
+    # Within 1e-15 of END_BAND, the rounding of 1 - x may take either way
     shared = topo.neighbors(home)[0]
     rep = Representation(home, shared, x, 0.0)
     back = flip_home_face(flip_home_face(rep))
     assert (back.home, back.shared, back.y) == (home, shared, 0.0)
-    assert back.x == pytest.approx(x, abs=1e-15)
+    end = min(x, 1.0 - x)
+    if end > END_BAND + 1e-15:
+        assert back.x == pytest.approx(x, abs=1e-15)
+    elif end < END_BAND - 1e-15:
+        assert back.x == (0.0 if x < 0.5 else 1.0)
+        assert flip_home_face(flip_home_face(back)) == back
+
+
+@given(near_corner_points.filter(lambda quad: min(edge_distances(*quad[2:])) <= EPS_IN))
+@example((1, 6, 1.1554495970606208e-09, 2.7725412700292608e-11))  # a vertex, not an edge point
+def test_a_flip_near_a_corner_keeps_the_canonical_point(quad):
+    # every chart of a point near a corner that snaps onto an edge or the
+    # vertex, flips from each edge within EPS_IN included, names one
+    # canonical form (an interior point keeps the chart it is given in)
+    forms = [Representation(*q) for q in in_every_chart(*quad)]
+    _assert_same_point([chart for form in forms for chart in every_chart(form)])
 
 
 def test_vertex_representations_examples():

@@ -165,6 +165,20 @@ def test_ci_pin_of_the_validate_summary():
     assert proc.stdout == b"checked 29 pairs (9 witness rows + 20 random): 29 passed, 0 failed\n"
 
 
+def test_ci_pin_twin_of_the_validate_failure_reports():
+    # with no tolerance, 16 pairs fail by rounding alone: their report
+    # lines, every field of them, then the summary
+    proc = run_cli(["validate", "--count", "20", "--subdivisions", "4", "--tolerance", "0"], b"")
+    assert proc.returncode == 1
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 17
+    assert lines[-1] == "checked 29 pairs (9 witness rows + 20 random): 13 passed, 16 failed"
+    assert all(list(json.loads(line)) == [*oracle.CompareReport._fields, "passed"] for line in lines[:-1])
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "d1fa8ac1e491b7a35f6c2698adf8283f5cd5a084789884f948a927a1ac72f361"
+    )
+
+
 @pytest.mark.parametrize("workload", ["distance-boundary", "distance-uniform", "path-opposite", "validate-mesh"])
 def test_benchmark_digest_at_seed_0(workload):
     # the stored stdout digest of every benchmark workload; the corpus lines

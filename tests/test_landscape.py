@@ -665,6 +665,28 @@ def test_every_member_of_a_tie_is_in_the_argmin():
         assert result.trail.landscape.index == 2 and result.trail.contained
 
 
+@pytest.mark.parametrize(
+    "t, gap, argmin",
+    [
+        (0.7977536500079014, -0.5, (2, 3)),
+        (0.7977536500060514, 0.5, (2, 3)),
+        (0.7977536500106766, -2.0, (2,)),
+        (0.797753650003276, 2.0, (3,)),
+    ],
+)
+def test_argmin_is_every_landscape_within_1e_12_of_the_least_length(t, gap, argmin):
+    # README's tie rule, with 1e-12 written out: the computed L2 and L3
+    # lengths of these pairs differ by gap x 1e-12, which the test checks
+    # first; half of 1e-12 is a tie, twice it is not
+    a = canonicalize(Representation(1, 2, 0.3, 0.2))
+    b = canonicalize(Representation(3, 2, t, 0.1))
+    _frame, p1, p2 = _prepare_pair(a, b)
+    assert (trail_length(2, p1, p2) - trail_length(3, p1, p2)) / 1e-12 == pytest.approx(gap, abs=0.01)
+    result = surface_distance(a, b)
+    assert result.argmin == argmin
+    assert result.trail.landscape.index == argmin[0]
+
+
 @pytest.mark.parametrize("landscapes", ["minimizer", "all"])
 def test_witness_chords_stay_in_their_landscapes(landscapes):
     # every landscape is convex, so neither the minimizer ("minimizer") nor
